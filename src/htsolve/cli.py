@@ -93,14 +93,14 @@ class RunSpec:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.command in ("solve", "st-solve"):
-            if self.eps is None or self.eps <= 0:
+            if self.eps is None or not math.isfinite(self.eps) or self.eps <= 0:
                 raise ValueError(
-                    f"{self.command} needs a positive --eps, got {self.eps}"
+                    f"{self.command} needs a finite positive --eps, got {self.eps}"
                 )
         if self.command == "compress":
-            if self.eps is None or self.eps < 0:
+            if self.eps is None or not math.isfinite(self.eps) or self.eps < 0:
                 raise ValueError(
-                    f"compress needs a nonnegative --eps tolerance, got {self.eps}"
+                    f"compress needs a finite nonnegative --eps tolerance, got {self.eps}"
                 )
         if self.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {self.threads}")

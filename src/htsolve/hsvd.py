@@ -47,6 +47,7 @@ __all__ = [
     "inner",
     "norm",
     "orthogonalize",
+    "apply_cp",
     "edge_spectra",
     "recompress",
     "plan_recompression",
@@ -494,18 +495,92 @@ def orthogonalize(h: HTensor) -> HTensor:
 
     left, right = tree.child_pair(tree.root)
     core = rfac[left] @ h.root_transfer @ rfac[right].T
-    u, s, vt = _svd(core)
+    return _absorb_root_core(tree, h.dims, frames, transfer, core)
 
-    def absorb(node: Node, basis: np.ndarray):
+
+def _absorb_root_core(tree: DimensionTree, dims, frames, transfer,
+                      core: np.ndarray) -> HTensor:
+    """Finish a bottom-up QR sweep: the SVD of the root core is absorbed into
+    the root children, which restores equal root ranks and leaves a diagonal
+    root transfer with the root-edge singular values on it."""
+    u, s, vt = _svd(core)
+    left, right = tree.child_pair(tree.root)
+    for node, basis in ((left, u), (right, vt.T)):
         if tree.is_leaf(node):
             frames[node[0]] = frames[node[0]] @ basis
         else:
             transfer[node] = np.einsum("abk,kK->abK", transfer[node], basis)
-
-    absorb(left, u)
-    absorb(right, vt.T)
-    return HTensor(tree=tree, dims=h.dims, frames=frames, transfer=transfer,
+    return HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
                    root_transfer=np.diag(s), orthogonal=True)
+
+
+def _map_frame(factor, u: np.ndarray) -> np.ndarray:
+    """One CP factor applied to a leaf frame: ``None`` is the identity, a 1-d
+    array a diagonal, anything else a (dense or scipy-sparse) matrix."""
+    if factor is None:
+        return u
+    if isinstance(factor, np.ndarray) and factor.ndim == 1:
+        return factor[:, None] * u
+    return factor @ u
+
+
+def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
+    """Exact ``sum_j w_j (M_j1 x ... x M_jd) h`` in orthogonal form.
+
+    ``terms`` is a sequence of ``m`` per-mode factor tuples (``None`` for an
+    identity, a 1-d array for a diagonal, or a dense or scipy-sparse square
+    matrix); ``weights`` defaults to all ones.  The sum's transfer tensors are
+    block-diagonal in ``j`` and never formed: one bottom-up QR sweep of the
+    stacked leaf frames ``[M_1i U_i ... M_mi U_i]`` and of the children's
+    R factors contracted with the unchanged transfer, block by block, ends in
+    an SVD of the root core, absorbed into the root children as in
+    :func:`orthogonalize`.  Nothing is truncated, so the result equals the
+    sum up to roundoff.  A leaf rank is at most ``min(n_i, m r_i)``, an
+    interior rank at most ``min(q_left q_right, m r_node)`` for the children's
+    new ranks ``q``, and the root rank at most the smaller root child rank.
+    Ranks are thus within the node's own matricization size but, below the
+    root children, may exceed the size of its complement (like any exact sum,
+    see :class:`HTensor`); a recompression removes such excess.
+    """
+    m = len(terms)
+    if m == 0:
+        raise ValueError("apply_cp needs at least one term")
+    if any(len(t) != h.d for t in terms):
+        raise ValueError(f"every term needs {h.d} factors")
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (m,):
+        raise ValueError(f"expected {m} weights, got shape {w.shape}")
+    if h.root_transfer.shape[0] == 0:
+        return zero_htensor(h.tree, h.dims)
+    tree = h.tree
+    frames: dict[int, np.ndarray] = {}
+    transfer: dict[Node, np.ndarray] = {}
+    rfac: dict[Node, np.ndarray] = {}  # (q, m, r): R factor, one block per term
+    for node in tree.bottom_up():
+        if node == tree.root:
+            continue
+        if tree.is_leaf(node):
+            i = node[0]
+            u = h.frames[i]
+            q, r = np.linalg.qr(np.hstack([_map_frame(t[i], u) for t in terms]))
+            frames[i] = q
+            rfac[node] = r.reshape(-1, m, u.shape[1])
+        else:
+            left, right = tree.child_pair(node)
+            b = h.transfer[node]
+            c = np.einsum("xja,yjb,abc->xyjc", rfac[left], rfac[right], b,
+                          optimize=True)
+            q1, q2 = c.shape[0], c.shape[1]
+            q, r = np.linalg.qr(c.reshape(q1 * q2, m * b.shape[2]))
+            transfer[node] = q.reshape(q1, q2, -1)
+            rfac[node] = r.reshape(-1, m, b.shape[2])
+
+    left, right = tree.child_pair(tree.root)
+    rl, rr = rfac[left], rfac[right]
+    # core = sum_j w_j R_L[:, j] B R_R[:, j]^T as one matrix product
+    lb = np.einsum("xja,ab->xjb", rl, h.root_transfer) * w[None, :, None]
+    core = lb.reshape(rl.shape[0], -1) @ rr.reshape(rr.shape[0], -1).T
+    return _absorb_root_core(tree, h.dims, frames, transfer, core)
 
 
 def _gram_matrices(ho: HTensor) -> dict[Node, np.ndarray]:

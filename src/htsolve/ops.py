@@ -12,14 +12,17 @@ optional diagonal scalings on either side.  A scaling is either
   application carries a certificate relative to the ideal operator.
 
 The separable structure is what keeps ranks predictable: a Kronecker term maps
-leaf frames only, so applying ``R`` terms multiplies every edge rank by exactly
-``R``, and an ``m``-term scaling by exactly ``m``.
+leaf frames only, so the literal sum of ``R`` terms multiplies every edge rank
+by exactly ``R``, and an ``m``-term scaling by exactly ``m``
+(:func:`apply_exact`, :func:`apply_scaling`).  The same sums have CP
+structure, so :func:`~htsolve.hsvd.apply_cp` applies each of them exactly in
+one orthogonalizing sweep whose ranks are capped by the QR block sizes.
 
 ``apply_certified`` is the workhorse: given a tolerance ``eta`` it sizes the
-scaling tables from the operator's certified upper bound so that the scaling
-phase contributes at most ``eta/2``, applies the Kronecker middle exactly, and
-spends the remaining ``eta/2`` on a final recompression.  Intermediate sums are
-trimmed at numerical-zero level only, which does not affect certificates.
+scaling tables from the operator's certified upper bound so that their
+accuracy costs at most ``eta/4``, applies the right scaling, the Kronecker
+middle and the left scaling exactly (one sweep each, no intermediate
+truncation), and spends ``eta/2`` on a single final recompression.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from htsolve.errors import (
 from htsolve.hsvd import (
     HTensor,
     add,
+    apply_cp,
     coarsen,
     contractions,
     norm,
@@ -529,9 +533,11 @@ def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTe
     every edge rank is multiplied by exactly ``m``.
 
     Tensors with mass outside the scaling's active set are rejected with a
-    :class:`CertificateViolationError`.  For large ``m``, prefer
-    :func:`apply_certified`, which keeps intermediate ranks trimmed; this
-    literal form guards against accidental huge allocations.
+    :class:`CertificateViolationError`.  This literal form is a reference;
+    :func:`apply_certified` applies the same diagonal in one orthogonalizing
+    sweep (:func:`~htsolve.hsvd.apply_cp`) whose ranks are capped by the QR
+    block sizes.  The size guard protects against accidental huge
+    allocations.
     """
     if s.dims != v.dims:
         raise ValueError(f"scaling dims {s.dims} do not match tensor dims {v.dims}")
@@ -554,36 +560,6 @@ def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTe
     return out
 
 
-def _apply_scaling_trimmed(s: ExpSumScaling, v: HTensor, trim_eta: float) -> HTensor:
-    _check_support(s, v)
-    factors = [s.mode_factors(i) for i in range(v.d)]
-    out = None
-    for j in range(s.m):
-        term = _scaled_term(s, j, v, factors)
-        out = term if out is None else recompress(add(out, term), trim_eta)
-    return out
-
-
-def _active_sum_range(s: ExpSumScaling) -> tuple[float, float]:
-    """(min, max) of the row sums over the scaling's active set."""
-    lo = hi = 0.0
-    for q, a in zip(s.level_weights, s.active):
-        qa = q[list(a)]
-        lo += float(qa.min())
-        hi += float(qa.max())
-    return lo, hi
-
-
-def _left_scaling_norm(s, beta: float) -> float:
-    """Upper bound for the spectral norm of the (approximate) left scaling."""
-    if s is None:
-        return 1.0
-    if isinstance(s, DiagonalScaling):
-        return float(np.prod([np.abs(v).max() for v in s.vectors]))
-    lo, _ = _active_sum_range(s)
-    return (1.0 + beta) / math.sqrt(lo)
-
-
 def apply_exact(a: LowRankOperator, v: HTensor) -> HTensor:
     """Apply an operator with no exponential-sum scalings: exact, with every
     edge rank multiplied by exactly the number of Kronecker terms."""
@@ -604,14 +580,6 @@ def apply_exact(a: LowRankOperator, v: HTensor) -> HTensor:
     return out
 
 
-def _middle_terms_trimmed(a: LowRankOperator, v: HTensor, trim_eta: float) -> HTensor:
-    out = None
-    for term in a.terms:
-        w = _apply_kron_term(term, v)
-        out = w if out is None else recompress(add(out, w), trim_eta)
-    return out
-
-
 def _expsum_table(a: LowRankOperator, s: ExpSumScaling, beta: float) -> ExpSumScaling:
     """Rebuild (and cache) a table for the same ideal diagonal at accuracy
     ``beta``; tolerances are quantized to powers of two for cache reuse."""
@@ -624,20 +592,34 @@ def _expsum_table(a: LowRankOperator, s: ExpSumScaling, beta: float) -> ExpSumSc
     return a._table_cache[key]
 
 
+def _apply_side(a: LowRankOperator, s, v: HTensor, beta: float) -> tuple[HTensor, int]:
+    """Apply one scaling as a CP sum in a single sweep; returns the result and
+    the number of exp-sum terms used (0 for an exact diagonal)."""
+    if isinstance(s, DiagonalScaling):
+        return apply_cp(v, [s.vectors]), 0
+    table = _expsum_table(a, s, beta)
+    _check_support(table, v)
+    factors = [table.mode_factors(i) for i in range(v.d)]
+    terms = [tuple(f[:, j] for f in factors) for j in range(table.m)]
+    return apply_cp(v, terms, table.weights), table.m
+
+
 def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
                     return_info: bool = False):
     """Apply ``A`` within certified error ``eta``.
 
-    The budget is split as ``eta/2`` for the exponential-sum scaling phase
-    and ``eta/2`` for the final recompression.  Within the scaling phase,
-    ``eta/4`` covers the table accuracy (rebuilt at a tolerance sized from the
-    operator's certified upper bound) and ``eta/4`` covers the intermediate
-    accumulation trims, each weighted by the spectral norm of the part of the
-    operator still to be applied (errors trimmed before the Kronecker middle
-    are amplified by up to ``upper * sqrt(max row sum)``).  With exact
-    scalings only, the scaling phase is error-free and the result is within
-    ``eta/2``.  With ``return_info`` the returned dict records the table
-    sizes, the pre-recompression ranks, and the certified error split.
+    The right scaling, the Kronecker middle and the left scaling are each
+    applied exactly by one :func:`~htsolve.hsvd.apply_cp` sweep, with no
+    intermediate truncation.  The only errors are the exponential-sum table
+    accuracy and one final recompression.  The tables are rebuilt at a
+    relative accuracy ``beta`` sized from the operator's certified upper
+    bound so that they contribute at most
+    ``beta (2 + beta) upper ||v|| <= eta/4``; the final recompression spends
+    ``eta/2``.  The total is thus at most ``3 eta/4``.  With exact scalings
+    only, the application is error-free before the recompression (``eta = 0``
+    then trims numerically-zero ranks only).  With ``return_info`` the
+    returned dict records the table sizes, the pre-recompression ranks, and
+    the certified error split.
 
     The accounting is exact in exact arithmetic.  In floating point, Gram-based
     singular values carry absolute noise of order ``eps * sigma_1``, so
@@ -646,8 +628,8 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
     double precision.
     """
     _check_dims(a, v)
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    if not math.isfinite(eta) or eta < 0:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     info = {"m_left": 0, "m_right": 0, "beta": 0.0, "scaling_error": 0.0,
             "pre_ranks": None, "recompress_error": 0.0}
     nv = norm(v)
@@ -656,52 +638,34 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
         info["pre_ranks"] = out.ranks
         return (out, info) if return_info else out
 
-    if not a.has_expsum:
-        w = apply_exact(a, v)
-        info["pre_ranks"] = w.ranks
-        w = recompress(w, eta / 2.0) if eta > 0 else _trim(w)
-        return (w, info) if return_info else w
-
-    if eta == 0.0:
-        raise ToleranceInfeasibleError(
-            "eta = 0 requires exact application, but the operator carries an "
-            "exponential-sum scaling"
-        )
-    if a.bounds is None:
-        raise ValueError(
-            "certified application with exponential-sum scalings needs "
-            "operator bounds (see estimate_operator_bounds)"
-        )
-    upper = float(a.bounds.upper)
-    # table budget eta/4: error [beta_L + beta_R (1 + beta_L)] * upper * ||v||
-    # <= beta (2 + beta) * upper * ||v|| <= 2.5 beta upper ||v|| for beta <= 1/2
-    beta = min(0.5, (eta / 4.0) / (2.5 * upper * nv))
-    trim_budget = eta / 4.0 / 3.0  # per phase: right scaling, middle, left scaling
+    beta = 0.0
+    if a.has_expsum:
+        if eta == 0.0:
+            raise ToleranceInfeasibleError(
+                "eta = 0 requires exact application, but the operator carries an "
+                "exponential-sum scaling"
+            )
+        if a.bounds is None:
+            raise ValueError(
+                "certified application with exponential-sum scalings needs "
+                "operator bounds (see estimate_operator_bounds)"
+            )
+        upper = float(a.bounds.upper)
+        # table error [beta_L + beta_R (1 + beta_L)] * upper * ||v||
+        # <= beta (2 + beta) * upper * ||v|| <= 2.5 beta upper ||v|| <= eta/4
+        beta = min(0.5, (eta / 4.0) / (2.5 * upper * nv))
+        info["beta"] = beta
+        info["scaling_error"] = beta * (2.0 + beta) * upper * nv
 
     w = v
     if a.scaling_right is not None:
-        if isinstance(a.scaling_right, ExpSumScaling):
-            table = _expsum_table(a, a.scaling_right, beta)
-            info["m_right"] = table.m
-            # a trim error here passes through S_L T = (S_L T S_R) S_R^{-1}
-            amp = upper * math.sqrt(_active_sum_range(table)[1])
-            w = _apply_scaling_trimmed(table, w, trim_budget / (table.m * amp))
-        else:
-            w = _apply_diagonal(a.scaling_right, w)
-    amp = _left_scaling_norm(a.scaling_left, beta)
-    w = _middle_terms_trimmed(a, w, trim_budget / (a.num_terms * amp))
+        w, info["m_right"] = _apply_side(a, a.scaling_right, w, beta)
+    w = apply_cp(w, a.terms)
     if a.scaling_left is not None:
-        if isinstance(a.scaling_left, ExpSumScaling):
-            table = _expsum_table(a, a.scaling_left, beta)
-            info["m_left"] = table.m
-            w = _apply_scaling_trimmed(table, w, trim_budget / table.m)
-        else:
-            w = _apply_diagonal(a.scaling_left, w)
-    info["beta"] = beta
-    info["scaling_error"] = beta * (2.0 + beta) * upper * nv + eta / 4.0
+        w, info["m_left"] = _apply_side(a, a.scaling_left, w, beta)
     info["pre_ranks"] = w.ranks
     info["recompress_error"] = eta / 2.0
-    w = recompress(w, eta / 2.0)
+    w = recompress(w, eta / 2.0) if eta > 0 else _trim(w)
     return (w, info) if return_info else w
 
 

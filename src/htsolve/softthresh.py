@@ -11,6 +11,7 @@ the threshold steering the rank/accuracy trade-off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +151,8 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         raise ValueError(f"xi must be in (0, 1), got {xi}")
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not math.isfinite(eps) or eps <= 0.0:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < res_tol_factor < 1.0:
         raise ValueError(f"res_tol_factor must be in (0, 1), got {res_tol_factor}")
     if bbar is None:

@@ -138,8 +138,8 @@ class SolveConfig:
             raise ValueError(f"beta2 must be positive, got {self.beta2}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not math.isfinite(self.eps) or self.eps <= 0:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 def default_config(a: LowRankOperator, f: HTensor, eps: float,
@@ -254,10 +254,11 @@ class SolveReport:
     total_time: float = 0.0
 
     def __post_init__(self):
-        if self.final_error_bound > self.eps * (1.0 + 1e-9):
+        if (not math.isfinite(self.final_error_bound)
+                or self.final_error_bound > self.eps * (1.0 + 1e-9)):
             raise ValueError(
-                f"final certified bound {self.final_error_bound} exceeds the "
-                f"requested tolerance {self.eps}"
+                f"final certified bound {self.final_error_bound} is not finite "
+                f"or exceeds the requested tolerance {self.eps}"
             )
 
     def csv_rows(self) -> list[list[str]]:

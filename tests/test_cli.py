@@ -40,6 +40,14 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="positive --eps"):
             RunSpec(command="st-solve", problem="p.ini", eps=eps)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        for command in ("solve", "st-solve"):
+            with pytest.raises(ValueError, match="positive --eps"):
+                RunSpec(command=command, problem="p.ini", eps=eps)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RunSpec(command="compress", problem="t.ht", eps=eps)
+
     def test_compress_accepts_zero_eps(self):
         RunSpec(command="compress", problem="t.ht", eps=0.0)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -248,6 +256,13 @@ class TestExitCodes:
     def test_negative_eps_is_invalid_input(self, capsys):
         assert main(["solve", DIFFUSION_D3, "--eps", "-1"]) == 2
         assert "positive --eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_is_invalid_input(self, eps, capsys):
+        assert main(["solve", DIFFUSION_D2, "--eps", eps]) == 2
+        assert "positive --eps" in capsys.readouterr().err
+        assert main(["st-solve", DIFFUSION_D2, "--eps", eps]) == 2
+        capsys.readouterr()
 
     def test_unknown_flag_is_invalid_input(self, capsys):
         assert main(["solve", DIFFUSION_D3, "--eps", "1e-3", "--bogus"]) == 2

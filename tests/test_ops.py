@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import htsolve.ops as ops_module
 
 from htsolve.errors import CertificateViolationError, ToleranceInfeasibleError
 from htsolve.htree import build_balanced_tree, build_linear_tree
 from htsolve.hsvd import (
     add,
+    apply_cp,
     coarsen,
     from_dense,
+    max_ranks,
     norm,
     random_htensor,
     scale,
@@ -271,6 +276,136 @@ class TestApplyScaling:
 
 
 # ---------------------------------------------------------------------------
+# one-sweep CP application
+# ---------------------------------------------------------------------------
+
+
+def dense_factor(f, n):
+    if f is None:
+        return np.eye(n)
+    if sp.issparse(f):
+        return f.toarray()
+    f = np.asarray(f)
+    return np.diag(f) if f.ndim == 1 else f
+
+
+def dense_cp(terms, weights, dims):
+    total = 0.0
+    for j, term in enumerate(terms):
+        mat = np.ones((1, 1))
+        for f, n in zip(term, dims):
+            mat = np.kron(mat, dense_factor(f, n))
+        total = total + (1.0 if weights is None else weights[j]) * mat
+    return total
+
+
+def mixed_terms(dims, m, rng):
+    """CP terms whose factors cycle through identity, dense, sparse and
+    diagonal, so every term mixes kinds."""
+    terms = []
+    for j in range(m):
+        term = []
+        for i, n in enumerate(dims):
+            kind = (i + j) % 4
+            if kind == 0:
+                term.append(None)
+            elif kind == 1:
+                term.append(rng.standard_normal((n, n)))
+            elif kind == 2:
+                term.append(sp.csr_array(rng.standard_normal((n, n))
+                                         * (rng.random((n, n)) < 0.5)))
+            else:
+                term.append(rng.random(n) + 0.5)
+        terms.append(tuple(term))
+    return terms
+
+
+def assert_orthonormal(h):
+    assert h.orthogonal
+    for u in h.frames.values():
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-12
+    for b in h.transfer.values():
+        mat = b.reshape(-1, b.shape[2])
+        assert np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() <= 1e-12
+
+
+CP_TREES = [build_balanced_tree(2), build_balanced_tree(3), build_balanced_tree(4),
+            build_linear_tree(2), build_linear_tree(3), build_linear_tree(4)]
+
+
+class TestApplyCP:
+    @pytest.mark.parametrize("tree", CP_TREES,
+                             ids=lambda t: f"d{t.d}-{len(t.children[t.root][0])}")
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_dense(self, tree, weighted):
+        rng = np.random.default_rng(7 * tree.d + weighted)
+        for m in (1, 3, 5):
+            dims = tuple(int(n) for n in rng.integers(3, 6, size=tree.d))
+            v = random_htensor(tree, dims, 2, rng)
+            terms = mixed_terms(dims, m, rng)
+            weights = rng.standard_normal(m) if weighted else None
+            w = apply_cp(v, terms, weights)
+            want = dense_cp(terms, weights, dims) @ dense_vec(v)
+            assert np.linalg.norm(dense_vec(w) - want) <= 1e-12 * np.linalg.norm(want)
+            assert_orthonormal(w)
+            assert all(r <= c for r, c in zip(w.ranks, max_ranks(tree, dims)))
+
+    def test_qr_caps_ranks(self):
+        # m * r = 12 > n_i = 4: the leaf QR caps every rank at the mode size
+        rng = np.random.default_rng(11)
+        tree, dims = build_balanced_tree(3), (4, 4, 4)
+        v = random_htensor(tree, dims, 3, rng)
+        terms = mixed_terms(dims, 4, rng)
+        w = apply_cp(v, terms)
+        assert w.ranks == max_ranks(tree, dims)
+        want = dense_cp(terms, None, dims) @ dense_vec(v)
+        assert np.linalg.norm(dense_vec(w) - want) <= 1e-12 * np.linalg.norm(want)
+        assert_orthonormal(w)
+
+    def test_weights_default_to_one_and_scale(self):
+        rng = np.random.default_rng(12)
+        tree, dims = build_linear_tree(3), (3, 4, 5)
+        v = random_htensor(tree, dims, 2, rng)
+        terms = mixed_terms(dims, 2, rng)
+        plain = dense_vec(apply_cp(v, terms))
+        ones = dense_vec(apply_cp(v, terms, np.ones(2)))
+        doubled = dense_vec(apply_cp(v, terms, [2.0, 2.0]))
+        assert np.linalg.norm(plain - ones) <= 1e-12 * np.linalg.norm(plain)
+        assert np.linalg.norm(doubled - 2.0 * plain) <= 1e-12 * np.linalg.norm(plain)
+
+    def test_matches_literal_references(self):
+        rng = np.random.default_rng(13)
+        tree, dims = build_balanced_tree(3), (5, 4, 6)
+        v = random_htensor(tree, dims, 2, rng)
+        qs = [np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2 for n in dims]
+        s = build_scaling(qs, 0.3)
+        factors = [s.mode_factors(i) for i in range(3)]
+        terms = [tuple(f[:, j] for f in factors) for j in range(s.m)]
+        want = dense_vec(apply_scaling(s, v))
+        got = dense_vec(apply_cp(v, terms, s.weights))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        a = random_operator(dims, 3, rng, density=0.6)
+        want = dense_vec(apply_exact(a, v))
+        got = dense_vec(apply_cp(v, a.terms))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zero_tensor(self):
+        tree, dims = build_balanced_tree(3), (3, 4, 3)
+        w = apply_cp(zero_htensor(tree, dims), [(np.ones(3), None, None)])
+        assert norm(w) == 0.0 and w.ranks == (0, 0, 0)
+
+    def test_validation(self):
+        rng = np.random.default_rng(14)
+        v = random_htensor(build_balanced_tree(2), (3, 3), 1, rng)
+        with pytest.raises(ValueError):
+            apply_cp(v, [])
+        with pytest.raises(ValueError):
+            apply_cp(v, [(None,)])
+        with pytest.raises(ValueError):
+            apply_cp(v, [(None, None)], weights=[1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
 # certified application
 # ---------------------------------------------------------------------------
 
@@ -342,6 +477,29 @@ class TestApplyCertified:
         v = random_htensor(self.tree, self.dims, 1, self.rng)
         with pytest.raises(ValueError, match="bounds"):
             apply_certified(a, v, 0.1)
+
+    def test_one_recompression_per_application(self, monkeypatch):
+        calls = []
+        real = ops_module.recompress
+
+        def counting(h, eta):
+            calls.append(eta)
+            return real(h, eta)
+
+        monkeypatch.setattr(ops_module, "recompress", counting)
+        a = ideal_scaled_operator(self.dims, self.rng)
+        v = random_htensor(self.tree, self.dims, 2, self.rng)
+        eta = 1e-6 * norm(v)
+        _, info = apply_certified(a, v, eta, return_info=True)
+        assert info["m_left"] > 1 and info["m_right"] > 1
+        assert calls == [eta / 2.0]
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_eta(self, eta):
+        a = ideal_scaled_operator(self.dims, self.rng)
+        v = random_htensor(self.tree, self.dims, 1, self.rng)
+        with pytest.raises(ValueError, match="eta"):
+            apply_certified(a, v, eta)
 
     def test_table_sizes_respond_to_eta(self):
         a = ideal_scaled_operator(self.dims, self.rng)

@@ -253,6 +253,9 @@ class TestStSolve:
             st_solve(a, f, omega=-1.0, xi=0.5, bbar=2.0, eps=1e-6)
         with pytest.raises(ValueError):
             st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=0.0)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps"):
+                st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=eps)
         with pytest.raises(ValueError):
             st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=1e-6,
                      res_tol_factor=1.5)

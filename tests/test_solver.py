@@ -119,6 +119,11 @@ class TestSolveConfig:
         with pytest.raises(ValueError, match=match):
             self.valid(**{field: value})
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            self.valid(eps=eps)
+
     def test_kappa_budget(self):
         with pytest.raises(ValueError, match="at most 1"):
             self.valid(kappa1=0.5, kappa2=0.4, kappa3=0.2)
@@ -333,6 +338,10 @@ class TestSolveReport:
             SolveReport(eps0=1.0, eps=1e-3, inner_per_outer=1,
                         outer_iterations=1, config={},
                         final_error_bound=2e-3)
+        with pytest.raises(ValueError, match="not finite"):
+            SolveReport(eps0=1.0, eps=1e-3, inner_per_outer=1,
+                        outer_iterations=1, config={},
+                        final_error_bound=math.nan)
 
 
 class TestErrorCertificate:
