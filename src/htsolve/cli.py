@@ -308,27 +308,27 @@ def _load_tensor_any(path):
 
 
 def _cmd_compress(spec: RunSpec) -> int:
-    from htsolve.hsvd import norm, plan_recompression, recompress
+    from htsolve.hsvd import norm, plan_recompression
     from htsolve.tensorfile import save_htensor
 
     h = _load_tensor_any(spec.problem)
     eta = float(spec.eps)
-    ranks, certificate = plan_recompression(h, eta)
-    g = recompress(h, eta)
+    plan = plan_recompression(h, eta)
+    g = plan.execute()
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     save_htensor(g, out / "compressed.ht")
     payload = {
         "input": str(spec.problem),
         "eta": eta,
-        "certificate": float(certificate),
-        "planned_ranks": [int(r) for r in ranks],
+        "certificate": plan.bound,
+        "planned_ranks": list(plan.ranks),
         "input_norm": float(norm(h)),
         "input_ranks": [int(r) for r in h.ranks],
         "output_ranks": [int(r) for r in g.ranks],
     }
     _write_json(out / "compress.json", payload)
-    print(f"compress: eta={eta:g} certified error <= {certificate:.6g}")
+    print(f"compress: eta={eta:g} certified error <= {plan.bound:.6g}")
     print(f"ranks {tuple(h.ranks)} -> {tuple(g.ranks)}")
     print(f"wrote {out / 'compressed.ht'} and {out / 'compress.json'}")
     return 0

@@ -8,16 +8,20 @@ ranks are per effective edge (see :mod:`htsolve.htree`).
 
 The format supports exact arithmetic (addition concatenates ranks, scalar
 multiplication touches the root transfer only, inner products contract the
-tree without densification) and accuracy-controlled reduction:
+tree without densification) and accuracy-controlled reduction, each planned
+once and carried out from its plan, so a certificate always comes from the
+data that chose the result:
 
-* :func:`recompress` - hard rank truncation based on the hierarchical SVD.
-  The per-edge singular-value tails give a certified bound: truncating edge
-  ``e`` to rank ``r_e`` changes the tensor by at most
-  ``sqrt(sum_e tail_e(r_e)^2)``, and the truncated tensor is quasi-optimal
-  among all tensors of the same ranks up to ``sqrt(2d - 3)``.
-* :func:`coarsen` - support reduction based on mode-frame contractions.
-  Dropping index slices whose combined contraction mass is ``s_N`` changes
-  the tensor by at most ``s_N``, quasi-optimally up to ``sqrt(d)``.
+* :func:`recompress` - hard rank truncation based on the hierarchical SVD,
+  ``plan_recompression(h, eta).execute()``; :func:`truncate_to_ranks` runs
+  the same :class:`TruncationPlan` at fixed ranks.  Truncating edge ``e`` to
+  rank ``r_e`` changes the tensor by at most ``sqrt(sum_e tail_e(r_e)^2)``
+  (tails of the :class:`EdgeSpectrum`), quasi-optimally among all tensors
+  of the same ranks up to ``sqrt(2d - 3)``.
+* :func:`coarsen` - support reduction based on mode-frame contractions,
+  carrying out :func:`plan_coarsening`.  Dropping index slices whose
+  combined contraction mass is ``s_N`` changes the tensor by at most
+  ``s_N``, quasi-optimally up to ``sqrt(d)``.
 
 Everything is plain float64 numpy; instances are immutable (arrays are stored
 read-only) and all reductions are deterministic, including tie-breaking.
@@ -51,6 +55,7 @@ __all__ = [
     "edge_spectra",
     "recompress",
     "plan_recompression",
+    "TruncationPlan",
     "truncate_to_ranks",
     "contractions",
     "coarsen",
@@ -261,17 +266,9 @@ def random_htensor(tree: DimensionTree, dims, rank, rng) -> HTensor:
         want = [int(rank)] * len(edges)
     else:
         want = [int(r) for r in rank]
-    ranks = [min(w, c) for w, c in zip(want, caps)]
-    r = _node_rank_map(tree, ranks)
-    # honor the child-product bound bottom-up
-    for node in tree.bottom_up():
-        if node == tree.root or tree.is_leaf(node):
-            continue
-        left, right = tree.child_pair(node)
-        r[node] = min(r[node], r[left] * r[right])
-    left, right = tree.child_pair(tree.root)
-    r_root = min(r[left], r[right])
-    r[left] = r[right] = r_root
+    r = _node_rank_map(tree, _stored_ranks_after_repair(
+        tree, [min(w, c) for w, c in zip(want, caps)]))
+    r_root = r[tree.child_pair(tree.root)[0]]
     frames = {i: rng.standard_normal((dims[i], r[(i,)])) / np.sqrt(dims[i])
               for i in range(tree.d)}
     transfer = {}
@@ -470,10 +467,13 @@ def orthogonalize(h: HTensor) -> HTensor:
     which restores equal root ranks (a rank-deficient side would otherwise
     leave a rectangular root transfer) and leaves the root transfer diagonal
     with the root-edge singular values on it.  Entrywise the tensor is
-    unchanged up to roundoff.
+    unchanged up to roundoff.  A zero root rank (which any zero stored rank
+    forces, by the child-product bound) yields the canonical zero tensor.
     """
     if h.orthogonal:
         return h
+    if h.root_transfer.shape[0] == 0:
+        return zero_htensor(h.tree, h.dims)
     tree = h.tree
     frames = dict(h.frames)
     transfer = dict(h.transfer)
@@ -499,10 +499,11 @@ def orthogonalize(h: HTensor) -> HTensor:
 
 
 def _absorb_root_core(tree: DimensionTree, dims, frames, transfer,
-                      core: np.ndarray) -> HTensor:
-    """Finish a bottom-up QR sweep: the SVD of the root core is absorbed into
-    the root children, which restores equal root ranks and leaves a diagonal
-    root transfer with the root-edge singular values on it."""
+                      core: np.ndarray, orthogonal: bool = True) -> HTensor:
+    """Absorb the SVD of the root core into the root children, which restores
+    equal root ranks and leaves a diagonal root transfer with the root-edge
+    singular values on it.  After a bottom-up QR sweep the result is
+    ``orthogonal``."""
     u, s, vt = _svd(core)
     left, right = tree.child_pair(tree.root)
     for node, basis in ((left, u), (right, vt.T)):
@@ -511,7 +512,7 @@ def _absorb_root_core(tree: DimensionTree, dims, frames, transfer,
         else:
             transfer[node] = np.einsum("abk,kK->abK", transfer[node], basis)
     return HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
-                   root_transfer=np.diag(s), orthogonal=True)
+                   root_transfer=np.diag(s), orthogonal=orthogonal)
 
 
 def _map_frame(factor, u: np.ndarray) -> np.ndarray:
@@ -617,33 +618,39 @@ def _gram_matrices(ho: HTensor) -> dict[Node, np.ndarray]:
 class EdgeSpectrum:
     """Singular values of every effective matricization, with tail sums.
 
-    ``sigmas[e]`` is the nonincreasing spectrum of edge ``e``;
-    ``tail(e, r) = sqrt(sum_{k > r} sigma_k^2)`` is the certified error of
-    truncating that edge alone to rank ``r``.
+    ``sigmas[e]`` is the nonincreasing spectrum of edge ``e``.  Values at or
+    below ``ZERO_CUTOFF * sigmas[e][0]`` count as numerically zero: they are
+    left out of the tails, so floating-point noise cannot pollute a
+    certificate, and ``numerical_ranks[e]`` counts the values above the
+    cutoff.  ``tails2[e][r] = sum_{k > r} sigma_k^2`` over the cleaned
+    values, and ``tail(e, r)`` is its square root: the certified error of
+    truncating edge ``e`` alone to rank ``r``.
     """
 
     edges: EdgeList
     sigmas: tuple[np.ndarray, ...]
-    _tails: tuple[np.ndarray, ...] = field(repr=False, default=())
+    tails2: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    numerical_ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         sig = tuple(_ro(np.asarray(s, dtype=np.float64)) for s in self.sigmas)
-        object.__setattr__(self, "sigmas", sig)
-        tails = []
+        tails2, ranks = [], []
         for s in sig:
-            sq = np.cumsum(s[::-1] ** 2)[::-1]  # ascending accumulation
-            tails.append(_ro(np.sqrt(np.concatenate([sq, [0.0]]))))
-        object.__setattr__(self, "_tails", tuple(tails))
+            cutoff = ZERO_CUTOFF * s[0] if s.size else 0.0
+            sc = np.where(s > cutoff, s, 0.0)
+            sq = np.cumsum(sc[::-1] ** 2)[::-1]  # ascending accumulation
+            tails2.append(_ro(np.concatenate([sq, [0.0]])))
+            ranks.append(int(np.count_nonzero(sc)))
+        object.__setattr__(self, "sigmas", sig)
+        object.__setattr__(self, "tails2", tuple(tails2))
+        object.__setattr__(self, "numerical_ranks", tuple(ranks))
 
     def __len__(self):
         return len(self.sigmas)
 
     def tail(self, e: int, r: int) -> float:
-        t = self._tails[e]
-        return float(t[min(int(r), len(t) - 1)])
-
-    def tails(self, e: int) -> np.ndarray:
-        return self._tails[e]
+        t = self.tails2[e]
+        return float(np.sqrt(t[min(int(r), len(t) - 1)]))
 
     def total_tail(self, ranks) -> float:
         """Certified error of truncating every edge ``e`` to ``ranks[e]``."""
@@ -658,22 +665,11 @@ class EdgeSpectrum:
 def edge_spectra(h: HTensor) -> EdgeSpectrum:
     """Exact edge singular values, computed without densification.
 
-    The root edge uses the SVD of the root transfer — the same path the
-    truncation routines take — so planned and realized ranks agree even when
-    a singular value sits exactly at the numerical-zero cutoff.
+    This is the spectrum every truncation plans with (see
+    :func:`_projection_data`), so ranks chosen from it are the ranks the
+    truncation realizes.
     """
-    ho = orthogonalize(h)
-    grams = _gram_matrices(ho)
-    root_pair = ho.tree.child_pair(ho.tree.root)
-    s_root = _svd(ho.root_transfer)[1]
-    sigmas = []
-    for node in ho.edge_list:
-        if node in root_pair:
-            sigmas.append(s_root)
-        else:
-            w = np.linalg.eigvalsh(grams[node])[::-1]
-            sigmas.append(np.sqrt(np.clip(w, 0.0, None)))
-    return EdgeSpectrum(edges=ho.edge_list, sigmas=tuple(sigmas))
+    return _projection_data(orthogonalize(h))[0]
 
 
 def _projection_data(ho: HTensor):
@@ -752,35 +748,13 @@ def _project(ho: HTensor, vectors: dict[Node, np.ndarray], node_ranks: dict[Node
         else:
             transfer[parent] = np.einsum("xb,abk->axk", rr, transfer[parent])
     if root.shape[0] != root.shape[1]:
-        u, s, vt = _svd(root)
-        for node, bb in ((left, u), (right, vt.T)):
-            if tree.is_leaf(node):
-                frames[node[0]] = frames[node[0]] @ bb
-            else:
-                transfer[node] = np.einsum("abk,kK->abK", transfer[node], bb)
-        root = np.diag(s)
+        return _absorb_root_core(tree, ho.dims, frames, transfer, root,
+                                 orthogonal=False)
     return HTensor(tree=tree, dims=ho.dims, frames=frames, transfer=transfer,
                    root_transfer=root)
 
 
-def _cleaned_tails(spectrum: EdgeSpectrum):
-    """Spectra with numerically-zero singular values removed from the tails.
-
-    Returns per-edge (cleaned sigma, squared-tail array, numerical rank).
-    Excluding sub-roundoff values from the tail sums keeps certified tails
-    from being polluted by floating-point noise.
-    """
-    out = []
-    for s in spectrum.sigmas:
-        cutoff = ZERO_CUTOFF * s[0] if s.size else 0.0
-        sc = np.where(s > cutoff, s, 0.0)
-        sq = np.cumsum(sc[::-1] ** 2)[::-1]
-        tails2 = np.concatenate([sq, [0.0]])
-        out.append((sc, tails2, int(np.count_nonzero(sc))))
-    return out
-
-
-def _choose_ranks(cleaned, eta: float) -> tuple[list[int], float]:
+def _choose_ranks(spectrum: EdgeSpectrum, eta: float) -> tuple[list[int], float]:
     """Rank vector for a certified total tail <= eta.
 
     Among feasible vectors the maximal rank is minimal; ties are broken by an
@@ -789,16 +763,14 @@ def _choose_ranks(cleaned, eta: float) -> tuple[list[int], float]:
     finally groups of equal singular values are never split when the cap
     permits keeping them together.
     """
-    E = len(cleaned)
-    num_ranks = [c[2] for c in cleaned]
+    tails2, num_ranks = spectrum.tails2, spectrum.numerical_ranks
+    E = len(tails2)
     if eta == 0.0:
-        ranks = num_ranks
-        bound = float(np.sqrt(sum(c[1][r] for c, r in zip(cleaned, ranks))))
-        return ranks, bound
+        return list(num_ranks), 0.0  # the cleaned tails vanish there
     eta2 = (eta * (1.0 - 1e-12)) ** 2
 
     def total2(ranks) -> float:
-        return float(sum(c[1][min(r, c[2])] for c, r in zip(cleaned, ranks)))
+        return float(sum(t[min(r, nr)] for t, nr, r in zip(tails2, num_ranks, ranks)))
 
     # minimal feasible maximal rank
     m_star = 0
@@ -808,36 +780,33 @@ def _choose_ranks(cleaned, eta: float) -> tuple[list[int], float]:
 
     # even split of the budget, capped
     per_edge = eta2 / E
-    ranks = []
-    for (sc, tails2, nr), cap in zip(cleaned, caps):
-        r = int(np.argmax(tails2 <= per_edge))
-        ranks.append(min(r, cap))
+    ranks = [min(int(np.argmax(t <= per_edge)), cap) for t, cap in zip(tails2, caps)]
     # repair upward until certified
     cur = total2(ranks)
     while cur > eta2:
         best, best_tail = -1, -1.0
         for e in range(E):
             if ranks[e] < caps[e]:
-                t = cleaned[e][1][ranks[e]]
+                t = tails2[e][ranks[e]]
                 if t > best_tail:
                     best, best_tail = e, t
-        cur += cleaned[best][1][ranks[best] + 1] - cleaned[best][1][ranks[best]]
+        cur += tails2[best][ranks[best] + 1] - tails2[best][ranks[best]]
         ranks[best] += 1
     # greedy trim: drop ranks while the certificate still holds
     changed = True
     while changed:
         changed = False
         for e in range(E):
-            tails2 = cleaned[e][1]
-            while ranks[e] > 0 and cur - tails2[ranks[e]] + tails2[ranks[e] - 1] <= eta2:
-                cur += tails2[ranks[e] - 1] - tails2[ranks[e]]
+            t = tails2[e]
+            while ranks[e] > 0 and cur - t[ranks[e]] + t[ranks[e] - 1] <= eta2:
+                cur += t[ranks[e] - 1] - t[ranks[e]]
                 ranks[e] -= 1
                 changed = True
     # never split a group of equal singular values when the cap permits
     for e in range(E):
-        sc = cleaned[e][0]
-        while 0 < ranks[e] < caps[e] and sc[ranks[e]] >= sc[ranks[e] - 1] * (1.0 - 1e-12):
-            cur += cleaned[e][1][ranks[e] + 1] - cleaned[e][1][ranks[e]]
+        s = spectrum.sigmas[e]
+        while 0 < ranks[e] < caps[e] and s[ranks[e]] >= s[ranks[e] - 1] * (1.0 - 1e-12):
+            cur += tails2[e][ranks[e] + 1] - tails2[e][ranks[e]]
             ranks[e] += 1
     return ranks, float(np.sqrt(max(cur, 0.0)))
 
@@ -861,39 +830,71 @@ def _stored_ranks_after_repair(tree: DimensionTree, edge_ranks) -> tuple[int, ..
     return tuple(node_ranks[n] for n in effective_edges(tree))
 
 
-def plan_recompression(h: HTensor, eta: float):
-    """Rank vector and certified error bound that :func:`recompress` realizes."""
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    nh = norm(h)
-    edges = h.edge_list
-    if nh == 0.0 or (eta > 0 and eta >= nh):
-        return (0,) * len(edges), nh
-    spectrum = edge_spectra(h)
-    ranks, bound = _choose_ranks(_cleaned_tails(spectrum), eta)
-    return _stored_ranks_after_repair(h.tree, ranks), bound
+@dataclass(frozen=True, eq=False)
+class TruncationPlan:
+    """A planned hard truncation and what carrying it out needs.
+
+    ``ranks`` are the stored edge ranks of :meth:`execute`'s result and
+    ``bound`` certifies ``norm(h - execute()) <= bound``.  The plan keeps the
+    orthogonal form and the truncation bases whose spectrum chose the ranks,
+    so the certificate belongs to that spectrum and executing repeats no
+    spectral work.
+    """
+
+    ranks: tuple[int, ...]
+    bound: float
+    _ho: HTensor = field(repr=False)
+    # None when nothing is cut and the plan keeps ``_ho`` as it is
+    _vectors: dict[Node, np.ndarray] | None = field(repr=False)
+    _target: tuple[int, ...] = field(repr=False)  # edge ranks before repair
+
+    def execute(self) -> HTensor:
+        """The truncated tensor, orthogonalized."""
+        if self._vectors is None:
+            return self._ho
+        node_ranks = _node_rank_map(self._ho.tree, self._target)
+        return orthogonalize(_project(self._ho, self._vectors, node_ranks))
 
 
-def recompress(h: HTensor, eta: float) -> HTensor:
-    """Certified hard truncation: ``norm(h - recompress(h, eta)) <= eta``.
+def _truncation_plan(ho: HTensor, vectors, target, bound: float) -> TruncationPlan:
+    """Plan the projection of ``ho`` onto its leading ``target`` directions
+    (capped at the ranks ``ho`` has)."""
+    have = ho.ranks
+    target = tuple(min(int(t), r) for t, r in zip(target, have))
+    keep = target == have
+    ranks = have if keep else _stored_ranks_after_repair(ho.tree, target)
+    return TruncationPlan(ranks=ranks, bound=float(bound), _ho=ho,
+                          _vectors=None if keep else vectors, _target=target)
 
-    The result is orthogonalized.  ``eta >= norm(h)`` yields the canonical
-    zero tensor (its true error is exactly ``norm(h)``); ``eta = 0`` trims
-    exactly the numerically-zero singular values, changing the tensor only at
-    roundoff level.
+
+def plan_recompression(h: HTensor, eta: float) -> TruncationPlan:
+    """The certified hard truncation that :func:`recompress` carries out.
+
+    Ranks come from :func:`_choose_ranks` on the edge spectrum and the bound
+    is their total tail.  ``eta >= norm(h)`` plans the canonical zero tensor,
+    with bound ``norm(h)``, its true error.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     nh = norm(h)
     if nh == 0.0 or (eta > 0 and eta >= nh):
-        return zero_htensor(h.tree, h.dims)
+        zero = zero_htensor(h.tree, h.dims)
+        return _truncation_plan(zero, None, zero.ranks, nh)
     ho = orthogonalize(h)
     spectrum, vectors = _projection_data(ho)
-    ranks, _ = _choose_ranks(_cleaned_tails(spectrum), eta)
-    if tuple(ranks) == ho.ranks:
-        return ho
-    node_ranks = _node_rank_map(ho.tree, ranks)
-    return orthogonalize(_project(ho, vectors, node_ranks))
+    ranks, bound = _choose_ranks(spectrum, eta)
+    return _truncation_plan(ho, vectors, ranks, bound)
+
+
+def recompress(h: HTensor, eta: float) -> HTensor:
+    """Certified hard truncation: ``norm(h - recompress(h, eta)) <= eta``.
+
+    Carries out :func:`plan_recompression`; the result is orthogonalized.
+    ``eta >= norm(h)`` yields the canonical zero tensor (its true error is
+    exactly ``norm(h)``); ``eta = 0`` trims exactly the numerically-zero
+    singular values, changing the tensor only at roundoff level.
+    """
+    return plan_recompression(h, eta).execute()
 
 
 def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
@@ -901,7 +902,8 @@ def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
 
     The error is at most the total singular-value tail at ``ranks`` (see
     :meth:`EdgeSpectrum.total_tail`).  The target vector must be entrywise at
-    most ``h.ranks`` and respect the child-product bound.
+    most ``h.ranks`` and respect the child-product bound.  The result is
+    orthogonalized.
     """
     edges = h.edge_list
     ranks = [int(r) for r in ranks]
@@ -913,19 +915,13 @@ def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
             raise ValueError(
                 f"target rank {r} at edge {e} outside [0, {s}]"
             )
-    node_ranks = _node_rank_map(h.tree, ranks)
-    for node in h.tree.interior_nodes():
-        if node == h.tree.root:
-            continue
-        left, right = h.tree.child_pair(node)
-        if node_ranks[node] > node_ranks[left] * node_ranks[right]:
-            raise ValueError(
-                f"rank {node_ranks[node]} at {node} exceeds the child product "
-                f"{node_ranks[left]}*{node_ranks[right]}"
-            )
+    if _stored_ranks_after_repair(h.tree, ranks) != tuple(ranks):
+        raise ValueError(f"target ranks {tuple(ranks)} exceed a child product "
+                         "r_left * r_right")
     ho = orthogonalize(h)
-    _, vectors = _projection_data(ho)
-    return _project(ho, vectors, node_ranks)
+    spectrum, vectors = _projection_data(ho)
+    return _truncation_plan(ho, vectors, ranks,
+                            spectrum.total_tail(ranks)).execute()
 
 
 # -- contractions and coarsening ----------------------------------------------
@@ -993,9 +989,8 @@ def plan_coarsening(h: HTensor, eta: float):
     """Support sets, kept count ``N`` and discarded mass for :func:`coarsen`.
 
     Delegates to :func:`select_support` on the tensor's contraction values;
-    ``eta >= norm(h)`` short-circuits to the empty support with certificate
-    ``norm(h)`` (the blockwise tail certificate is pessimistic there, while
-    the true error of dropping everything is exactly the norm).
+    ``eta >= norm(h)`` plans the empty support with certificate ``norm(h)``,
+    the true error of dropping everything.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -1008,14 +1003,14 @@ def plan_coarsening(h: HTensor, eta: float):
 def coarsen(h: HTensor, eta: float) -> HTensor:
     """Certified support reduction: ``norm(h - coarsen(h, eta)) <= eta``.
 
-    ``eta >= norm(h)`` yields the canonical zero tensor.  With ``eta = 0``
-    only index slices of exactly zero contraction mass are removed, so the
-    tensor is unchanged.
+    Carries out :func:`plan_coarsening`.  An empty planned support (always
+    the case for ``eta >= norm(h)``) yields the canonical zero tensor.  With
+    ``eta = 0`` only index slices of exactly zero contraction mass are
+    removed, so the tensor is unchanged.
     """
-    nh = norm(h)
-    if eta > 0 and eta >= nh:
+    sets, n_keep, _ = plan_coarsening(h, eta)
+    if n_keep == 0:
         return zero_htensor(h.tree, h.dims)
-    sets, _, _ = plan_coarsening(h, eta)
     if all(len(s) == n for s, n in zip(sets, h.dims)):
         return h
     return restrict_support(h, sets)

@@ -506,11 +506,6 @@ def _apply_diagonal(s: DiagonalScaling, v: HTensor) -> HTensor:
                    root_transfer=v.root_transfer)
 
 
-def _trim(v: HTensor) -> HTensor:
-    """Drop numerically-zero ranks; exact up to roundoff."""
-    return recompress(v, 0.0)
-
-
 def _check_support(s: ExpSumScaling, v: HTensor):
     for i in range(v.d):
         inactive = np.setdiff1d(np.arange(v.dims[i]), np.asarray(s.active[i]))
@@ -665,7 +660,7 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
         w, info["m_left"] = _apply_side(a, a.scaling_left, w, beta)
     info["pre_ranks"] = w.ranks
     info["recompress_error"] = eta / 2.0
-    w = recompress(w, eta / 2.0) if eta > 0 else _trim(w)
+    w = recompress(w, eta / 2.0)
     return (w, info) if return_info else w
 
 
@@ -841,14 +836,14 @@ def apply_compressed(a: LowRankOperator, v: HTensor, j, eta: float = 0.0,
             upto = restrict_support(v, sets)
         else:
             upto = v  # last bin absorbs the remainder
-        pieces.append(_trim(add(upto, scale(-1.0, prev))))
+        pieces.append(recompress(add(upto, scale(-1.0, prev)), 0.0))
         prev = upto
     w = None
     cert = 0.0
     for piece, jj in zip(pieces, js):
         wp = apply_one(_truncated_operator(a, table, jj), piece)
         cert += table.norms[jj] * norm(piece)
-        w = wp if w is None else _trim(add(w, wp))
+        w = wp if w is None else recompress(add(w, wp), 0.0)
     if a.has_expsum:
         cert += eta
     return ((w, cert, {"bins": len(js)}) if return_info else (w, cert))

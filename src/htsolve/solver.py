@@ -39,6 +39,7 @@ from .hsvd import (
     recompress,
     restrict_support,
     scale,
+    select_support,
     truncate_to_ranks,
     zero_htensor,
 )
@@ -298,11 +299,9 @@ class SolveReport:
         })
 
 
-def _fit_decay_rate(sigma: np.ndarray) -> float:
-    """Exponent ``gamma`` of ``sigma_i ~ C exp(-gamma i)``, or NaN."""
-    s = np.asarray(sigma, dtype=np.float64)
-    if s.size:
-        s = s[s > ZERO_CUTOFF * s[0]]
+def _fit_decay_rate(s: np.ndarray) -> float:
+    """Exponent ``gamma`` of ``sigma_i ~ C exp(-gamma i)`` over the
+    numerically nonzero singular values ``s``, or NaN."""
     if s.size < 3:
         return float("nan")
     slope = np.polyfit(np.arange(s.size), np.log(s), 1)[0]
@@ -332,7 +331,8 @@ def _contraction_class(pi: np.ndarray) -> tuple[float, float]:
 
 def _diagnostics(u: HTensor) -> dict:
     spectrum = edge_spectra(u)
-    per_edge = [_fit_decay_rate(s) for s in spectrum.sigmas]
+    per_edge = [_fit_decay_rate(s[:nr]) for s, nr
+                in zip(spectrum.sigmas, spectrum.numerical_ranks)]
     finite = [g for g in per_edge if math.isfinite(g)]
     classes = []
     for i, pi in enumerate(contractions(u).pis):
@@ -465,7 +465,9 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
         outer_steps=outer_steps,
         schedule_bound=schedule_bound,
         residual_interval=(err_lo, err_hi),
-        final_error_bound=min(schedule_bound, err_hi),
+        # a non-finite certificate must reach the report's invariant
+        final_error_bound=(min(schedule_bound, err_hi) if math.isfinite(err_hi)
+                           else err_hi),
         diagnostics=_diagnostics(u),
         total_time=time.perf_counter() - started,
     )
@@ -518,30 +520,17 @@ def error_certificate(a: LowRankOperator, v: HTensor, f: HTensor,
 
 
 def _prefix_ranks(spectrum, budget: float) -> list[int]:
-    """Per-edge minimal ranks whose cleaned singular-value tail is within
-    ``budget`` (see the matching rule in the truncation pipeline)."""
+    """Per-edge minimal ranks whose cleaned singular-value tail (see
+    :class:`~htsolve.hsvd.EdgeSpectrum`) is within ``budget``."""
     allowance = (budget * (1.0 + 1e-12)) ** 2
-    out = []
-    for s in spectrum.sigmas:
-        cutoff = ZERO_CUTOFF * s[0] if s.size else 0.0
-        sc = np.where(s > cutoff, s, 0.0)
-        tails2 = np.concatenate([np.cumsum(sc[::-1] ** 2)[::-1], [0.0]])
-        out.append(int(np.argmax(tails2 <= allowance)))
-    return out
+    return [int(np.argmax(t <= allowance)) for t in spectrum.tails2]
 
 
 def _prefix_supports(pis, budget: float):
-    """Per-mode minimal kept index sets with dropped mass within ``budget``."""
-    allowance = (budget * (1.0 + 1e-12)) ** 2
-    sets, sizes = [], []
-    for p in pis:
-        order = np.argsort(-p, kind="stable")
-        vals = p[order]
-        suffix2 = np.concatenate([np.cumsum(vals[::-1] ** 2)[::-1], [0.0]])
-        keep = int(np.argmax(suffix2 <= allowance))
-        sets.append(tuple(sorted(int(i) for i in order[:keep])))
-        sizes.append(keep)
-    return sets, sizes
+    """Per-mode minimal kept index sets with dropped mass within ``budget``:
+    :func:`~htsolve.hsvd.select_support` applied to each mode alone."""
+    picks = [select_support([p], budget * (1.0 + 1e-12)) for p in pis]
+    return [sets[0] for sets, _, _ in picks], [n for _, n, _ in picks]
 
 
 def _repair_child_products(h: HTensor, spectrum, ranks: list[int]) -> list[int]:
@@ -551,10 +540,7 @@ def _repair_child_products(h: HTensor, spectrum, ranks: list[int]) -> list[int]:
     the larger next singular value is raised first."""
     tree = h.tree
     index = {node: e for e, node in enumerate(h.edge_list)}
-    numerical = [
-        int(np.count_nonzero(s > (ZERO_CUTOFF * s[0] if s.size else 0.0)))
-        for s in spectrum.sigmas
-    ]
+    numerical = spectrum.numerical_ranks
     ranks = list(ranks)
     left_root, _ = tree.child_pair(tree.root)
 

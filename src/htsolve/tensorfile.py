@@ -22,6 +22,7 @@ __all__ = ["save_htensor", "load_htensor", "FORMAT_VERSION"]
 
 MAGIC = "HTENSOR"
 FORMAT_VERSION = 1
+ORTHONORMAL_TOL = 1e-10
 
 
 def _payload_arrays(h: HTensor):
@@ -48,7 +49,26 @@ def save_htensor(h: HTensor, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _check_orthonormal(path, frames, transfer) -> None:
+    """Reject an ``orthogonal 1`` header the payload does not bear out."""
+    mats = [(f"frame {i}", u) for i, u in frames.items()]
+    mats += [(f"transfer at {node}", b.reshape(b.shape[0] * b.shape[1], b.shape[2]))
+             for node, b in transfer.items()]
+    for name, q in mats:
+        dev = float(np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0))
+        if not dev <= ORTHONORMAL_TOL:
+            raise ValueError(f"{path}: flagged orthogonal, but {name} is off "
+                             f"orthonormal by {dev:.3g} (> {ORTHONORMAL_TOL:g})")
+
+
 def load_htensor(path) -> HTensor:
+    """Read a tensor file, validating its header, payload size and shapes.
+
+    A file flagged orthogonal must have leaf frames and matricized transfer
+    tensors with orthonormal columns: every entry of ``Q^T Q - I`` must be
+    at most ``ORTHONORMAL_TOL = 1e-10`` in magnitude.  Certified truncation
+    trusts the flag, so a false claim raises ``ValueError``.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     head, sep, payload = raw.partition(b"data\n")
@@ -97,5 +117,7 @@ def load_htensor(path) -> HTensor:
     root = read((rank_of[left], rank_of[right]))
     if buf.read(1):
         raise ValueError(f"{path}: trailing bytes after payload")
+    if orthogonal:
+        _check_orthonormal(path, frames, transfer)
     return HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
                    root_transfer=root, orthogonal=orthogonal)

@@ -104,7 +104,8 @@ def test_02_recompression_certificates_hold():
                                   noise=float(rng.uniform(0.0, 0.5)))
         h = H.from_dense(data, tree)
         eta = float(rng.uniform(0.02, 1.2)) * H.norm(h)
-        ranks, tail = H.plan_recompression(h, eta)
+        plan = H.plan_recompression(h, eta)
+        ranks, tail = plan.ranks, plan.bound
         hr = H.recompress(h, eta)
         assert hr.ranks == ranks
         err = float(np.linalg.norm(H.to_dense(hr) - data))

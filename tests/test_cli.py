@@ -1,6 +1,7 @@
 """Command-line interface: spec'd examples, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -211,6 +212,19 @@ class TestCompressCommand:
         payload = json.loads((tmp_path / "out" / "compress.json").read_text())
         assert payload["certificate"] == norm(h)
         assert payload["output_ranks"] == [0, 0, 0]
+
+
+    def test_false_orthogonal_flag_rejected(self, tmp_path):
+        # a non-orthogonal tensor saved with the flag set would otherwise get
+        # a certificate (0.614) below its true truncation error (0.719)
+        rng = np.random.default_rng(3)
+        h = random_htensor(build_balanced_tree(3), (5, 6, 7), 4, rng)
+        path = tmp_path / "lie.ht"
+        save_htensor(dataclasses.replace(h, orthogonal=True), path)
+        code = main(["compress", str(path), "--eps", "0.7110708013164879",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out" / "compress.json").exists()
 
 
 class TestBenchCommand:

@@ -1,0 +1,44 @@
+"""Solve traces against traces committed from an earlier version.
+
+``tests/golden/<fixture>_eps1e-4.csv`` is the ``trace.csv`` that
+``htsolve solve fixtures/<fixture>.ini --eps 1e-4`` wrote before.  Integer
+columns must match exactly and float columns to 1e-12 relative, so a change
+that moves the solver's iterates fails here; such a change regenerates the
+files and says why.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from htsolve.cli import main
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "fixtures"
+INT_COLUMNS = ("k", "j", "max_rank", "total_support")
+FLOAT_COLUMNS = ("eta", "res_lo", "res_hi")
+
+
+def read_trace(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
+@pytest.mark.parametrize("fixture", ["diffusion_d2_sine", "parametric_d2"])
+def test_trace_matches_golden(fixture, tmp_path):
+    assert main(["solve", str(FIXTURES / f"{fixture}.ini"), "--eps", "1e-4",
+                 "--out", str(tmp_path)]) == 0
+    header, got = read_trace(tmp_path / "trace.csv")
+    golden_header, want = read_trace(HERE / "golden" / f"{fixture}_eps1e-4.csv")
+    assert header == golden_header
+    assert sorted(header) == sorted(INT_COLUMNS + FLOAT_COLUMNS)
+    assert len(got) == len(want)
+    for row, (g, w) in enumerate(zip(got, want)):
+        for col in INT_COLUMNS:
+            assert int(g[col]) == int(w[col]), (row, col)
+        for col in FLOAT_COLUMNS:
+            assert math.isclose(float(g[col]), float(w[col]),
+                                rel_tol=1e-12, abs_tol=0.0), (row, col)

@@ -230,9 +230,75 @@ def test_spectra_tail_accessors():
     assert spec.tail(0, 3) == 0.0
     assert spec.tail(0, 99) == 0.0
     assert spec.total_tail([1]) == pytest.approx(np.sqrt(5.0))
+    # 1e-15 and 1e-16 sit below ZERO_CUTOFF * sigma_1 and leave the tails
+    spec = H.EdgeSpectrum(edges=effective_edges(build_balanced_tree(2)),
+                          sigmas=(np.array([1.0, 1e-3, 1e-15, 1e-16]),))
+    assert spec.numerical_ranks == (2,)
+    assert spec.tail(0, 1) == 1e-3
+    assert spec.tail(0, 2) == 0.0
+    assert list(spec.tails2[0]) == [1.0 + 1e-6, 1e-6, 0.0, 0.0, 0.0]
+
+
+# -- zero root rank ------------------------------------------------------------
+
+
+def zero_sum():
+    """An unflagged tensor whose stored ranks are all 0."""
+    z = H.zero_htensor(build_balanced_tree(3), (4, 5, 6))
+    return H.add(z, z)
+
+
+def zero_truncation():
+    rng = np.random.default_rng(23)
+    h = H.random_htensor(build_balanced_tree(3), (4, 5, 6), 2, rng)
+    return H.truncate_to_ranks(h, (0, 0, 0))
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda: H.orthogonalize(zero_sum()),
+    lambda: H.coarsen(zero_sum(), 0.0),
+    lambda: H.contractions(zero_sum()),
+    lambda: H.edge_spectra(zero_sum()),
+    lambda: H.contractions(zero_truncation()),
+], ids=["orthogonalize", "coarsen", "contractions", "edge_spectra",
+        "contractions_of_truncation"])
+def test_zero_root_rank_reductions(reduce):
+    assert not zero_sum().orthogonal
+    out = reduce()
+    if isinstance(out, H.HTensor):
+        assert out.ranks == (0, 0, 0) and H.norm(out) == 0.0
+    elif isinstance(out, H.ContractionSet):
+        assert [len(p) for p in out.pis] == [4, 5, 6]
+        assert not any(p.any() for p in out.pis)
+    else:
+        assert out.numerical_ranks == (0, 0, 0)
+        assert out.total_tail((0, 0, 0)) == 0.0
 
 
 # -- recompression ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+def test_plan_execute_realizes_plan(tree):
+    rng = np.random.default_rng(210 + tree.d)
+    dims = rand_dims(tree, rng, 2, 6)
+    h = H.add(H.random_htensor(tree, dims, 3, rng),
+              H.scale(0.1, H.random_htensor(tree, dims, 2, rng)))
+    dense = H.to_dense(h)
+    for frac in (0.0, 0.05, 0.3, 1.0):
+        eta = frac * H.norm(h)
+        plan = H.plan_recompression(h, eta)
+        out = plan.execute()
+        assert out.orthogonal
+        assert out.ranks == plan.ranks
+        err = np.linalg.norm(H.to_dense(out) - dense)
+        assert err <= plan.bound + 1e-12 * np.linalg.norm(dense)
+        assert plan.bound <= eta + 1e-12
+        again = H.recompress(h, eta)
+        assert again.ranks == out.ranks
+        assert np.array_equal(again.root_transfer, out.root_transfer)
+    assert plan.ranks == (0,) * len(plan.ranks)
+    assert plan.bound == H.norm(h)
 
 
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
@@ -243,7 +309,8 @@ def test_recompress_certified(tree):
         data = random_lowish_rank(tree, dims, 3, rng, noise=0.3)
         h = H.from_dense(data, tree)
         eta = float(rng.uniform(0.01, 0.99)) * H.norm(h)
-        ranks, bound = H.plan_recompression(h, eta)
+        plan = H.plan_recompression(h, eta)
+        ranks, bound = plan.ranks, plan.bound
         hr = H.recompress(h, eta)
         assert hr.ranks == ranks
         err = np.linalg.norm(H.to_dense(hr) - data)
@@ -262,7 +329,7 @@ def test_recompress_max_rank_minimal(tree):
     h = H.from_dense(data, tree)
     spec = H.edge_spectra(h)
     eta = 0.4 * H.norm(h)
-    ranks, _ = H.plan_recompression(h, eta)
+    ranks = H.plan_recompression(h, eta).ranks
     m = max(ranks)
     if m > 0:
         # no vector with smaller maximal rank can be certified
@@ -351,6 +418,14 @@ def test_truncate_to_ranks_certified(tree):
         ht = H.truncate_to_ranks(h, target)
         err = np.linalg.norm(H.to_dense(ht) - data)
         assert err <= spec.total_tail(target) + 1e-12
+
+
+def test_truncate_to_ranks_orthogonal_result():
+    rng = np.random.default_rng(24)
+    tree = build_linear_tree(4)
+    h = H.random_htensor(tree, (3, 4, 3, 4), 3, rng)
+    ht = H.truncate_to_ranks(h, (2, 2, 2, 2, 2))
+    assert ht.orthogonal and ht.ranks == (2, 2, 2, 2, 2)
 
 
 def test_truncate_to_ranks_rejects_bad_vectors():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import htsolve.solver as solver_module
 from htsolve.errors import ContractionViolationError
 from htsolve.htree import build_balanced_tree
 from htsolve.hsvd import (
@@ -220,6 +221,17 @@ class TestSolveIdentity:
         assert report.outer_iterations == 0
         assert norm(u) == 0.0
         assert report.final_error_bound <= cfg.eps
+
+    @pytest.mark.parametrize("bad", [(math.nan, math.nan), (0.0, math.inf)])
+    def test_non_finite_certificate_rejected(self, monkeypatch, bad):
+        # the schedule bound must not stand in for a non-finite certificate
+        monkeypatch.setattr(solver_module, "error_certificate",
+                            lambda *args: bad)
+        f = uniform_rank_one((8, 8))
+        a = identity_operator((8, 8))
+        cfg = default_config(a, f, eps=0.1 * norm(f))
+        with pytest.raises(ValueError, match="not finite"):
+            solve(a, f, cfg)
 
     def test_zero_rhs(self):
         tree = build_balanced_tree(2)
