@@ -1,10 +1,12 @@
 """Solve traces against traces committed from an earlier version.
 
-``tests/golden/<fixture>_eps1e-4.csv`` is the ``trace.csv`` that
-``htsolve solve fixtures/<fixture>.ini --eps 1e-4`` wrote before.  Integer
+``tests/golden/<fixture>_eps<eps>.csv`` is the ``trace.csv`` that
+``htsolve solve fixtures/<fixture>.ini --eps <eps>`` wrote before.  Integer
 columns must match exactly and float columns to 1e-12 relative, so a change
 that moves the solver's iterates fails here; such a change regenerates the
-files and says why.
+files and says why.  The d = 2 traces cover leaves and root only; the d = 3
+ones also reach interior transfer nodes (Gram recursion, interior projection,
+interior ``apply_cp`` step).
 """
 
 import csv
@@ -27,12 +29,11 @@ def read_trace(path):
         return reader.fieldnames, list(reader)
 
 
-@pytest.mark.parametrize("fixture", ["diffusion_d2_sine", "parametric_d2"])
-def test_trace_matches_golden(fixture, tmp_path):
-    assert main(["solve", str(FIXTURES / f"{fixture}.ini"), "--eps", "1e-4",
+def assert_trace_matches_golden(fixture, eps, tmp_path):
+    assert main(["solve", str(FIXTURES / f"{fixture}.ini"), "--eps", eps,
                  "--out", str(tmp_path)]) == 0
     header, got = read_trace(tmp_path / "trace.csv")
-    golden_header, want = read_trace(HERE / "golden" / f"{fixture}_eps1e-4.csv")
+    golden_header, want = read_trace(HERE / "golden" / f"{fixture}_eps{eps}.csv")
     assert header == golden_header
     assert sorted(header) == sorted(INT_COLUMNS + FLOAT_COLUMNS)
     assert len(got) == len(want)
@@ -42,3 +43,14 @@ def test_trace_matches_golden(fixture, tmp_path):
         for col in FLOAT_COLUMNS:
             assert math.isclose(float(g[col]), float(w[col]),
                                 rel_tol=1e-12, abs_tol=0.0), (row, col)
+
+
+@pytest.mark.parametrize("fixture", ["diffusion_d2_sine", "parametric_d2"])
+def test_trace_matches_golden(fixture, tmp_path):
+    assert_trace_matches_golden(fixture, "1e-4", tmp_path)
+
+
+@pytest.mark.parametrize("fixture,eps", [("parametric_d3", "1e-4"),
+                                         ("diffusion_d3_sine", "1e-3")])
+def test_d3_trace_matches_golden(fixture, eps, tmp_path):
+    assert_trace_matches_golden(fixture, eps, tmp_path)
