@@ -23,8 +23,13 @@ data that chose the result:
   combined contraction mass is ``s_N`` changes the tensor by at most
   ``s_N``, quasi-optimally up to ``sqrt(d)``.
 
-Everything is plain float64 numpy; instances are immutable (arrays are stored
-read-only) and all reductions are deterministic, including tie-breaking.
+Everything is plain float64 numpy and all reductions are deterministic,
+including tie-breaking.  Instances are immutable: arrays are stored read-only
+and the fields cannot be reassigned.  Each instance memoizes what is derived
+from it (its orthogonal form, that form's Grams, spectrum, truncation bases,
+contractions and executed truncations, and its norm) the first time it is
+asked for; since the data cannot change, a memo never goes stale, and reading
+it returns bitwise what computing again would.
 """
 
 from __future__ import annotations
@@ -77,6 +82,22 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# contraction paths of ``_einsum``, keyed by subscripts and operand shapes
+_EINSUM_PATHS: dict[tuple, list] = {}
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` with each path planned only once per
+    subscripts and operand shapes; running the planned path gives the same
+    bits as planning it again."""
+    key = (subscripts, *(op.shape for op in operands))
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = np.einsum_path(subscripts, *operands, optimize=True)[0]
+        _EINSUM_PATHS[key] = path
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def _svd(a: np.ndarray):
     """SVD with a divide-and-conquer -> QR-iteration fallback."""
     try:
@@ -105,7 +126,8 @@ class HTensor:
         Square coupling matrix between the two root children.
     orthogonal : bool
         If set, all leaf frames and matricized transfer tensors have
-        orthonormal columns (the root transfer is unconstrained).
+        orthonormal columns (the root transfer is unconstrained).  The memo
+        and :func:`norm` rely on this flag, so it must hold.
 
     Stored ranks satisfy ``r_node <= r_left * r_right`` at interior nodes and
     the two root children share the root edge rank.  Orthogonalized reduction
@@ -113,6 +135,10 @@ class HTensor:
     ``r_node <= min(prod dims(node), prod dims(complement))``; stored ranks of
     intermediate arithmetic results (sums, operator applications) may exceed
     that cap.
+
+    Derived data is memoized per instance in ``_memo`` (not compared, not
+    shown): the arrays are read-only and the fields frozen, so the memo can
+    never go stale, and ``dataclasses.replace`` starts a fresh one.
     """
 
     tree: DimensionTree
@@ -121,6 +147,8 @@ class HTensor:
     transfer: dict[Node, np.ndarray]
     root_transfer: np.ndarray
     orthogonal: bool = False
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         tree = self.tree
@@ -299,10 +327,13 @@ def from_dense(data, tree: DimensionTree, tol: float = 0.0) -> HTensor:
     """Hierarchical SVD of a dense array.
 
     With ``tol = 0`` the stored ranks are the numerical matricization ranks
-    (singular values below ``1e-14 * sigma_1`` count as zero) and the result
-    reproduces ``data`` to roundoff.  With ``tol > 0`` the exact decomposition
-    is recompressed to the certified accuracy ``tol``.  The result is
-    orthogonalized either way.
+    (singular values below ``1e-14 * sigma_1`` count as zero), capped at the
+    children's rank product, and the result reproduces ``data`` to roundoff.
+    With ``tol > 0`` the exact decomposition is recompressed to the certified
+    accuracy ``tol``.  The result is orthogonal either way: a node's leading
+    singular vectors need not lie in the span of its children's, so for
+    ``d > 2`` the projected transfer tensors are not orthonormal until a QR
+    sweep makes them so.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != tree.d:
@@ -316,21 +347,27 @@ def from_dense(data, tree: DimensionTree, tol: float = 0.0) -> HTensor:
         return zero_htensor(tree, dims)
 
     bases: dict[Node, np.ndarray] = {}
-    # the two root children share one matricization; factor it jointly so the
-    # root coupling is exactly diagonal
-    left, right = tree.child_pair(tree.root)
-    u, s, vt = _svd(_matricize(data, tree, left))
-    r_root = max(1, int(np.count_nonzero(s > ZERO_CUTOFF * s[0])))
-    bases[left] = u[:, :r_root]
-    bases[right] = vt[:r_root].T
-    root_sigma = s[:r_root]
 
-    for node in tree.nodes:
+    def numerical_rank(s: np.ndarray, node: Node) -> int:
+        rank = int(np.count_nonzero(s > ZERO_CUTOFF * s[0]))
+        if not tree.is_leaf(node):
+            lft, rgt = tree.child_pair(node)
+            rank = min(rank, bases[lft].shape[1] * bases[rgt].shape[1])
+        return max(rank, 1)
+
+    left, right = tree.child_pair(tree.root)
+    for node in tree.bottom_up():
         if node in (tree.root, left, right):
             continue
         u, s, _ = _svd(_matricize(data, tree, node))
-        rank = int(np.count_nonzero(s > ZERO_CUTOFF * s[0])) if s.size else 0
-        bases[node] = u[:, :max(rank, 1)]
+        bases[node] = u[:, :numerical_rank(s, node)]
+    # the two root children share one matricization; factor it jointly so the
+    # root coupling is exactly diagonal
+    u, s, vt = _svd(_matricize(data, tree, left))
+    r_root = min(numerical_rank(s, left), numerical_rank(s, right))
+    bases[left] = u[:, :r_root]
+    bases[right] = vt[:r_root].T
+    root_sigma = s[:r_root]
 
     frames = {i: bases[(i,)] for i in range(tree.d)}
     transfer = {}
@@ -340,10 +377,12 @@ def from_dense(data, tree: DimensionTree, tol: float = 0.0) -> HTensor:
         lft, rgt = tree.child_pair(node)
         n_l = int(np.prod([dims[i] for i in lft]))
         t = bases[node].reshape(n_l, -1, bases[node].shape[1])
-        transfer[node] = np.einsum("ia,jb,ijk->abk", bases[lft], bases[rgt], t,
-                                   optimize=True)
-    out = HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
-                  root_transfer=np.diag(root_sigma), orthogonal=True)
+        transfer[node] = _einsum("ia,jb,ijk->abk", bases[lft], bases[rgt], t)
+    # SVD frames are orthonormal; projected transfer tensors need not be, so
+    # with any of them (d > 2) the QR sweep of orthogonalize runs
+    out = orthogonalize(HTensor(tree=tree, dims=dims, frames=frames,
+                                transfer=transfer, root_transfer=np.diag(root_sigma),
+                                orthogonal=not transfer))
     if tol > 0:
         out = recompress(out, tol)
     return out
@@ -364,7 +403,7 @@ def to_dense(h: HTensor, max_entries: float = 1e8) -> np.ndarray:
             return h.frames[node[0]]
         left, right = tree.child_pair(node)
         a, b = expand(left), expand(right)
-        t = np.einsum("ia,jb,abk->ijk", a, b, h.transfer[node], optimize=True)
+        t = _einsum("ia,jb,abk->ijk", a, b, h.transfer[node])
         return t.reshape(a.shape[0] * b.shape[0], -1)
 
     left, right = tree.child_pair(tree.root)
@@ -445,15 +484,31 @@ def inner(a: HTensor, b: HTensor) -> float:
             w[node] = a.frames[node[0]].T @ b.frames[node[0]]
         else:
             left, right = tree.child_pair(node)
-            w[node] = np.einsum("abk,ac,bd,cdl->kl", a.transfer[node], w[left],
-                                w[right], b.transfer[node], optimize=True)
+            w[node] = _einsum("abk,ac,bd,cdl->kl", a.transfer[node], w[left],
+                              w[right], b.transfer[node])
     left, right = tree.child_pair(tree.root)
-    return float(np.einsum("kl,kK,lL,KL->", a.root_transfer, w[left], w[right],
-                           b.root_transfer, optimize=True))
+    return float(_einsum("kl,kK,lL,KL->", a.root_transfer, w[left], w[right],
+                         b.root_transfer))
+
+
+def _memoized(h: HTensor, key, compute):
+    """``compute()``, evaluated once per tensor ``h`` and ``key``."""
+    if key not in h._memo:
+        h._memo[key] = compute()
+    return h._memo[key]
 
 
 def norm(h: HTensor) -> float:
-    return float(np.sqrt(max(inner(h, h), 0.0)))
+    """Euclidean norm, by one of two paths.
+
+    An orthogonal tensor's norm is the Frobenius norm of its root transfer,
+    read without a sweep.  Any other tensor takes ``sqrt(inner(h, h))``, once
+    per instance; routing it through the orthogonal form instead would move
+    the result at roundoff level.
+    """
+    if h.orthogonal:
+        return float(np.linalg.norm(h.root_transfer))
+    return _memoized(h, "norm", lambda: float(np.sqrt(max(inner(h, h), 0.0))))
 
 
 # -- orthogonalization -------------------------------------------------------
@@ -469,9 +524,15 @@ def orthogonalize(h: HTensor) -> HTensor:
     with the root-edge singular values on it.  Entrywise the tensor is
     unchanged up to roundoff.  A zero root rank (which any zero stored rank
     forces, by the child-product bound) yields the canonical zero tensor.
+    The form is computed once per instance (an orthogonal ``h`` is its own).
     """
     if h.orthogonal:
         return h
+    return _memoized(h, "orthogonal_form", lambda: _orthogonal_form(h))
+
+
+def _orthogonal_form(h: HTensor) -> HTensor:
+    """The QR sweep and root SVD of :func:`orthogonalize`, uncached."""
     if h.root_transfer.shape[0] == 0:
         return zero_htensor(h.tree, h.dims)
     tree = h.tree
@@ -486,8 +547,7 @@ def orthogonalize(h: HTensor) -> HTensor:
             frames[node[0]] = q
         else:
             left, right = tree.child_pair(node)
-            b = np.einsum("xa,yb,abk->xyk", rfac[left], rfac[right],
-                          transfer[node], optimize=True)
+            b = _einsum("xa,yb,abk->xyk", rfac[left], rfac[right], transfer[node])
             q1, q2 = b.shape[0], b.shape[1]
             q, r = np.linalg.qr(b.reshape(q1 * q2, -1))
             transfer[node] = q.reshape(q1, q2, -1)
@@ -569,8 +629,7 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
         else:
             left, right = tree.child_pair(node)
             b = h.transfer[node]
-            c = np.einsum("xja,yjb,abc->xyjc", rfac[left], rfac[right], b,
-                          optimize=True)
+            c = _einsum("xja,yjb,abc->xyjc", rfac[left], rfac[right], b)
             q1, q2 = c.shape[0], c.shape[1]
             q, r = np.linalg.qr(c.reshape(q1 * q2, m * b.shape[2]))
             transfer[node] = q.reshape(q1, q2, -1)
@@ -590,10 +649,14 @@ def _gram_matrices(ho: HTensor) -> dict[Node, np.ndarray]:
     ``G[node]`` is the Gram matrix of the coefficient environment of the
     node's basis: the matricization at ``node`` equals ``U_node G U_node^T``
     up to a basis change, so its singular values are the square roots of
-    ``G``'s eigenvalues.
+    ``G``'s eigenvalues.  Computed once per instance.
     """
     if not ho.orthogonal:
         raise ValueError("gram recursion requires an orthogonalized tensor")
+    return _memoized(ho, "grams", lambda: _gram_recursion(ho))
+
+
+def _gram_recursion(ho: HTensor) -> dict[Node, np.ndarray]:
     tree = ho.tree
     g: dict[Node, np.ndarray] = {}
     left, right = tree.child_pair(tree.root)
@@ -606,8 +669,8 @@ def _gram_matrices(ho: HTensor) -> dict[Node, np.ndarray]:
         t = ho.transfer[node]
         gn = g[node]
         l, r = tree.child_pair(node)
-        g[l] = np.einsum("abk,kl,cbl->ac", t, gn, t, optimize=True)
-        g[r] = np.einsum("abk,kl,adl->bd", t, gn, t, optimize=True)
+        g[l] = _einsum("abk,kl,cbl->ac", t, gn, t)
+        g[r] = _einsum("abk,kl,adl->bd", t, gn, t)
     return {node: (m + m.T) / 2.0 for node, m in g.items()}
 
 
@@ -678,7 +741,12 @@ def _projection_data(ho: HTensor):
     The two root children are factored jointly (SVD of the root transfer) so
     their bases stay consistently paired; every other node uses the
     eigenvectors of its Gram matrix, ordered by descending eigenvalue.
+    Computed once per instance.
     """
+    return _memoized(ho, "projection", lambda: _spectral_decomposition(ho))
+
+
+def _spectral_decomposition(ho: HTensor):
     tree = ho.tree
     grams = _gram_matrices(ho)
     vectors: dict[Node, np.ndarray] = {}
@@ -721,9 +789,8 @@ def _project(ho: HTensor, vectors: dict[Node, np.ndarray], node_ranks: dict[Node
         if node == tree.root:
             continue
         left, right = tree.child_pair(node)
-        transfer[node] = np.einsum("abk,aA,bB,kK->ABK", ho.transfer[node],
-                                   basis(left), basis(right), basis(node),
-                                   optimize=True)
+        transfer[node] = _einsum("abk,aA,bB,kK->ABK", ho.transfer[node],
+                                 basis(left), basis(right), basis(node))
     left, right = tree.child_pair(tree.root)
     root = basis(left).T @ ho.root_transfer @ basis(right)
 
@@ -838,7 +905,8 @@ class TruncationPlan:
     ``bound`` certifies ``norm(h - execute()) <= bound``.  The plan keeps the
     orthogonal form and the truncation bases whose spectrum chose the ranks,
     so the certificate belongs to that spectrum and executing repeats no
-    spectral work.
+    spectral work.  The orthogonal form memoizes executed truncations by
+    target ranks, so a second plan with the same target executes for free.
     """
 
     ranks: tuple[int, ...]
@@ -852,6 +920,9 @@ class TruncationPlan:
         """The truncated tensor, orthogonalized."""
         if self._vectors is None:
             return self._ho
+        return _memoized(self._ho, ("truncation", self._target), self._truncate)
+
+    def _truncate(self) -> HTensor:
         node_ranks = _node_rank_map(self._ho.tree, self._target)
         return orthogonalize(_project(self._ho, self._vectors, node_ranks))
 
@@ -952,14 +1023,19 @@ class ContractionSet:
 
 
 def contractions(h: HTensor) -> ContractionSet:
-    """Mode-frame contraction values, computed without densification."""
+    """Mode-frame contraction values, computed without densification, once
+    per orthogonal form."""
     ho = orthogonalize(h)
+    return _memoized(ho, "contractions", lambda: _contraction_set(ho))
+
+
+def _contraction_set(ho: HTensor) -> ContractionSet:
     grams = _gram_matrices(ho)
     pis = []
     for i in range(ho.d):
         u = ho.frames[i]
         g = grams[(i,)]
-        vals = np.einsum("nk,kl,nl->n", u, g, u, optimize=True)
+        vals = _einsum("nk,kl,nl->n", u, g, u)
         pis.append(np.sqrt(np.clip(vals, 0.0, None)))
     return ContractionSet(pis=tuple(pis))
 

@@ -15,7 +15,9 @@ four modes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from htsolve.errors import InvalidDimensionError
 
@@ -60,6 +62,7 @@ class DimensionTree:
         root = tuple(range(self.d))
         if root not in self.children:
             raise ValueError("children must contain the root node")
+        preorder: list[Node] = []
         seen = set()
         stack = [root]
         while stack:
@@ -67,6 +70,7 @@ class DimensionTree:
             if node in seen:
                 raise ValueError(f"node {node} reached twice")
             seen.add(node)
+            preorder.append(node)
             if len(node) == 1:
                 if node in self.children:
                     raise ValueError(f"leaf {node} must not have children")
@@ -77,11 +81,21 @@ class DimensionTree:
                 raise ValueError(f"interior node {node} has no children") from None
             if tuple(sorted(left + right)) != node or set(left) & set(right):
                 raise ValueError(f"children of {node} do not partition it")
-            stack.extend((left, right))
+            stack.extend((right, left))
         if len(seen) != 2 * self.d - 1:
             raise ValueError(
                 f"tree has {len(seen)} reachable nodes, expected {2 * self.d - 1}"
             )
+        # traversal orders, computed once: the tree is immutable
+        parents = {c: p for p, pair in self.children.items() for c in pair}
+        _, right_root = self.children[root]
+        cache = object.__setattr__
+        cache(self, "_nodes", tuple(preorder))
+        cache(self, "_bottom_up", tuple(reversed(preorder)))
+        cache(self, "_interior", tuple(n for n in preorder if len(n) > 1))
+        cache(self, "_parents", MappingProxyType(parents))
+        cache(self, "_edges", EdgeList(tree=self, edges=tuple(
+            n for n in preorder if n != root and n != right_root)))
 
     # -- basic structure ---------------------------------------------------
 
@@ -95,34 +109,29 @@ class DimensionTree:
     def child_pair(self, node: Node) -> tuple[Node, Node]:
         return self.children[node]
 
+    # ``nodes`` stays a property and ``bottom_up``/``interior_nodes`` plain
+    # methods, so tools that wrap class members see the usual descriptors
+
     @property
     def nodes(self) -> tuple[Node, ...]:
         """All nodes in depth-first preorder (root first, left before right)."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not self.is_leaf(node):
-                left, right = self.children[node]
-                stack.append(right)
-                stack.append(left)
-        return tuple(out)
+        return self._nodes
 
     @property
     def leaves(self) -> tuple[Node, ...]:
         return tuple((i,) for i in range(self.d))
 
-    def parent_map(self) -> dict[Node, Node]:
-        return {c: p for p, (l, r) in self.children.items() for c in (l, r)}
+    def parent_map(self) -> Mapping[Node, Node]:
+        """Read-only map from every non-root node to its parent."""
+        return self._parents
 
     def interior_nodes(self) -> tuple[Node, ...]:
         """Interior nodes in depth-first preorder."""
-        return tuple(n for n in self.nodes if not self.is_leaf(n))
+        return self._interior
 
     def bottom_up(self) -> tuple[Node, ...]:
         """All nodes ordered so that children precede their parents."""
-        return tuple(reversed(self.nodes))
+        return self._bottom_up
 
     def axis_order(self, node: Node) -> tuple[int, ...]:
         """Mode ordering of a node's tensorized index: recursive concatenation
@@ -170,10 +179,9 @@ def effective_edges(tree: DimensionTree) -> EdgeList:
 
     Depth-first order, left child before right child, excluding the root and
     the right root child; for ``d = 2`` this leaves the single shared edge.
+    The list is built once, with the tree.
     """
-    _, right_root = tree.child_pair(tree.root)
-    edges = tuple(n for n in tree.nodes if n != tree.root and n != right_root)
-    return EdgeList(tree=tree, edges=edges)
+    return tree._edges
 
 
 # -- constructions ---------------------------------------------------------

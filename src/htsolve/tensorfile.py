@@ -12,6 +12,7 @@ are self-describing.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 
@@ -49,12 +50,11 @@ def save_htensor(h: HTensor, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _check_orthonormal(path, frames, transfer) -> None:
-    """Reject an ``orthogonal 1`` header the payload does not bear out."""
-    mats = [(f"frame {i}", u) for i, u in frames.items()]
-    mats += [(f"transfer at {node}", b.reshape(b.shape[0] * b.shape[1], b.shape[2]))
-             for node, b in transfer.items()]
-    for name, q in mats:
+def _check_orthonormal(path, named_arrays) -> None:
+    """Reject an ``orthogonal 1`` header the payload does not bear out: each
+    leaf frame and matricized transfer tensor must have orthonormal columns."""
+    for name, a in named_arrays:
+        q = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
         dev = float(np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0))
         if not dev <= ORTHONORMAL_TOL:
             raise ValueError(f"{path}: flagged orthogonal, but {name} is off "
@@ -63,6 +63,9 @@ def _check_orthonormal(path, frames, transfer) -> None:
 
 def load_htensor(path) -> HTensor:
     """Read a tensor file, validating its header, payload size and shapes.
+
+    Every payload entry must be finite; NaN or inf raises ``ValueError``
+    naming the file, before any arithmetic sees it.
 
     A file flagged orthogonal must have leaf frames and matricized transfer
     tensors with orthonormal columns: every entry of ``Q^T Q - I`` must be
@@ -117,7 +120,12 @@ def load_htensor(path) -> HTensor:
     root = read((rank_of[left], rank_of[right]))
     if buf.read(1):
         raise ValueError(f"{path}: trailing bytes after payload")
+    named = [(f"frame {i}", u) for i, u in frames.items()]
+    named += [(f"transfer at {node}", b) for node, b in transfer.items()]
+    for name, a in named + [("root transfer", root)]:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{path}: {name} holds non-finite values")
     if orthogonal:
-        _check_orthonormal(path, frames, transfer)
+        _check_orthonormal(path, named)
     return HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
                    root_transfer=root, orthogonal=orthogonal)

@@ -226,6 +226,22 @@ class TestCompressCommand:
         assert code == 2
         assert not (tmp_path / "out" / "compress.json").exists()
 
+    def test_non_finite_payload_rejected(self, tmp_path, capsys):
+        # before, NaN or inf data reached LAPACK ("array must not contain
+        # infs or NaNs") instead of being reported as bad input
+        rng = np.random.default_rng(4)
+        h = random_htensor(build_balanced_tree(3), (5, 6, 7), 3, rng)
+        root = h.root_transfer.copy()
+        root[0, 0], root[-1, -1] = np.nan, np.inf
+        path = tmp_path / "nonfinite.ht"
+        save_htensor(dataclasses.replace(h, root_transfer=root), path)
+        code = main(["compress", str(path), "--eps", "0.1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "nonfinite.ht: root transfer holds non-finite values" in err
+        assert not (tmp_path / "out" / "compress.json").exists()
+
 
 class TestBenchCommand:
     def test_sweep_table_and_fits(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -561,3 +563,100 @@ def test_native_round_trip(tree):
     dense = H.to_dense(h)
     back = H.from_dense(dense, tree)
     assert np.linalg.norm(H.to_dense(back) - dense) <= 1e-10 * max(H.norm(h), 1)
+
+
+# -- from_dense orthogonality and per-instance memo --------------------------
+
+
+def noisy_low_rank(seed):
+    """Random rank-1..3 tensor of 3-4 modes plus entrywise noise of 3e-15 to
+    1e-14 relative: singular values land just above ``ZERO_CUTOFF``."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 5))
+    tree = (build_balanced_tree if seed % 2 else build_linear_tree)(d)
+    dims = rand_dims(tree, rng)
+    x = H.to_dense(H.random_htensor(tree, dims, int(rng.integers(1, 4)), rng))
+    noise = 10 ** rng.uniform(np.log10(3e-15), -14)
+    return x + noise * np.abs(x).max() * rng.standard_normal(x.shape), tree
+
+
+# seed 0 once raised (a node rank above its children's product); the others
+# once came out flagged orthogonal with |Q^T Q - I| from 0.12 up to 0.93
+@pytest.mark.parametrize("seed", [0, 4, 9, 12, 20, 22, 23, 37])
+def test_from_dense_orthogonal_on_noisy_input(seed, tmp_path):
+    from htsolve.tensorfile import ORTHONORMAL_TOL, load_htensor, save_htensor
+
+    x, tree = noisy_low_rank(seed)
+    h = H.from_dense(x, tree)
+    assert h.orthogonal
+    mats = list(h.frames.values()) + [b.reshape(-1, b.shape[2])
+                                      for b in h.transfer.values()]
+    for q in mats:
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0) <= ORTHONORMAL_TOL
+    assert np.linalg.norm(H.to_dense(h) - x) <= 1e-12 * np.linalg.norm(x)
+    save_htensor(h, tmp_path / "h.ht")
+    back = load_htensor(tmp_path / "h.ht")
+    assert back.orthogonal and back.ranks == h.ranks
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("build", [build_balanced_tree, build_linear_tree])
+def test_norm_of_orthogonal_tensor_reads_root(build, d):
+    rng = np.random.default_rng(40 + d)
+    tree = build(d)
+    h = H.orthogonalize(H.random_htensor(tree, rand_dims(tree, rng), 3, rng))
+    assert h.orthogonal
+    ref = np.sqrt(H.inner(h, h))
+    assert abs(H.norm(h) - ref) <= 1e-13 * ref
+
+
+def test_orthogonal_form_computed_once():
+    rng = np.random.default_rng(3)
+    h = H.random_htensor(build_balanced_tree(4), (3, 4, 5, 3), 3, rng)
+    ho = H.orthogonalize(h)
+    assert H.orthogonalize(h) is ho
+    assert H.orthogonalize(ho) is ho
+    assert H.contractions(h) is H.contractions(ho)
+    assert H.edge_spectra(h) is H.edge_spectra(ho)
+    # a copy with other fields starts with an empty memo
+    assert dataclasses.replace(h, root_transfer=2 * h.root_transfer)._memo == {}
+
+
+def copy_of(h):
+    """Same data, nothing memoized."""
+    return H.HTensor(tree=h.tree, dims=h.dims, frames=h.frames,
+                     transfer=h.transfer, root_transfer=h.root_transfer)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.ranks == b.ranks and a.orthogonal == b.orthogonal
+    for i in a.frames:
+        assert np.array_equal(a.frames[i], b.frames[i])
+    for node in a.transfer:
+        assert np.array_equal(a.transfer[node], b.transfer[node])
+    assert np.array_equal(a.root_transfer, b.root_transfer)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+def test_repeated_plans_execute_bitwise_equal(tree):
+    rng = np.random.default_rng(11 + tree.d)
+    h = H.random_htensor(tree, rand_dims(tree, rng, 3, 6), 4, rng)
+    nh = H.norm(h)
+    etas = [0.3 * nh, 0.05 * nh, 0.3 * nh, 0.0, 0.05 * nh]
+    for eta in etas:
+        plan = H.plan_recompression(h, eta)
+        got = plan.execute()
+        assert_bitwise_equal(got, plan.execute())
+        assert_bitwise_equal(got, H.plan_recompression(copy_of(h), eta).execute())
+        assert got.ranks == plan.ranks
+
+
+def test_einsum_paths_planned_once_run_bitwise():
+    rng = np.random.default_rng(5)
+    for shapes in [((3, 4, 5), (3, 6), (4, 2), (6, 2, 7)),
+                   ((2, 4, 5), (2, 6), (4, 3), (6, 3, 7))]:
+        ops = [rng.standard_normal(s) for s in shapes]
+        want = np.einsum("abk,ac,bd,cdl->kl", *ops, optimize=True)
+        for _ in range(2):
+            got = H._einsum("abk,ac,bd,cdl->kl", *ops)
+            assert np.array_equal(got, want)

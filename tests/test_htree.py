@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from htsolve.errors import InvalidDimensionError
@@ -112,3 +114,43 @@ def test_malformed_children_rejected():
     # missing interior node
     with pytest.raises(ValueError):
         DimensionTree(d=3, children={(0, 1, 2): ((0, 1), (2,))})
+
+
+def fresh_preorder(tree):
+    out, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not tree.is_leaf(node):
+            left, right = tree.child_pair(node)
+            stack.extend((right, left))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("build", [build_balanced_tree, build_linear_tree])
+def test_cached_orders_equal_fresh_ones(build, d):
+    tree = build(d)
+    pre = fresh_preorder(tree)
+    assert tree.nodes == pre
+    assert tree.bottom_up() == tuple(reversed(pre))
+    assert tree.interior_nodes() == tuple(n for n in pre if len(n) > 1)
+    assert dict(tree.parent_map()) == {c: p for p, pair in tree.children.items()
+                                       for c in pair}
+    right_root = tree.child_pair(tree.root)[1]
+    assert effective_edges(tree).edges == tuple(
+        n for n in pre if n not in (tree.root, right_root))
+    # repeated reads hand out the same objects
+    assert tree.nodes is tree.nodes
+    assert effective_edges(tree) is effective_edges(tree)
+    with pytest.raises(TypeError):
+        tree.parent_map()[tree.root] = tree.root
+
+
+def test_traversal_members_keep_their_descriptors():
+    # perfbench/layers.py wraps these members by kind: ``nodes`` as a
+    # property, ``bottom_up`` and ``interior_nodes`` as plain functions
+    members = DimensionTree.__dict__
+    assert isinstance(members["nodes"], property)
+    for name in ("bottom_up", "interior_nodes"):
+        assert inspect.isfunction(members[name]), name

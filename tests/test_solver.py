@@ -472,3 +472,25 @@ class TestReductionQuasiOptimality:
         other = random_htensor(tree, (6, 5), 2, rng)
         with pytest.raises(ValueError, match="dims"):
             reduction_quasi_optimality_check(u_ref, other, eta=10.0)
+
+
+def test_solve_orthogonalizes_rhs_once(monkeypatch):
+    # every inner step reduces f; its orthogonal form and spectrum are
+    # computed in the first and read afterwards
+    import htsolve.hsvd as hsvd_module
+
+    problem = load_problem(FIXTURES / "diffusion_d3_sine.ini")
+    f = problem.rhs
+    assert not f.orthogonal
+    seen = []
+    compute = hsvd_module._orthogonal_form
+
+    def counting(h):
+        seen.append(h)
+        return compute(h)
+
+    monkeypatch.setattr(hsvd_module, "_orthogonal_form", counting)
+    cfg = default_config(problem.operator, f, eps=1e-2)
+    _, report = solve(problem.operator, f, cfg)
+    assert len(report.steps) > 1
+    assert sum(h is f for h in seen) == 1

@@ -79,3 +79,17 @@ def test_rejects_corruption(tmp_path):
     not_tensor.write_bytes(b"hello world")
     with pytest.raises(ValueError):
         load_htensor(not_tensor)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_payload(tmp_path, bad):
+    rng = np.random.default_rng(6)
+    h = H.random_htensor(build_balanced_tree(3), (3, 4, 3), 2, rng)
+    frames = dict(h.frames)
+    frames[1] = frames[1].copy()
+    frames[1][2, 0] = bad
+    path = tmp_path / "bad.ht"
+    save_htensor(H.HTensor(tree=h.tree, dims=h.dims, frames=frames,
+                           transfer=h.transfer, root_transfer=h.root_transfer), path)
+    with pytest.raises(ValueError, match=r"bad\.ht: frame 1 holds non-finite"):
+        load_htensor(path)
