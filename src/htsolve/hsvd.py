@@ -585,6 +585,17 @@ def _map_frame(factor, u: np.ndarray) -> np.ndarray:
     return factor @ u
 
 
+def _leaf_stack(factors, u: np.ndarray) -> np.ndarray:
+    """The stacked leaf frame ``[M_1 U ... M_m U]`` of one mode.  When every
+    factor is a 1-d diagonal (exp-sum terms, diagonal scalings) it is one
+    broadcast product, with the same products in the same column order as
+    stacking each :func:`_map_frame`."""
+    if all(isinstance(f, np.ndarray) and f.ndim == 1 for f in factors):
+        diag = np.array(factors).T  # (n, m): column j is factor j
+        return (diag[:, :, None] * u[:, None, :]).reshape(u.shape[0], -1)
+    return np.hstack([_map_frame(f, u) for f in factors])
+
+
 def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     """Exact ``sum_j w_j (M_j1 x ... x M_jd) h`` in orthogonal form.
 
@@ -595,7 +606,9 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     stacked leaf frames ``[M_1i U_i ... M_mi U_i]`` and of the children's
     R factors contracted with the unchanged transfer, block by block, ends in
     an SVD of the root core, absorbed into the root children as in
-    :func:`orthogonalize`.  Nothing is truncated, so the result equals the
+    :func:`orthogonalize`.  A mode whose factors are all diagonal has its
+    leaf frames stacked by one broadcast product (:func:`_leaf_stack`).
+    Nothing is truncated, so the result equals the
     sum up to roundoff.  A leaf rank is at most ``min(n_i, m r_i)``, an
     interior rank at most ``min(q_left q_right, m r_node)`` for the children's
     new ranks ``q``, and the root rank at most the smaller root child rank.
@@ -623,7 +636,7 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
         if tree.is_leaf(node):
             i = node[0]
             u = h.frames[i]
-            q, r = np.linalg.qr(np.hstack([_map_frame(t[i], u) for t in terms]))
+            q, r = np.linalg.qr(_leaf_stack([t[i] for t in terms], u))
             frames[i] = q
             rfac[node] = r.reshape(-1, m, u.shape[1])
         else:

@@ -27,6 +27,7 @@ truncation), and spends ``eta/2`` on a single final recompression.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -73,6 +74,7 @@ __all__ = [
 ]
 
 SCALING_TERM_CAP = 4096
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class OperatorBounds(NamedTuple):
@@ -181,13 +183,19 @@ class ExpSumScaling:
 
 
 def _scalar_expsum_relerr(weights, exponents, x: np.ndarray) -> float:
-    """sup over x of |1 - sqrt(x) * S(x)| for S(x) = sum w exp(-t x)."""
-    worst = 0.0
+    """sup over x of |1 - sqrt(x) * S(x)| for S(x) = sum w exp(-t x).
+
+    Evaluated in chunks of 8192 points, with the exponentials formed in place
+    (``exp(x * -t)`` has the same bits as ``exp(-(x t))``).  A NaN anywhere
+    makes the sup NaN, so a check ``sup <= bound`` fails on it.
+    """
+    sups = []
     for lo in range(0, len(x), 8192):
         xc = x[lo:lo + 8192]
-        approx = np.exp(-np.outer(xc, exponents)) @ weights
-        worst = max(worst, float(np.abs(1.0 - np.sqrt(xc) * approx).max()))
-    return worst
+        e = np.multiply.outer(xc, -exponents)
+        np.exp(e, out=e)
+        sups.append(np.abs(1.0 - np.sqrt(xc) * (e @ weights)).max())
+    return float(np.max(sups))
 
 
 def _verification_sums(level_weights, active, rng) -> np.ndarray:
@@ -215,14 +223,27 @@ def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
     """Smallest certified exponential-sum table for the inverse square root
     of ``sum_i q_i[lam_i]`` over the active set.
 
-    The requested relative tolerance must be below 1 and is clamped to 1/2.
-    The table size is found by doubling plus bisection, with every candidate
-    verified against the ideal diagonal on all extreme level combinations,
-    1000 seeded random rows, and a dense grid in the scalar sum (the relative
-    error depends on the row only through the sum, so the grid check
-    dominates both).  Raises :class:`ToleranceInfeasibleError` when no table
-    within the hard cap of 4096 terms verifies.
+    The requested relative tolerance must be below 1 and is clamped to 1/2;
+    level weights must be finite.  The table size is found by doubling plus
+    bisection.  A candidate passes when its sup error against the ideal
+    diagonal is at most ``0.995 delta`` on all extreme level combinations,
+    1000 seeded random rows (every row when there are at most 100k), and a
+    4097-point log grid in the scalar sum (the relative error depends on the
+    row only through the sum, so the grid check dominates both).
+
+    Each candidate is first screened on every 16th of those points.  The sup
+    over a subset bounds the full sup from below, so a screen above the
+    threshold (plus an allowance for the dot product's summation order)
+    proves the candidate fails without the full check.  A candidate that
+    survives gets the full check, and each size is fully checked at most once
+    per build.  Screening only skips checks whose outcome is already known,
+    so the chosen size, its weights, exponents and ``certified`` sup are
+    those of the unscreened search.  Raises :class:`ToleranceInfeasibleError`
+    when no table within the hard cap of 4096 terms verifies; the best sup
+    it reports is fully evaluated.
     """
+    if math.isnan(tol):
+        raise ValueError("relative tolerance must be a number, got nan")
     if tol >= 1.0:
         raise ValueError(f"relative tolerance must be < 1, got {tol}")
     if tol <= 0.0:
@@ -231,6 +252,8 @@ def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
     level_weights = tuple(np.asarray(q, dtype=np.float64) for q in level_weights)
     if any(q.ndim != 1 or len(q) == 0 for q in level_weights):
         raise ValueError("level weights must be nonempty 1-d arrays")
+    if any(not np.isfinite(q).all() for q in level_weights):
+        raise ValueError("level weights must be finite")
     if any((q < 0).any() for q in level_weights):
         raise ValueError("level weights must be nonnegative")
     if active is None:
@@ -252,8 +275,13 @@ def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
     rng = np.random.default_rng(0x5CA1E)
     check_x = _verification_sums(level_weights, active, rng)
     grid_x = np.exp(np.linspace(0.0, np.log(big_x), 4097)) * c
-    check_x = np.unique(np.concatenate([check_x, grid_x]))
+    check_x = np.unique(np.concatenate([check_x, grid_x])) / c  # normalized
+    screen_x = check_x[::16]
+    # small headroom: between grid points the error can exceed the sampled
+    # sup by a sliver (exhaustive row sets are exact already)
+    threshold = 0.995 * delta
 
+    @functools.cache
     def candidate(m: int):
         # sinc-type quadrature for x^(-1/2) = pi^(-1/2) int e^(s/2) e^(-x e^s) ds
         # on normalized x in [1, X]; truncation points sized for delta/4 tails
@@ -266,40 +294,44 @@ def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
         exponents = np.exp(s) / c
         return weights, exponents
 
-    def verified(m: int):
+    def sup_error(m: int, x: np.ndarray) -> float:
         w, t = candidate(m)
-        err = _scalar_expsum_relerr(w * math.sqrt(c), t * c, check_x / c)
-        # small headroom: between grid points the error can exceed the
-        # sampled sup by a sliver (exhaustive row sets are exact already)
-        return (err <= 0.995 * delta), err, w, t
+        return _scalar_expsum_relerr(w * math.sqrt(c), t * c, x)
+
+    @functools.cache
+    def full_sup(m: int) -> float:
+        return sup_error(m, check_x)
+
+    def passes(m: int) -> bool:
+        low = sup_error(m, screen_x)
+        # a full check sums each row's m terms in another order: allow for
+        # the rounding of that dot product and of its exponentials
+        if low > threshold + 8.0 * (m + 1) * _EPS * (1.0 + low):
+            return False
+        return full_sup(m) <= threshold
 
     m = 2
-    best_err = np.inf
-    while m <= SCALING_TERM_CAP:
-        ok, err, w, t = verified(m)
-        best_err = min(best_err, err)
-        if ok:
-            break
+    while m <= SCALING_TERM_CAP and not passes(m):
         m *= 2
-    else:
+    if m > SCALING_TERM_CAP:
+        best_err = np.inf
+        for k in range(1, SCALING_TERM_CAP.bit_length()):
+            best_err = min(best_err, full_sup(2**k))
         raise ToleranceInfeasibleError(
             f"no exponential-sum table with <= {SCALING_TERM_CAP} terms reaches "
             f"relative tolerance {delta:g} (best achieved: {best_err:.3g}; "
             f"normalized range [1, {big_x:.3g}])"
         )
     lo, hi = m // 2 + 1, m
-    while lo < hi:
+    while lo < hi:  # hi always holds a size that passed
         mid = (lo + hi) // 2
-        ok, err, _, _ = verified(mid)
-        if ok:
+        if passes(mid):
             hi = mid
         else:
             lo = mid + 1
-    ok, err, w, t = verified(hi)
-    if not ok:  # bisection assumed monotonicity; fall back to the doubled size
-        hi, (ok, err, w, t) = m, verified(m)
+    w, t = candidate(hi)
     return ExpSumScaling(weights=w, exponents=t, level_weights=level_weights,
-                         active=active, tol=tol, certified=err)
+                         active=active, tol=tol, certified=full_sup(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +539,10 @@ def _apply_diagonal(s: DiagonalScaling, v: HTensor) -> HTensor:
 
 
 def _check_support(s: ExpSumScaling, v: HTensor):
-    for i in range(v.d):
-        inactive = np.setdiff1d(np.arange(v.dims[i]), np.asarray(s.active[i]))
+    for i, a in enumerate(s.active):
+        if a == tuple(range(v.dims[i])):
+            continue  # every index is active
+        inactive = np.setdiff1d(np.arange(v.dims[i]), np.asarray(a))
         if inactive.size and np.any(v.frames[i][inactive, :] != 0.0):
             raise CertificateViolationError(
                 f"tensor has mass outside the scaling's active set in mode {i}; "
@@ -594,8 +628,8 @@ def _apply_side(a: LowRankOperator, s, v: HTensor, beta: float) -> tuple[HTensor
         return apply_cp(v, [s.vectors]), 0
     table = _expsum_table(a, s, beta)
     _check_support(table, v)
-    factors = [table.mode_factors(i) for i in range(v.d)]
-    terms = [tuple(f[:, j] for f in factors) for j in range(table.m)]
+    # term j takes column j of every mode's factor matrix
+    terms = list(zip(*(table.mode_factors(i).T for i in range(v.d))))
     return apply_cp(v, terms, table.weights), table.m
 
 

@@ -149,8 +149,8 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
     """
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must be in (0, 1), got {xi}")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not math.isfinite(omega) or omega <= 0.0:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < res_tol_factor < 1.0:
@@ -159,8 +159,8 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         if a.bounds is None:
             raise ValueError("bbar not given and the operator has no bounds")
         bbar = float(a.bounds.upper)
-    if bbar <= 0.0:
-        raise ValueError(f"bbar must be positive, got {bbar}")
+    if not math.isfinite(bbar) or bbar <= 0.0:
+        raise ValueError(f"bbar must be positive and finite, got {bbar}")
     if a.dims != f.dims:
         raise ValueError(f"operator dims {a.dims} do not match {f.dims}")
 

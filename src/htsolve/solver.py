@@ -116,6 +116,10 @@ class SolveConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("omega", "c_a", "eps0", "beta1", "beta2", "alpha"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not 0.0 <= self.rho < 1.0:

@@ -121,3 +121,91 @@ def random_lowish_rank(tree: DimensionTree, dims, rank, rng, noise=0.0):
     if noise:
         data = data + noise * rng.standard_normal(dims)
     return data
+
+
+def reference_scaling_table(level_weights, tol, active=None):
+    """The exponential-sum table search as first written, with no screening.
+
+    Doubling from ``m = 2`` then bisection; every candidate is fully checked
+    on the verification sums plus a 4097-point log grid, and the chosen size
+    is checked once more at the end.  Returns ``(m, weights, exponents,
+    certified)``; raises :class:`ToleranceInfeasibleError` with the same
+    message as :func:`htsolve.ops.build_scaling` when no table of at most
+    4096 terms verifies.  Inputs are assumed valid and finite.
+    """
+    import math
+
+    from htsolve.errors import ToleranceInfeasibleError
+
+    delta = min(tol, 0.5)
+    qs_all = [np.asarray(q, dtype=np.float64) for q in level_weights]
+    if active is None:
+        active = [tuple(range(len(q))) for q in qs_all]
+    active = [tuple(sorted(int(k) for k in a)) for a in active]
+    qs = [q[list(a)] for q, a in zip(qs_all, active)]
+    c = float(sum(q.min() for q in qs))
+    big_x = float(sum(q.max() for q in qs)) / c
+
+    total = int(np.prod([len(q) for q in qs]))
+    if total <= 100_000:
+        x = qs[0]
+        for q in qs[1:]:
+            x = np.add.outer(x, q).ravel()
+        check_x = np.unique(x)
+    else:
+        rng = np.random.default_rng(0x5CA1E)
+        extremes = [(float(q.min()), float(q.max())) for q in qs]
+        grids = np.meshgrid(*extremes, indexing="ij")
+        idx = np.stack([rng.integers(0, len(q), size=1000) for q in qs])
+        check_x = np.unique(np.concatenate([
+            np.stack([g.ravel() for g in grids]).sum(axis=0),
+            np.stack([q[i] for q, i in zip(qs, idx)]).sum(axis=0),
+        ]))
+    grid_x = np.exp(np.linspace(0.0, np.log(big_x), 4097)) * c
+    check_x = np.unique(np.concatenate([check_x, grid_x]))
+
+    def candidate(m):
+        d4 = delta / 4.0
+        s_max = math.log(math.log(4.0 / d4) + 2.0)
+        s_min = 2.0 * math.log(d4 * math.sqrt(math.pi) / 8.0) - math.log(big_x)
+        s = np.linspace(s_min, s_max, m)
+        h = s[1] - s[0] if m > 1 else 1.0
+        return h * np.exp(s / 2.0) / math.sqrt(math.pi * c), np.exp(s) / c
+
+    def sup_error(w, t, x):
+        worst = 0.0
+        for lo in range(0, len(x), 8192):
+            xc = x[lo:lo + 8192]
+            approx = np.exp(-np.outer(xc, t)) @ w
+            worst = max(worst, float(np.abs(1.0 - np.sqrt(xc) * approx).max()))
+        return worst
+
+    def verified(m):
+        w, t = candidate(m)
+        err = sup_error(w * math.sqrt(c), t * c, check_x / c)
+        return (err <= 0.995 * delta), err, w, t
+
+    m, best_err = 2, np.inf
+    while m <= 4096:
+        ok, err, w, t = verified(m)
+        best_err = min(best_err, err)
+        if ok:
+            break
+        m *= 2
+    else:
+        raise ToleranceInfeasibleError(
+            f"no exponential-sum table with <= 4096 terms reaches "
+            f"relative tolerance {delta:g} (best achieved: {best_err:.3g}; "
+            f"normalized range [1, {big_x:.3g}])"
+        )
+    lo, hi = m // 2 + 1, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if verified(mid)[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    ok, err, w, t = verified(hi)
+    if not ok:
+        hi, (ok, err, w, t) = m, verified(m)
+    return hi, w, t, err

@@ -6,7 +6,9 @@ columns must match exactly and float columns to 1e-12 relative, so a change
 that moves the solver's iterates fails here; such a change regenerates the
 files and says why.  The d = 2 traces cover leaves and root only; the d = 3
 ones also reach interior transfer nodes (Gram recursion, interior projection,
-interior ``apply_cp`` step).
+interior ``apply_cp`` step).  ``tests/golden/st_<fixture>_eps<eps>.csv`` is
+likewise the ``st_trace.csv`` of ``htsolve st-solve``; that run builds 20
+exp-sum tables of up to 91 terms.
 """
 
 import csv
@@ -29,20 +31,25 @@ def read_trace(path):
         return reader.fieldnames, list(reader)
 
 
+def assert_matches_golden(got_path, golden_name, int_columns, float_columns):
+    header, got = read_trace(got_path)
+    golden_header, want = read_trace(HERE / "golden" / golden_name)
+    assert header == golden_header
+    assert sorted(header) == sorted(int_columns + float_columns)
+    assert len(got) == len(want)
+    for row, (g, w) in enumerate(zip(got, want)):
+        for col in int_columns:
+            assert int(g[col]) == int(w[col]), (row, col)
+        for col in float_columns:
+            assert math.isclose(float(g[col]), float(w[col]),
+                                rel_tol=1e-12, abs_tol=0.0), (row, col)
+
+
 def assert_trace_matches_golden(fixture, eps, tmp_path):
     assert main(["solve", str(FIXTURES / f"{fixture}.ini"), "--eps", eps,
                  "--out", str(tmp_path)]) == 0
-    header, got = read_trace(tmp_path / "trace.csv")
-    golden_header, want = read_trace(HERE / "golden" / f"{fixture}_eps{eps}.csv")
-    assert header == golden_header
-    assert sorted(header) == sorted(INT_COLUMNS + FLOAT_COLUMNS)
-    assert len(got) == len(want)
-    for row, (g, w) in enumerate(zip(got, want)):
-        for col in INT_COLUMNS:
-            assert int(g[col]) == int(w[col]), (row, col)
-        for col in FLOAT_COLUMNS:
-            assert math.isclose(float(g[col]), float(w[col]),
-                                rel_tol=1e-12, abs_tol=0.0), (row, col)
+    assert_matches_golden(tmp_path / "trace.csv", f"{fixture}_eps{eps}.csv",
+                          INT_COLUMNS, FLOAT_COLUMNS)
 
 
 @pytest.mark.parametrize("fixture", ["diffusion_d2_sine", "parametric_d2"])
@@ -54,3 +61,11 @@ def test_trace_matches_golden(fixture, tmp_path):
                                          ("diffusion_d3_sine", "1e-3")])
 def test_d3_trace_matches_golden(fixture, eps, tmp_path):
     assert_trace_matches_golden(fixture, eps, tmp_path)
+
+
+def test_st_trace_matches_golden(tmp_path):
+    assert main(["st-solve", str(FIXTURES / "diffusion_d2_sine.ini"),
+                 "--eps", "1e-5", "--out", str(tmp_path)]) == 0
+    assert_matches_golden(tmp_path / "st_trace.csv",
+                          "st_diffusion_d2_sine_eps1e-5.csv",
+                          ("n", "max_rank", "halved"), ("alpha", "res_lo", "res_hi"))

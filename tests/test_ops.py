@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import htsolve.hsvd as hsvd_module
 import htsolve.ops as ops_module
 
 from htsolve.errors import CertificateViolationError, ToleranceInfeasibleError
@@ -40,6 +41,8 @@ from htsolve.ops import (
     rhs_truncate,
     save_operator_spec,
 )
+
+from oracles import reference_scaling_table
 
 
 def dense_vec(h):
@@ -160,10 +163,90 @@ class TestBuildScaling:
         with pytest.raises(IndexError):
             build_scaling(q, 0.25, active=[(0, 5)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_level_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build_scaling([np.array([1.0, bad, 3.0])], 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            build_scaling([np.array([1.0, 2.0]), np.array([bad, 1.0])], 0.1,
+                          active=[(0, 1), (1,)])
+
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(ValueError, match="nan"):
+            build_scaling([np.array([1.0, 2.0, 3.0])], np.nan)
+
+    def test_nan_sup_is_not_dropped(self):
+        # one NaN point in the first chunk of 8192 must survive later chunks
+        x = np.linspace(1.0, 2.0, 9000)
+        x[5] = np.nan
+        w, t = np.array([0.5, 0.5]), np.array([0.1, 1.0])
+        assert math.isnan(ops_module._scalar_expsum_relerr(w, t, x))
+        assert math.isnan(ops_module._scalar_expsum_relerr(
+            np.array([np.nan, 0.5]), t, x[6:]))
+
     def test_infeasible_tolerance(self):
-        # below the floating-point evaluation floor no table can verify
-        with pytest.raises(ToleranceInfeasibleError, match="4096"):
-            build_scaling([np.array([1.0, 2.0, 3.0])], 1e-16)
+        # below the floating-point evaluation floor no table can verify; the
+        # best sup reported is fully evaluated, as in the unscreened search
+        q = [np.array([1.0, 2.0, 3.0])]
+        with pytest.raises(ToleranceInfeasibleError, match="4096") as got:
+            build_scaling(q, 1e-16)
+        with pytest.raises(ToleranceInfeasibleError) as want:
+            reference_scaling_table(q, 1e-16)
+        assert str(got.value) == str(want.value)
+        assert "best achieved" in str(got.value)
+
+
+SCALING_CASES = [
+    # (seed, mode sizes, active subsets?) -- at most 100k rows are checked
+    # exhaustively, above that on extremes plus 1000 sampled rows
+    (0, (17,), False),
+    (1, (9, 23), False),
+    (2, (12, 7, 15), False),
+    (3, (30, 25), True),
+    (4, (11, 13, 9), True),
+    (5, (400, 300), False),
+    (6, (60, 60, 60), False),
+    (7, (120, 100, 80), True),
+]
+
+
+class TestScalingTablesMatchReference:
+    """Screening and one full check per size select the same tables, bit for
+    bit, as the unscreened doubling + bisection of ``oracles``."""
+
+    @pytest.mark.parametrize("seed,sizes,subsets", SCALING_CASES)
+    def test_bitwise_equal_tables(self, seed, sizes, subsets):
+        rng = np.random.default_rng(seed)
+        qs = [np.sort(rng.random(n)) * 10.0 ** rng.uniform(0, 4) + rng.uniform(0.05, 2)
+              for n in sizes]
+        active = None
+        if subsets:
+            active = [tuple(sorted(rng.choice(n, size=max(1, n // 2), replace=False)))
+                      for n in sizes]
+        for tol in (0.5, 1e-2, 1e-4, 1e-7, 1e-10):
+            m, w, t, certified = reference_scaling_table(qs, tol, active)
+            s = build_scaling(qs, tol, active)
+            assert s.m == m, tol
+            assert np.array_equal(s.weights, w) and np.array_equal(s.exponents, t)
+            assert s.certified == certified
+
+    def test_each_size_fully_checked_once(self, monkeypatch):
+        seen = []
+        real = ops_module._scalar_expsum_relerr
+
+        def counting(weights, exponents, x):
+            seen.append((len(weights), len(x)))
+            return real(weights, exponents, x)
+
+        monkeypatch.setattr(ops_module, "_scalar_expsum_relerr", counting)
+        qs = [np.pi**2 * np.arange(1, 33, dtype=float) ** 2] * 2
+        s = build_scaling(qs, 1e-6)
+        full_size = max(n for _, n in seen)
+        full = [m for m, n in seen if n == full_size]
+        assert len(full) == len(set(full))
+        assert s.m in full
+        # most candidates are rejected by the screen alone
+        assert len(full) < len({m for m, _ in seen})
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +471,30 @@ class TestApplyCP:
         want = dense_vec(apply_exact(a, v))
         got = dense_vec(apply_cp(v, a.terms))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_diagonal_leaf_stack_is_bitwise_per_term_stack(self, monkeypatch):
+        # all-diagonal modes take one broadcast product; it must equal the
+        # per-term _map_frame stacking bit for bit, alone and inside apply_cp
+        rng = np.random.default_rng(15)
+        tree, dims = build_balanced_tree(3), (6, 5, 7)
+        v = random_htensor(tree, dims, 3, rng)
+        qs = [np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2 for n in dims]
+        s = build_scaling(qs, 1e-4)
+        terms = list(zip(*(s.mode_factors(i).T for i in range(3))))
+        for i in range(3):
+            factors = [t[i] for t in terms]
+            per_term = np.hstack([hsvd_module._map_frame(f, v.frames[i])
+                                  for f in factors])
+            assert np.array_equal(hsvd_module._leaf_stack(factors, v.frames[i]),
+                                  per_term)
+        got = apply_cp(v, terms, s.weights)
+        monkeypatch.setattr(hsvd_module, "_leaf_stack", lambda fs, u: np.hstack(
+            [hsvd_module._map_frame(f, u) for f in fs]))
+        want = apply_cp(v, terms, s.weights)
+        assert all(np.array_equal(got.frames[i], want.frames[i]) for i in range(3))
+        assert all(np.array_equal(got.transfer[n], want.transfer[n])
+                   for n in want.transfer)
+        assert np.array_equal(got.root_transfer, want.root_transfer)
 
     def test_zero_tensor(self):
         tree, dims = build_balanced_tree(3), (3, 4, 3)

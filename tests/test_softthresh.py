@@ -268,6 +268,16 @@ class TestStSolve:
         with pytest.raises(ValueError):
             st_solve(a, g, omega=1.0, xi=0.5, bbar=2.0, eps=1e-6)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["omega", "bbar"])
+    def test_rejects_non_finite_step_and_bound(self, name, value):
+        rng = np.random.default_rng(26)
+        f = random_htensor(build_balanced_tree(2), (4, 4), 1, rng)
+        kwargs = dict(omega=1.0, xi=0.5, bbar=2.0, eps=1e-6)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            st_solve(identity_operator((4, 4)), f, **kwargs)
+
     def test_state_dataclass(self):
         from htsolve.hsvd import zero_htensor
 

@@ -125,6 +125,13 @@ class TestSolveConfig:
         with pytest.raises(ValueError, match="eps"):
             self.valid(eps=eps)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["omega", "c_a", "eps0", "beta1", "beta2",
+                                       "alpha"])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            self.valid(**{field: value})
+
     def test_kappa_budget(self):
         with pytest.raises(ValueError, match="at most 1"):
             self.valid(kappa1=0.5, kappa2=0.4, kappa3=0.2)
