@@ -40,14 +40,13 @@ _API = {
     "softthresh": ("soft_scalar", "soft_threshold_edge", "soft_threshold", "st_solve",
                    "StIterState"),
     "ops": ("LowRankOperator", "DiagonalScaling", "ExpSumScaling", "OperatorBounds",
-            "apply_exact", "apply_scaling", "apply_certified", "apply_compressed",
-            "bh_exponential_sum", "build_scaling", "rhs_truncate",
-            "estimate_operator_bounds", "save_operator_spec", "load_operator_spec"),
+            "apply_certified", "build_scaling", "rhs_truncate",
+            "estimate_operator_bounds"),
     "problems": ("DiffusionProblemI", "ParametricProblemII", "build_diffusion_I",
                  "build_parametric_II", "dense_solve",
                  "spatial_parametric_singular_values", "load_problem"),
     "solver": ("SolveConfig", "SolveReport", "default_config", "solve",
-               "error_certificate", "reduction_quasi_optimality_check"),
+               "error_certificate"),
 }
 
 _LAZY = {name: mod for mod, names in _API.items() for name in names}

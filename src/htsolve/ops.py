@@ -11,18 +11,17 @@ optional diagonal scalings on either side.  A scaling is either
   ideal diagonal; tables at any accuracy can be rebuilt on demand, and every
   application carries a certificate relative to the ideal operator.
 
-The separable structure is what keeps ranks predictable: a Kronecker term maps
-leaf frames only, so the literal sum of ``R`` terms multiplies every edge rank
-by exactly ``R``, and an ``m``-term scaling by exactly ``m``
-(:func:`apply_exact`, :func:`apply_scaling`).  The same sums have CP
-structure, so :func:`~htsolve.hsvd.apply_cp` applies each of them exactly in
-one orthogonalizing sweep whose ranks are capped by the QR block sizes.
+The separable structure is what keeps ranks predictable: the Kronecker
+middle and an ``m``-term scaling are sums of CP terms, so
+:func:`~htsolve.hsvd.apply_cp` applies each of them exactly in one
+orthogonalizing sweep whose ranks are capped by the QR block sizes.
 
-``apply_certified`` is the workhorse: given a tolerance ``eta`` it sizes the
-scaling tables from the operator's certified upper bound so that their
-accuracy costs at most ``eta/4``, applies the right scaling, the Kronecker
-middle and the left scaling exactly (one sweep each, no intermediate
-truncation), and spends ``eta/2`` on a single final recompression.
+:func:`apply_certified` is the one way to apply an operator: given a
+tolerance ``eta`` it sizes the scaling tables from the operator's certified
+upper bound so that their accuracy costs at most ``eta/4``, applies the
+right scaling, the Kronecker middle and the left scaling exactly (one sweep
+each, no intermediate truncation), and spends ``eta/2`` on a single final
+recompression.
 """
 
 from __future__ import annotations
@@ -41,14 +40,10 @@ from htsolve.errors import (
 )
 from htsolve.hsvd import (
     HTensor,
-    add,
     apply_cp,
     coarsen,
-    contractions,
     norm,
     recompress,
-    restrict_support,
-    scale,
     zero_htensor,
 )
 
@@ -56,21 +51,12 @@ __all__ = [
     "OperatorBounds",
     "DiagonalScaling",
     "ExpSumScaling",
-    "ExpSumInverse",
     "LowRankOperator",
     "identity_operator",
-    "bh_exponential_sum",
     "build_scaling",
-    "apply_scaling",
-    "apply_exact",
     "apply_certified",
-    "apply_compressed",
-    "CompressionTable",
-    "build_compression_table",
     "rhs_truncate",
     "estimate_operator_bounds",
-    "save_operator_spec",
-    "load_operator_spec",
 ]
 
 SCALING_TERM_CAP = 4096
@@ -118,6 +104,10 @@ class DiagonalScaling:
         for v in self.vectors[1:]:
             out = np.multiply.outer(out, v)
         return out.ravel()
+
+    def ideal_dense_diag(self) -> np.ndarray:
+        """An exact diagonal is its own ideal."""
+        return self.dense_diag()
 
 
 @dataclass(frozen=True)
@@ -335,85 +325,6 @@ def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
 
 
 # ---------------------------------------------------------------------------
-# reciprocal exponential sums (used by tests and diagnostics)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExpSumInverse:
-    """Sinc-quadrature exponential sum for 1/x with a measured certificate.
-
-    ``sup_{x in [1, 1e8]} |S_r(x) - 1/x| <= cert_error``, with the calibration
-    constant ``c_cal = cert_error * exp(pi * sqrt(r))`` stored for reference.
-    """
-
-    r: int
-    step: float
-    offset: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    cert_error: float
-    c_cal: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-np.multiply.outer(x, self.nodes)) @ self.weights
-
-
-_BH_GRID = None
-
-
-def _bh_grid() -> np.ndarray:
-    global _BH_GRID
-    if _BH_GRID is None:
-        _BH_GRID = np.exp(np.linspace(0.0, math.log(1e8), 20001))
-    return _BH_GRID
-
-
-def _bh_sup_error(nodes, weights) -> float:
-    grid = _bh_grid()
-    worst = 0.0
-    for lo in range(0, len(grid), 4096):
-        g = grid[lo:lo + 4096]
-        approx = np.exp(-np.outer(g, nodes)) @ weights
-        worst = max(worst, float(np.abs(approx - 1.0 / g).max()))
-    return worst
-
-
-def bh_exponential_sum(r: int) -> ExpSumInverse:
-    """r-term exponential sum for 1/x from sinc quadrature of the Laplace
-    integral: step ``h = pi / sqrt(r)``, nodes ``exp(k h - a)`` and weights
-    ``h exp(k h - a)`` for ``k = -(r-1)/2, ..., (r-1)/2``.
-
-    The recentering offset ``a`` is calibrated per ``r`` to minimize the
-    measured sup error on a dense logarithmic grid in ``[1, 1e8]`` (a centered
-    window wastes half its nodes on the super-exponentially damped right tail
-    and decays only like ``exp(-pi sqrt(r)/2)``).  The stored certificate is
-    that measured sup error; it decays like ``exp(-pi sqrt(r))``.
-    """
-    if not 1 <= int(r) <= 256:
-        raise ValueError(f"term count must be in [1, 256], got {r}")
-    r = int(r)
-    h = math.pi / math.sqrt(r)
-    k = np.arange(r, dtype=np.float64) - (r - 1) / 2.0
-
-    def table(a: float):
-        nodes = np.exp(k * h - a)
-        return nodes, h * nodes
-
-    best = (np.inf, 0.0)
-    half_window = (r - 1) * h / 2.0
-    for a in np.linspace(0.0, half_window + 2.0, 192):
-        err = _bh_sup_error(*table(a))
-        if err < best[0]:
-            best = (err, float(a))
-    err, a = best
-    nodes, weights = table(a)
-    return ExpSumInverse(r=r, step=h, offset=a, nodes=nodes, weights=weights,
-                         cert_error=err, c_cal=err * math.exp(math.pi * math.sqrt(r)))
-
-
-# ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
@@ -442,12 +353,10 @@ class LowRankOperator:
         the table approximates).
     symmetric : declared symmetry of the (scaled) operator.
     bounds : optional :class:`OperatorBounds`.
-    compression : optional :class:`CompressionTable` for level-truncated
-        application.
     """
 
     def __init__(self, dims, terms, scaling_left=None, scaling_right=None,
-                 symmetric=False, bounds=None, compression=None):
+                 symmetric=False, bounds=None):
         self.dims = tuple(int(n) for n in dims)
         if any(n < 1 for n in self.dims):
             raise ValueError(f"mode sizes must be positive: {self.dims}")
@@ -469,7 +378,6 @@ class LowRankOperator:
         self.scaling_right = scaling_right
         self.symmetric = bool(symmetric)
         self.bounds = bounds
-        self.compression = compression
         self._table_cache: dict = {}
 
     @property
@@ -503,7 +411,7 @@ class LowRankOperator:
         for s, side in ((self.scaling_left, "left"), (self.scaling_right, "right")):
             if s is None:
                 continue
-            diag = s.dense_diag() if isinstance(s, DiagonalScaling) else s.ideal_dense_diag()
+            diag = s.ideal_dense_diag()
             total = diag[:, None] * total if side == "left" else total * diag[None, :]
         return total
 
@@ -523,21 +431,6 @@ def _check_dims(a: LowRankOperator, v: HTensor):
         raise ValueError(f"operator dims {a.dims} do not match tensor dims {v.dims}")
 
 
-def _apply_kron_term(term, v: HTensor) -> HTensor:
-    frames = {}
-    for i in range(v.d):
-        m = term[i]
-        frames[i] = v.frames[i] if m is None else m @ v.frames[i]
-    return HTensor(tree=v.tree, dims=v.dims, frames=frames, transfer=v.transfer,
-                   root_transfer=v.root_transfer)
-
-
-def _apply_diagonal(s: DiagonalScaling, v: HTensor) -> HTensor:
-    frames = {i: s.vectors[i][:, None] * v.frames[i] for i in range(v.d)}
-    return HTensor(tree=v.tree, dims=v.dims, frames=frames, transfer=v.transfer,
-                   root_transfer=v.root_transfer)
-
-
 def _check_support(s: ExpSumScaling, v: HTensor):
     for i, a in enumerate(s.active):
         if a == tuple(range(v.dims[i])):
@@ -548,65 +441,6 @@ def _check_support(s: ExpSumScaling, v: HTensor):
                 f"tensor has mass outside the scaling's active set in mode {i}; "
                 "the scaling certificate does not cover these rows"
             )
-
-
-def _scaled_term(s: ExpSumScaling, j: int, v: HTensor, factors) -> HTensor:
-    frames = {i: factors[i][:, j][:, None] * v.frames[i] for i in range(v.d)}
-    out = HTensor(tree=v.tree, dims=v.dims, frames=frames, transfer=v.transfer,
-                  root_transfer=float(s.weights[j]) * v.root_transfer)
-    return out
-
-
-def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTensor:
-    """Exact application of the stored ``m``-term diagonal (not the ideal one):
-    every edge rank is multiplied by exactly ``m``.
-
-    Tensors with mass outside the scaling's active set are rejected with a
-    :class:`CertificateViolationError`.  This literal form is a reference;
-    :func:`apply_certified` applies the same diagonal in one orthogonalizing
-    sweep (:func:`~htsolve.hsvd.apply_cp`) whose ranks are capped by the QR
-    block sizes.  The size guard protects against accidental huge
-    allocations.
-    """
-    if s.dims != v.dims:
-        raise ValueError(f"scaling dims {s.dims} do not match tensor dims {v.dims}")
-    _check_support(s, v)
-    m = s.m
-    biggest = max(
-        (m**3 * b.shape[0] * b.shape[1] * b.shape[2] for b in v.transfer.values()),
-        default=m**2 * v.root_transfer.size,
-    )
-    if biggest > max_entries:
-        raise ValueError(
-            f"exact scaling application would allocate {biggest:.3g} transfer "
-            f"entries; use apply_certified instead"
-        )
-    factors = [s.mode_factors(i) for i in range(v.d)]
-    out = None
-    for j in range(m):
-        term = _scaled_term(s, j, v, factors)
-        out = term if out is None else add(out, term)
-    return out
-
-
-def apply_exact(a: LowRankOperator, v: HTensor) -> HTensor:
-    """Apply an operator with no exponential-sum scalings: exact, with every
-    edge rank multiplied by exactly the number of Kronecker terms."""
-    _check_dims(a, v)
-    if a.has_expsum:
-        raise ValueError(
-            "operator carries an exponential-sum scaling; exact application "
-            "is not defined (use apply_certified)"
-        )
-    if isinstance(a.scaling_right, DiagonalScaling):
-        v = _apply_diagonal(a.scaling_right, v)
-    out = None
-    for term in a.terms:
-        w = _apply_kron_term(term, v)
-        out = w if out is None else add(out, w)
-    if isinstance(a.scaling_left, DiagonalScaling):
-        out = _apply_diagonal(a.scaling_left, out)
-    return out
 
 
 def _expsum_table(a: LowRankOperator, s: ExpSumScaling, beta: float) -> ExpSumScaling:
@@ -710,180 +544,6 @@ def rhs_truncate(f: HTensor, eta: float) -> HTensor:
 
 
 # ---------------------------------------------------------------------------
-# level-truncated (compressed) application
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompressionTable:
-    """Certified norms of level-band operator truncations.
-
-    ``levels[i][k]`` is the dyadic level of index ``k`` in mode ``i``; the
-    truncated operator ``A_J`` keeps per-mode matrix entries with
-    ``|level(row) - level(col)| <= J``.  ``norms[J]`` certifies
-    ``|A - A_J| <= norms[J]`` (spectral norm; triangle inequality over modes
-    with the scaling absorbed structurally).
-    """
-
-    levels: tuple[np.ndarray, ...]
-    norms: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels",
-                           tuple(np.asarray(l, dtype=int) for l in self.levels))
-        object.__setattr__(self, "norms", np.asarray(self.norms, dtype=np.float64))
-
-    @property
-    def j_max(self) -> int:
-        return len(self.norms) - 1
-
-
-def _band_truncate(m, levels_i, j: int):
-    if m is None:
-        return None  # identities are level-diagonal
-    dense = m.toarray()
-    li = np.asarray(levels_i)
-    mask = np.abs(li[:, None] - li[None, :]) <= j
-    return dense * mask
-
-
-def _truncated_operator(a: LowRankOperator, table: CompressionTable, j: int) -> LowRankOperator:
-    terms = []
-    for term in a.terms:
-        terms.append(tuple(_band_truncate(m, table.levels[i], j)
-                           for i, m in enumerate(term)))
-    return LowRankOperator(a.dims, terms, scaling_left=a.scaling_left,
-                           scaling_right=a.scaling_right, symmetric=a.symmetric,
-                           bounds=a.bounds)
-
-
-def build_compression_table(a: LowRankOperator, levels, j_max: int | None = None) -> CompressionTable:
-    """Dense-certified truncation norms for the level-band hierarchy.
-
-    For an unscaled (or exact-diagonally scaled) operator the bound is
-    ``|A - A_J| <= sum_terms prod-norm of the per-mode defects``; for
-    ideally scaled operators with per-mode level weights ``q_i`` the defects
-    are measured in the ``q``-weighted norm, which the ideal scaling absorbs.
-    Per-mode matrices are handled densely (desk scale).
-    """
-    levels = tuple(np.asarray(l, dtype=int) for l in levels)
-    if len(levels) != a.d:
-        raise ValueError(f"expected {a.d} level vectors, got {len(levels)}")
-    for l, n in zip(levels, a.dims):
-        if len(l) != n:
-            raise ValueError("level vector length must match the mode size")
-    if j_max is None:
-        j_max = int(max((l.max() - l.min()) for l in levels))
-    left_exp = isinstance(a.scaling_left, ExpSumScaling)
-    right_exp = isinstance(a.scaling_right, ExpSumScaling)
-    weights = None
-    outer_factor = 1.0
-    if left_exp or right_exp:
-        if not (left_exp and right_exp
-                and a.scaling_left.level_weights == a.scaling_right.level_weights
-                and a.scaling_left.active == a.scaling_right.active):
-            raise ValueError(
-                "compression tables support exponential-sum scalings only when "
-                "both sides carry the same ideal diagonal"
-            )
-        weights = a.scaling_left.level_weights
-    else:
-        for s in (a.scaling_left, a.scaling_right):
-            if isinstance(s, DiagonalScaling):
-                outer_factor *= float(np.prod([np.abs(v).max() for v in s.vectors]))
-    norms = []
-    for j in range(j_max + 1):
-        bound = 0.0
-        for term in a.terms:
-            for i, m in enumerate(term):
-                if m is None:
-                    continue
-                defect = m.toarray() - _band_truncate(m, levels[i], j)
-                if weights is not None:
-                    # two-sided ideal scaling absorbs one q_i-weight per side:
-                    # the q-weighted defect norm bounds the full operator defect
-                    wi = np.sqrt(np.asarray(weights[i], dtype=np.float64))
-                    defect = defect / wi[:, None] / wi[None, :]
-                bound += float(np.linalg.norm(defect, 2))
-        norms.append(outer_factor * bound)
-    return CompressionTable(levels=levels, norms=np.array(norms))
-
-
-def apply_compressed(a: LowRankOperator, v: HTensor, j, eta: float = 0.0,
-                     return_info: bool = False):
-    """Apply a level-truncated operator with a triangle-inequality certificate.
-
-    ``j`` is a truncation level (int), ``None`` for no truncation (then the
-    result equals :func:`apply_exact` / :func:`apply_certified` and the
-    truncation certificate is 0), or a sequence of levels for the dyadic
-    contraction-mass bins of ``v`` (finest truncation on the heaviest bin).
-    Returns ``(w, certificate)`` with
-    ``norm(A v - w) <= certificate`` relative to the (ideal) operator;
-    ``eta`` is the extra budget used when exponential-sum scalings force the
-    per-bin applications through :func:`apply_certified`.
-    """
-    _check_dims(a, v)
-
-    def apply_one(op, u):
-        if op.has_expsum:
-            if eta <= 0:
-                raise ToleranceInfeasibleError(
-                    "compressed application of an exponential-sum-scaled "
-                    "operator needs a positive eta"
-                )
-            return apply_certified(op, u, eta / max(n_applications, 1))
-        return apply_exact(op, u)
-
-    if j is None:
-        n_applications = 1
-        w = apply_one(a, v)
-        extra = eta if a.has_expsum else 0.0
-        return ((w, extra, {"bins": 1}) if return_info else (w, extra))
-    if a.compression is None:
-        raise ValueError("operator has no compression table")
-    table = a.compression
-    if np.isscalar(j):
-        if int(j) < 0:
-            raise ValueError(f"truncation level must be >= 0, got {j}")
-        n_applications = 1
-        jj = min(int(j), table.j_max)
-        w = apply_one(_truncated_operator(a, table, jj), v)
-        cert = table.norms[jj] * norm(v) + (eta if a.has_expsum else 0.0)
-        return ((w, cert, {"bins": 1}) if return_info else (w, cert))
-
-    if any(int(x) < 0 for x in j):
-        raise ValueError(f"truncation levels must be >= 0, got {list(j)}")
-    js = [min(int(x), table.j_max) for x in j]
-    n_applications = len(js)
-    # telescopic dyadic bins by contraction mass
-    cs = contractions(v)
-    peak = max((float(p.max()) for p in cs.pis if p.size), default=0.0)
-    if peak == 0.0:
-        w = zero_htensor(v.tree, v.dims)
-        return ((w, 0.0, {"bins": 0}) if return_info else (w, 0.0))
-    pieces = []
-    prev = zero_htensor(v.tree, v.dims)
-    for p in range(len(js)):
-        if p < len(js) - 1:
-            sets = tuple(tuple(np.nonzero(cs.pis[i] > peak * 2.0 ** -(p + 1))[0])
-                         for i in range(v.d))
-            upto = restrict_support(v, sets)
-        else:
-            upto = v  # last bin absorbs the remainder
-        pieces.append(recompress(add(upto, scale(-1.0, prev)), 0.0))
-        prev = upto
-    w = None
-    cert = 0.0
-    for piece, jj in zip(pieces, js):
-        wp = apply_one(_truncated_operator(a, table, jj), piece)
-        cert += table.norms[jj] * norm(piece)
-        w = wp if w is None else recompress(add(w, wp), 0.0)
-    if a.has_expsum:
-        cert += eta
-    return ((w, cert, {"bins": len(js)}) if return_info else (w, cert))
-
-
-# ---------------------------------------------------------------------------
 # spectral bounds
 # ---------------------------------------------------------------------------
 
@@ -905,13 +565,8 @@ def estimate_operator_bounds(a: LowRankOperator, dense_cutoff: int = 4000,
         return OperatorBounds(float(ev[0]), float(ev[-1]), True)
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    diag_l = diag_r = None
-    if a.scaling_left is not None:
-        s = a.scaling_left
-        diag_l = s.dense_diag() if isinstance(s, DiagonalScaling) else s.ideal_dense_diag()
-    if a.scaling_right is not None:
-        s = a.scaling_right
-        diag_r = s.dense_diag() if isinstance(s, DiagonalScaling) else s.ideal_dense_diag()
+    diag_l, diag_r = (None if s is None else s.ideal_dense_diag()
+                      for s in (a.scaling_left, a.scaling_right))
 
     def matvec(x):
         if diag_r is not None:
@@ -939,121 +594,3 @@ def estimate_operator_bounds(a: LowRankOperator, dense_cutoff: int = 4000,
     lo = float(eigsh(lin, k=1, which="SA", v0=v0, maxiter=5000,
                      return_eigenvectors=False)[0])
     return OperatorBounds(0.9 * lo, 1.1 * hi, False)
-
-
-# ---------------------------------------------------------------------------
-# operator spec files
-# ---------------------------------------------------------------------------
-
-
-def _format_matrix(m: np.ndarray) -> str:
-    rows = [" ".join(repr(float(x)) for x in row) for row in np.atleast_2d(m)]
-    return "\n" + "\n".join(rows)
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [[float(x) for x in line.split()] for line in text.strip().splitlines()]
-    return np.array(rows, dtype=np.float64)
-
-
-def _format_vector(v) -> str:
-    return " ".join(repr(float(x)) for x in np.asarray(v).ravel())
-
-
-def save_operator_spec(a: LowRankOperator, path) -> None:
-    """Write an operator to a self-describing INI spec file."""
-    import configparser
-
-    cp = configparser.ConfigParser()
-    cp["operator"] = {
-        "format_version": "1",
-        "dims": " ".join(str(n) for n in a.dims),
-        "symmetric": str(int(a.symmetric)),
-        "num_terms": str(a.num_terms),
-    }
-    if a.bounds is not None:
-        cp["bounds"] = {
-            "lower": repr(float(a.bounds.lower)),
-            "upper": repr(float(a.bounds.upper)),
-            "certified": str(int(a.bounds.certified)),
-        }
-    for r, term in enumerate(a.terms, start=1):
-        sec = f"term {r}"
-        cp[sec] = {}
-        for i, m in enumerate(term, start=1):
-            if m is None:
-                cp[sec][f"mode {i}"] = "identity"
-            else:
-                cp[sec][f"mode {i}"] = _format_matrix(m.toarray())
-    for s, side in ((a.scaling_left, "left"), (a.scaling_right, "right")):
-        if s is None:
-            continue
-        sec = f"scaling {side}"
-        if isinstance(s, DiagonalScaling):
-            cp[sec] = {"kind": "diagonal"}
-            for i, v in enumerate(s.vectors, start=1):
-                cp[sec][f"mode {i}"] = _format_vector(v)
-        else:
-            cp[sec] = {"kind": "expsum", "tol": repr(float(s.tol))}
-            for i, q in enumerate(s.level_weights, start=1):
-                cp[sec][f"mode {i}"] = _format_vector(q)
-            for i, act in enumerate(s.active, start=1):
-                if tuple(act) != tuple(range(len(s.level_weights[i - 1]))):
-                    cp[sec][f"active {i}"] = " ".join(str(k) for k in act)
-    with open(path, "w") as f:
-        cp.write(f)
-
-
-def load_operator_spec(path) -> LowRankOperator:
-    """Read an operator spec file; exponential-sum tables are rebuilt
-    deterministically at the stored tolerance."""
-    import configparser
-
-    cp = configparser.ConfigParser()
-    with open(path) as f:
-        cp.read_file(f)
-    if "operator" not in cp:
-        raise ValueError(f"{path}: missing [operator] section")
-    op = cp["operator"]
-    if int(op.get("format_version", "1")) != 1:
-        raise ValueError(f"{path}: unsupported operator format version")
-    dims = tuple(int(x) for x in op["dims"].split())
-    d = len(dims)
-    num_terms = int(op["num_terms"])
-    terms = []
-    for r in range(1, num_terms + 1):
-        sec = cp[f"term {r}"]
-        term = []
-        for i in range(1, d + 1):
-            raw = sec[f"mode {i}"]
-            term.append(None if raw.strip() == "identity" else _parse_matrix(raw))
-        terms.append(tuple(term))
-    scalings = {"left": None, "right": None}
-    for side in ("left", "right"):
-        name = f"scaling {side}"
-        if name not in cp:
-            continue
-        sec = cp[name]
-        if sec["kind"] == "diagonal":
-            vecs = tuple(np.array([float(x) for x in sec[f"mode {i}"].split()])
-                         for i in range(1, d + 1))
-            scalings[side] = DiagonalScaling(vectors=vecs)
-        elif sec["kind"] == "expsum":
-            qs = tuple(np.array([float(x) for x in sec[f"mode {i}"].split()])
-                       for i in range(1, d + 1))
-            active = tuple(
-                tuple(int(k) for k in sec[f"active {i}"].split())
-                if f"active {i}" in sec else tuple(range(len(qs[i - 1])))
-                for i in range(1, d + 1)
-            )
-            scalings[side] = build_scaling(qs, float(sec["tol"]), active=active)
-        else:
-            raise ValueError(f"{path}: unknown scaling kind {sec['kind']!r}")
-    bounds = None
-    if "bounds" in cp:
-        sec = cp["bounds"]
-        bounds = OperatorBounds(float(sec["lower"]), float(sec["upper"]),
-                                bool(int(sec["certified"])))
-    return LowRankOperator(dims, terms, scaling_left=scalings["left"],
-                           scaling_right=scalings["right"],
-                           symmetric=bool(int(op["symmetric"])), bounds=bounds)

@@ -28,13 +28,7 @@ import scipy.sparse.linalg as spla
 
 from htsolve.htree import build_balanced_tree, build_linear_tree
 from htsolve.hsvd import HTensor, norm, random_htensor, scale, to_dense
-from htsolve.ops import (
-    DiagonalScaling,
-    ExpSumScaling,
-    LowRankOperator,
-    OperatorBounds,
-    build_scaling,
-)
+from htsolve.ops import LowRankOperator, OperatorBounds, build_scaling
 
 __all__ = [
     "DiffusionProblemI",
@@ -438,8 +432,7 @@ def _assemble_sparse(a: LowRankOperator) -> sp.csr_array:
     for s, side in ((a.scaling_left, "left"), (a.scaling_right, "right")):
         if s is None:
             continue
-        diag = (s.dense_diag() if isinstance(s, DiagonalScaling)
-                else s.ideal_dense_diag())
+        diag = s.ideal_dense_diag()
         dm = sp.dia_array((diag[None, :], [0]), shape=(total, total))
         out = sp.csr_array(dm @ out if side == "left" else out @ dm)
     return out

@@ -12,10 +12,7 @@ certified residual interval, and the final iterate comes with a two-sided
 a posteriori error certificate.
 
 :func:`default_config` derives the step size, contraction factor and
-reduction constants from certified operator bounds;
-:func:`reduction_quasi_optimality_check` verifies, against exact spectra,
-that tolerance-based reduction never needs more ranks or support than the
-best approximation of a nearby reference warrants.
+reduction constants from certified operator bounds.
 """
 
 from __future__ import annotations
@@ -37,10 +34,7 @@ from .hsvd import (
     edge_spectra,
     norm,
     recompress,
-    restrict_support,
     scale,
-    select_support,
-    truncate_to_ranks,
     zero_htensor,
 )
 from .ops import LowRankOperator, apply_certified, estimate_operator_bounds, rhs_truncate
@@ -53,7 +47,6 @@ __all__ = [
     "inner_repetitions",
     "solve",
     "error_certificate",
-    "reduction_quasi_optimality_check",
 ]
 
 
@@ -238,7 +231,8 @@ class SolveReport:
 
     ``steps`` holds one record per inner step (outer index ``k``, inner index
     ``j``, tolerance ``eta``, the iterate's edge ranks and per-mode support
-    sizes, the certified residual interval and wall time); ``outer_steps``
+    sizes, the certified residual interval and the wall time of the whole
+    step, its recompress/coarsen reduction included); ``outer_steps``
     one record per completed outer reduction.  ``schedule_bound`` is the
     guaranteed error bound ``2^{-K} eps0`` at exit, ``residual_interval`` the
     a posteriori two-sided error certificate, and ``final_error_bound`` the
@@ -430,10 +424,10 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
                 ),
                 "res_lo": float(res_lo),
                 "res_hi": float(res_hi),
-                "wall": time.perf_counter() - tick,
             })
             w = add(w, scale(-cfg.omega, r))
             w = coarsen(recompress(w, cfg.beta1 * eta), cfg.beta2 * eta)
+            steps[-1]["wall"] = time.perf_counter() - tick
         tick = time.perf_counter()
         u = coarsen(
             recompress(w, cfg.kappa2 * level / 2.0),
@@ -516,155 +510,3 @@ def error_certificate(a: LowRankOperator, v: HTensor, f: HTensor,
     r = add(apply_certified(a, v, res_eta), scale(-1.0, rhs_truncate(f, res_eta)))
     rn = norm(r)
     return max(rn - 2.0 * res_eta, 0.0) / upper, (rn + 2.0 * res_eta) / lower
-
-
-# ---------------------------------------------------------------------------
-# reduction quasi-optimality
-# ---------------------------------------------------------------------------
-
-
-def _prefix_ranks(spectrum, budget: float) -> list[int]:
-    """Per-edge minimal ranks whose cleaned singular-value tail (see
-    :class:`~htsolve.hsvd.EdgeSpectrum`) is within ``budget``."""
-    allowance = (budget * (1.0 + 1e-12)) ** 2
-    return [int(np.argmax(t <= allowance)) for t in spectrum.tails2]
-
-
-def _prefix_supports(pis, budget: float):
-    """Per-mode minimal kept index sets with dropped mass within ``budget``:
-    :func:`~htsolve.hsvd.select_support` applied to each mode alone."""
-    picks = [select_support([p], budget * (1.0 + 1e-12)) for p in pis]
-    return [sets[0] for sets, _, _ in picks], [n for _, n, _ in picks]
-
-
-def _repair_child_products(h: HTensor, spectrum, ranks: list[int]) -> list[int]:
-    """Raise child ranks until every interior rank is at most the product of
-    its children's ranks (a representability requirement).  Raising a rank
-    only shrinks a tail, so certified budgets are preserved.  The child with
-    the larger next singular value is raised first."""
-    tree = h.tree
-    index = {node: e for e, node in enumerate(h.edge_list)}
-    numerical = spectrum.numerical_ranks
-    ranks = list(ranks)
-    left_root, _ = tree.child_pair(tree.root)
-
-    def rank_of(node):
-        return ranks[index.get(node, index[left_root])]
-
-    for _ in range(10000):
-        bumped = False
-        for node in tree.interior_nodes():
-            if node == tree.root:
-                continue
-            cl, cr = tree.child_pair(node)
-            while rank_of(node) > rank_of(cl) * rank_of(cr):
-                grow = [
-                    c for c in (cl, cr) if ranks[index[c]] < numerical[index[c]]
-                ]
-                if not grow:
-                    return ranks
-                best = max(
-                    grow,
-                    key=lambda c: spectrum.sigmas[index[c]][ranks[index[c]]],
-                )
-                ranks[index[best]] += 1
-                bumped = True
-        if not bumped:
-            return ranks
-    return ranks
-
-
-def reduction_quasi_optimality_check(u_ref: HTensor, v: HTensor, eta: float,
-                                     alpha: float = 1.0) -> dict:
-    """Verify quasi-optimality of tolerance-based rank/support reduction.
-
-    Given a reference ``u_ref`` and any ``v`` with
-    ``norm(u_ref - v) <= eta``, truncating ``v`` edge by edge at tail budget
-    ``(1+alpha) eta`` — aggregate certified error at most
-    ``sqrt(2d-3) (1+alpha) eta`` — must stay within
-    ``(1 + sqrt(2d-3)(1+alpha)) eta`` of the reference while needing at most
-    the per-edge ranks that truncating ``u_ref`` itself at ``alpha eta``
-    needs.  The analogous statement for contraction supports carries
-    ``sqrt(d)`` in place of ``sqrt(2d-3)``.  Both are checked against exact
-    spectra and exact norms; the returned report carries per-edge and
-    per-mode pass flags, the measured errors and their bounds, and an
-    overall ``passed`` flag.  A violated precondition raises ``ValueError``.
-
-    Measured gaps and errors are representation norms of differences, which
-    in double precision are reliable down to about ``1e-8`` of the data
-    norm; every comparison carries a matching allowance.
-    """
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if u_ref.dims != v.dims:
-        raise ValueError(
-            f"reference dims {u_ref.dims} do not match candidate dims {v.dims}"
-        )
-    ref_norm = norm(u_ref)
-    floor = 1e-7 * ref_norm
-    gap = norm(add(u_ref, scale(-1.0, v)))
-    if gap > eta * (1.0 + 1e-9) + floor:
-        raise ValueError(
-            f"precondition norm(u_ref - v) <= eta violated: gap {gap:.6g} "
-            f"exceeds eta {eta:.6g}"
-        )
-    d = u_ref.d
-    kappa_edge = math.sqrt(2 * d - 3)
-    kappa_mode = math.sqrt(d)
-
-    def within(err: float, bound: float) -> bool:
-        return err <= bound * (1.0 + 1e-9) + floor
-
-    spectrum_v = edge_spectra(v)
-    spectrum_u = edge_spectra(u_ref)
-    target_ranks = _repair_child_products(
-        v, spectrum_v, _prefix_ranks(spectrum_v, (1.0 + alpha) * eta))
-    reference_ranks = _repair_child_products(
-        u_ref, spectrum_u, _prefix_ranks(spectrum_u, alpha * eta))
-    truncated = truncate_to_ranks(v, target_ranks)
-    rank_error = norm(add(u_ref, scale(-1.0, truncated)))
-    rank_bound = (1.0 + kappa_edge * (1.0 + alpha)) * eta
-
-    sets, target_sizes = _prefix_supports(
-        contractions(v).pis, (1.0 + alpha) * eta)
-    _, reference_sizes = _prefix_supports(
-        contractions(u_ref).pis, alpha * eta)
-    restricted = restrict_support(v, sets)
-    support_error = norm(add(u_ref, scale(-1.0, restricted)))
-    support_bound = (1.0 + kappa_mode * (1.0 + alpha)) * eta
-
-    rank_report = {
-        "target_ranks": tuple(target_ranks),
-        "reference_ranks": tuple(reference_ranks),
-        "per_edge_pass": tuple(
-            t <= r for t, r in zip(target_ranks, reference_ranks)
-        ),
-        "error": rank_error,
-        "error_bound": rank_bound,
-        "error_pass": within(rank_error, rank_bound),
-    }
-    support_report = {
-        "target_sizes": tuple(target_sizes),
-        "reference_sizes": tuple(reference_sizes),
-        "per_mode_pass": tuple(
-            t <= r for t, r in zip(target_sizes, reference_sizes)
-        ),
-        "error": support_error,
-        "error_bound": support_bound,
-        "error_pass": within(support_error, support_bound),
-    }
-    return {
-        "eta": float(eta),
-        "alpha": float(alpha),
-        "gap": gap,
-        "rank": rank_report,
-        "support": support_report,
-        "passed": bool(
-            all(rank_report["per_edge_pass"])
-            and rank_report["error_pass"]
-            and all(support_report["per_mode_pass"])
-            and support_report["error_pass"]
-        ),
-    }

@@ -16,7 +16,7 @@ import pytest
 import htsolve.hsvd as H
 from htsolve.cli import main as cli_main
 from htsolve.htree import build_balanced_tree
-from htsolve.ops import bh_exponential_sum, build_scaling
+from htsolve.ops import build_scaling
 from htsolve.problems import (
     _assemble_sparse,
     build_diffusion_I,
@@ -31,6 +31,7 @@ from htsolve.solver import default_config, solve
 from oracles import (
     best_support_error,
     best_tucker_error,
+    bh_exponential_sum,
     dense_contractions,
     random_lowish_rank,
 )

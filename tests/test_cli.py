@@ -326,9 +326,14 @@ class TestExitCodes:
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process, installed or not
+    import htsolve
+
+    src = str(Path(htsolve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "htsolve.cli", "info", PARAMETRIC_D2],
-        capture_output=True, text=True
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert proc.returncode == 0
     assert "terms" in proc.stdout

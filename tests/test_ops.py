@@ -12,37 +12,30 @@ import htsolve.ops as ops_module
 from htsolve.errors import CertificateViolationError, ToleranceInfeasibleError
 from htsolve.htree import build_balanced_tree, build_linear_tree
 from htsolve.hsvd import (
-    add,
     apply_cp,
-    coarsen,
-    from_dense,
     max_ranks,
     norm,
     random_htensor,
-    scale,
     to_dense,
     zero_htensor,
 )
 from htsolve.ops import (
-    CompressionTable,
     DiagonalScaling,
     LowRankOperator,
     OperatorBounds,
     apply_certified,
-    apply_compressed,
-    apply_exact,
-    apply_scaling,
-    bh_exponential_sum,
-    build_compression_table,
     build_scaling,
     estimate_operator_bounds,
     identity_operator,
-    load_operator_spec,
     rhs_truncate,
-    save_operator_spec,
 )
 
-from oracles import reference_scaling_table
+from oracles import (
+    apply_exact,
+    apply_scaling,
+    bh_exponential_sum,
+    reference_scaling_table,
+)
 
 
 def dense_vec(h):
@@ -673,122 +666,3 @@ class TestOperatorBounds:
         with pytest.raises(ValueError):
             estimate_operator_bounds(a)
 
-
-# ---------------------------------------------------------------------------
-# level-truncated application
-# ---------------------------------------------------------------------------
-
-
-def multilevel_matrix(levels, rng, decay=0.4):
-    """Symmetric matrix whose entries decay with the level distance."""
-    li = np.asarray(levels, dtype=float)
-    base = rng.standard_normal((len(li), len(li)))
-    m = base * decay ** np.abs(li[:, None] - li[None, :])
-    return (m + m.T) / 2.0
-
-
-class TestCompressedApply:
-    def setup_method(self):
-        self.rng = np.random.default_rng(77)
-        self.dims = (7, 7)
-        self.tree = build_balanced_tree(2)
-        self.levels = [np.array([0, 1, 1, 2, 2, 2, 2])] * 2
-        terms = [
-            (multilevel_matrix(self.levels[0], self.rng), None),
-            (None, multilevel_matrix(self.levels[1], self.rng)),
-        ]
-        self.a = LowRankOperator(self.dims, terms, symmetric=True)
-        self.a.compression = build_compression_table(self.a, self.levels)
-
-    def test_table_monotone_and_exact_at_full_band(self):
-        t = self.a.compression
-        assert all(x >= y for x, y in zip(t.norms, t.norms[1:]))
-        assert t.norms[-1] == 0.0
-
-    def test_full_level_matches_exact(self):
-        v = random_htensor(self.tree, self.dims, 3, self.rng)
-        w, cert = apply_compressed(self.a, v, None)
-        assert cert == 0.0
-        assert np.allclose(dense_vec(w), dense_vec(apply_exact(self.a, v)))
-        w2, cert2 = apply_compressed(self.a, v, self.a.compression.j_max)
-        assert cert2 == 0.0
-        err = np.linalg.norm(dense_vec(w2) - dense_vec(apply_exact(self.a, v)))
-        assert err <= 1e-12 * norm(v)
-
-    def test_single_bin_certificate(self):
-        dense = self.a.assemble_dense()
-        for trial in range(10):
-            v = random_htensor(self.tree, self.dims, 2, self.rng)
-            for j in (0, 1):
-                w, cert = apply_compressed(self.a, v, j)
-                assert cert == pytest.approx(self.a.compression.norms[j] * norm(v))
-                true = np.linalg.norm(dense @ dense_vec(v) - dense_vec(w))
-                assert true <= cert + 1e-12
-
-    def test_binned_certificate(self):
-        dense = self.a.assemble_dense()
-        for trial in range(10):
-            v = random_htensor(self.tree, self.dims, 3, self.rng)
-            w, cert = apply_compressed(self.a, v, [2, 1, 0])
-            true = np.linalg.norm(dense @ dense_vec(v) - dense_vec(w))
-            assert true <= cert + 1e-10
-
-    def test_missing_table(self):
-        b = LowRankOperator(self.dims, [(np.eye(7), None)])
-        v = random_htensor(self.tree, self.dims, 1, self.rng)
-        with pytest.raises(ValueError, match="compression table"):
-            apply_compressed(b, v, 0)
-
-    def test_level_validation(self):
-        v = random_htensor(self.tree, self.dims, 1, self.rng)
-        with pytest.raises(ValueError):
-            apply_compressed(self.a, v, -1)
-
-
-# ---------------------------------------------------------------------------
-# operator spec files
-# ---------------------------------------------------------------------------
-
-
-class TestOperatorSpecFiles:
-    def test_round_trip_plain(self, tmp_path):
-        rng = np.random.default_rng(13)
-        a = random_operator((4, 3, 5), 2, rng, symmetric=False)
-        a.bounds = OperatorBounds(0.5, 2.5, True)
-        p = tmp_path / "op.ini"
-        save_operator_spec(a, p)
-        b = load_operator_spec(p)
-        assert b.dims == a.dims and b.num_terms == a.num_terms
-        assert b.bounds == a.bounds
-        assert np.allclose(a.assemble_dense(), b.assemble_dense())
-
-    def test_round_trip_scaled(self, tmp_path):
-        a = ideal_scaled_operator((4, 3), np.random.default_rng(1))
-        p = tmp_path / "scaled.ini"
-        save_operator_spec(a, p)
-        b = load_operator_spec(p)
-        assert isinstance(b.scaling_left, type(a.scaling_left))
-        assert b.scaling_left.m == a.scaling_left.m
-        assert np.allclose(a.assemble_dense(), b.assemble_dense())
-        assert np.allclose(b.scaling_left.weights, a.scaling_left.weights)
-
-    def test_round_trip_diagonal_scaling(self, tmp_path):
-        rng = np.random.default_rng(2)
-        ds = DiagonalScaling((rng.random(3) + 0.5, rng.random(4) + 0.5))
-        a = LowRankOperator((3, 4), [(None, rng.standard_normal((4, 4)))],
-                            scaling_right=ds)
-        p = tmp_path / "diag.ini"
-        save_operator_spec(a, p)
-        b = load_operator_spec(p)
-        assert np.allclose(a.assemble_dense(), b.assemble_dense())
-
-    def test_bad_files(self, tmp_path):
-        p = tmp_path / "bad.ini"
-        p.write_text("[nothing]\nx = 1\n")
-        with pytest.raises(ValueError, match="operator"):
-            load_operator_spec(p)
-        p2 = tmp_path / "bad2.ini"
-        p2.write_text("[operator]\nformat_version = 9\ndims = 2 2\n"
-                      "symmetric = 0\nnum_terms = 0\n")
-        with pytest.raises(ValueError, match="version"):
-            load_operator_spec(p2)

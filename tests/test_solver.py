@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,10 @@ from htsolve.solver import (
     error_certificate,
     inner_repetitions,
     kappa_defaults,
-    reduction_quasi_optimality_check,
     solve,
 )
+
+from oracles import reduction_quasi_optimality_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -501,3 +503,20 @@ def test_solve_orthogonalizes_rhs_once(monkeypatch):
     _, report = solve(problem.operator, f, cfg)
     assert len(report.steps) > 1
     assert sum(h is f for h in seen) == 1
+
+
+def test_step_wall_covers_inner_reductions(monkeypatch):
+    # a step's wall time ends after the step's recompress/coarsen reduction
+    reduce = solver_module.coarsen
+
+    def slow(*args, **kwargs):
+        time.sleep(0.005)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "coarsen", slow)
+    f = uniform_rank_one((8, 8))
+    a = identity_operator((8, 8))
+    cfg = default_config(a, f, eps=1e-3 * norm(f))
+    _, report = solve(a, f, cfg)
+    assert len(report.steps) > 1
+    assert all(s["wall"] >= 0.005 for s in report.steps)
