@@ -26,10 +26,10 @@ data that chose the result:
 Everything is plain float64 numpy and all reductions are deterministic,
 including tie-breaking.  Instances are immutable: arrays are stored read-only
 and the fields cannot be reassigned.  Each instance memoizes what is derived
-from it (its orthogonal form, that form's Grams, spectrum, truncation bases,
-contractions and executed truncations, and its norm) the first time it is
-asked for; since the data cannot change, a memo never goes stale, and reading
-it returns bitwise what computing again would.
+from it (its orthogonal form, that form's spectrum, truncation bases,
+contractions and executed truncations) the first time it is asked for; since
+the data cannot change, a memo never goes stale, and reading it returns
+bitwise what computing again would.
 """
 
 from __future__ import annotations
@@ -208,14 +208,6 @@ class HTensor:
     @property
     def edge_list(self) -> EdgeList:
         return effective_edges(self.tree)
-
-    def node_rank(self, node: Node) -> int:
-        node = tuple(sorted(node))
-        if node == self.tree.root:
-            raise KeyError("the root carries no edge rank")
-        if node == self.tree.child_pair(self.tree.root)[1]:
-            return self.root_transfer.shape[1]
-        return self._stored_rank(node)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -499,16 +491,9 @@ def _memoized(h: HTensor, key, compute):
 
 
 def norm(h: HTensor) -> float:
-    """Euclidean norm, by one of two paths.
-
-    An orthogonal tensor's norm is the Frobenius norm of its root transfer,
-    read without a sweep.  Any other tensor takes ``sqrt(inner(h, h))``, once
-    per instance; routing it through the orthogonal form instead would move
-    the result at roundoff level.
-    """
-    if h.orthogonal:
-        return float(np.linalg.norm(h.root_transfer))
-    return _memoized(h, "norm", lambda: float(np.sqrt(max(inner(h, h), 0.0))))
+    """Euclidean norm: the Frobenius norm of the orthogonal form's root
+    transfer, accurate to roundoff relative to the norm (no squared data)."""
+    return float(np.linalg.norm(orthogonalize(h).root_transfer))
 
 
 # -- orthogonalization -------------------------------------------------------
@@ -656,37 +641,6 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     return _absorb_root_core(tree, h.dims, frames, transfer, core)
 
 
-def _gram_matrices(ho: HTensor) -> dict[Node, np.ndarray]:
-    """Root-to-leaves Gram recursion on an orthogonalized representation.
-
-    ``G[node]`` is the Gram matrix of the coefficient environment of the
-    node's basis: the matricization at ``node`` equals ``U_node G U_node^T``
-    up to a basis change, so its singular values are the square roots of
-    ``G``'s eigenvalues.  Computed once per instance.
-    """
-    if not ho.orthogonal:
-        raise ValueError("gram recursion requires an orthogonalized tensor")
-    return _memoized(ho, "grams", lambda: _gram_recursion(ho))
-
-
-def _gram_recursion(ho: HTensor) -> dict[Node, np.ndarray]:
-    tree = ho.tree
-    g: dict[Node, np.ndarray] = {}
-    left, right = tree.child_pair(tree.root)
-    b = ho.root_transfer
-    g[left] = b @ b.T
-    g[right] = b.T @ b
-    for node in tree.nodes:
-        if node == tree.root or tree.is_leaf(node):
-            continue
-        t = ho.transfer[node]
-        gn = g[node]
-        l, r = tree.child_pair(node)
-        g[l] = _einsum("abk,kl,cbl->ac", t, gn, t)
-        g[r] = _einsum("abk,kl,adl->bd", t, gn, t)
-    return {node: (m + m.T) / 2.0 for node, m in g.items()}
-
-
 # -- spectra and hard truncation ----------------------------------------------
 
 
@@ -752,29 +706,53 @@ def _projection_data(ho: HTensor):
     """Per-edge spectra plus the truncation bases for every non-root node.
 
     The two root children are factored jointly (SVD of the root transfer) so
-    their bases stay consistently paired; every other node uses the
-    eigenvectors of its Gram matrix, ordered by descending eigenvalue.
-    Computed once per instance.
-    """
+    their bases stay consistently paired; every other node takes the SVD
+    ``U S W^T`` of its :func:`_square_root_factors` entry, ``U`` its basis and
+    ``S`` its spectrum, accurate to order ``u sigma_1`` for unit roundoff
+    ``u`` since no data is squared.  Computed once per instance."""
     return _memoized(ho, "projection", lambda: _spectral_decomposition(ho))
+
+
+def _square_root_factors(ho: HTensor) -> dict[Node, np.ndarray]:
+    """Per non-root node, a factor ``F`` such that the node's matricization
+    has the singular values of ``F`` (``F F^T`` is the Gram matrix of the
+    node's coefficient environment).  One root-to-leaves sweep, computed once
+    per instance: the root children start from the root transfer ``B`` (``B``
+    resp. ``B^T``), and a child's factor is its parent's transfer tensor
+    contracted with the parent's factor.  A factor wider than square is
+    replaced by ``R^T`` from ``F^T = Q R`` (the same Gram matrix)."""
+    return _memoized(ho, "factors", lambda: _factor_sweep(ho))
+
+
+def _factor_sweep(ho: HTensor) -> dict[Node, np.ndarray]:
+    tree = ho.tree
+    left, right = tree.child_pair(tree.root)
+    factors = {left: ho.root_transfer, right: ho.root_transfer.T}
+    for node in tree.nodes[1:]:  # preorder after the root: parents come first
+        f = factors[node]
+        if f.shape[1] > f.shape[0]:
+            f = factors[node] = np.linalg.qr(f.T, mode="r").T
+        if tree.is_leaf(node):
+            continue
+        t = _einsum("abk,kl->abl", ho.transfer[node], f)
+        lft, rgt = tree.child_pair(node)
+        r1, r2, c = t.shape
+        factors[lft] = t.reshape(r1, r2 * c)
+        factors[rgt] = t.transpose(1, 0, 2).reshape(r2, r1 * c)
+    return factors
 
 
 def _spectral_decomposition(ho: HTensor):
     tree = ho.tree
-    grams = _gram_matrices(ho)
-    vectors: dict[Node, np.ndarray] = {}
     left, right = tree.child_pair(tree.root)
     u, s, vt = _svd(ho.root_transfer)
-    vectors[left] = u
-    vectors[right] = vt.T
+    vectors: dict[Node, np.ndarray] = {left: u, right: vt.T}
     sig_node: dict[Node, np.ndarray] = {left: s}
-    for node in grams:
-        if node in (left, right):
-            continue
-        w, q = np.linalg.eigh(grams[node])
-        w, q = w[::-1], q[:, ::-1]
-        vectors[node] = q
-        sig_node[node] = np.sqrt(np.clip(w, 0.0, None))
+    for node, f in _square_root_factors(ho).items():
+        if node not in (left, right):
+            # zero columns pad a tall factor: missing directions have sigma 0
+            f = np.pad(f, ((0, 0), (0, max(f.shape[0] - f.shape[1], 0))))
+            vectors[node], sig_node[node], _ = _svd(f)
     edges = ho.edge_list
     spectrum = EdgeSpectrum(edges=edges, sigmas=tuple(sig_node[n] for n in edges))
     return spectrum, vectors
@@ -1043,14 +1021,11 @@ def contractions(h: HTensor) -> ContractionSet:
 
 
 def _contraction_set(ho: HTensor) -> ContractionSet:
-    grams = _gram_matrices(ho)
-    pis = []
-    for i in range(ho.d):
-        u = ho.frames[i]
-        g = grams[(i,)]
-        vals = _einsum("nk,kl,nl->n", u, g, u)
-        pis.append(np.sqrt(np.clip(vals, 0.0, None)))
-    return ContractionSet(pis=tuple(pis))
+    """Row norms of each leaf frame times its square-root factor."""
+    factors = _square_root_factors(ho)
+    return ContractionSet(pis=tuple(
+        np.linalg.norm(ho.frames[i] @ factors[(i,)], axis=1)
+        for i in range(ho.d)))
 
 
 def select_support(pis, eta: float):

@@ -484,11 +484,11 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
     returned dict records the table sizes, the pre-recompression ranks, and
     the certified error split.
 
-    The accounting is exact in exact arithmetic.  In floating point, Gram-based
-    singular values carry absolute noise of order ``eps * sigma_1``, so
-    certificates are reliable down to roughly ``1e-8`` relative to the
-    intermediate norms; tolerances far below that cannot be certified in
-    double precision.
+    The accounting is exact in exact arithmetic.  In floating point, spectra
+    and norms come from QR and SVD sweeps, with errors of order ``u sigma_1``
+    for unit roundoff ``u``; no allowance is added for them.  Dense oracles
+    confirm solve certificates down to ``eps = 1e-12`` on the parametric
+    fixtures; on the exp-sum fixtures the tables are infeasible from 1e-10.
     """
     _check_dims(a, v)
     if not math.isfinite(eta) or eta < 0:

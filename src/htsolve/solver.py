@@ -85,8 +85,7 @@ class SolveConfig:
 
     omega   step size, with ``norm(I - omega A) <= rho`` on the energy space.
     rho     contraction factor in [0, 1).
-    c_a     bound on the inverse: ``norm(A^{-1}) <= c_a``.
-    eps0    initial certified error bound, at least ``c_a * norm(f)``.
+    eps0    initial certified error bound, at least ``norm(A^{-1}) norm(f)``.
     kappa1..kappa3
             outer reduction constants, each in (0, 1), summing to at most 1.
     beta1, beta2
@@ -98,7 +97,6 @@ class SolveConfig:
 
     omega: float
     rho: float
-    c_a: float
     eps0: float
     kappa1: float
     kappa2: float
@@ -109,7 +107,7 @@ class SolveConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("omega", "c_a", "eps0", "beta1", "beta2", "alpha"):
+        for name in ("omega", "eps0", "beta1", "beta2", "alpha"):
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val}")
@@ -117,8 +115,6 @@ class SolveConfig:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.c_a <= 0:
-            raise ValueError(f"c_a must be positive, got {self.c_a}")
         if self.eps0 < 0:
             raise ValueError(f"eps0 must be nonnegative, got {self.eps0}")
         for name in ("kappa1", "kappa2", "kappa3"):
@@ -146,8 +142,8 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
 
     Uses the optimal Richardson parameters for a symmetric spectrum in
     ``[lower, upper]``: ``omega = 2/(upper+lower)`` and
-    ``rho = (upper-lower)/(upper+lower)``; ``c_a = 1/lower`` and
-    ``eps0 = c_a * norm(f)`` (the representation norm is exact).  The kappa
+    ``rho = (upper-lower)/(upper+lower)``, and ``eps0 = norm(f)/lower``
+    (the representation norm is exact).  The kappa
     constants follow :func:`kappa_defaults` for the operator's order; the
     inner reduction keeps only the coarsening step (``beta1 = 0``,
     ``beta2 = kappa1/4``).  Operator bounds are estimated on the fly when
@@ -165,7 +161,6 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
     return SolveConfig(
         omega=2.0 / (upper + lower),
         rho=(upper - lower) / (upper + lower),
-        c_a=1.0 / lower,
         eps0=norm(f) / lower,
         kappa1=kappa1,
         kappa2=kappa2,

@@ -1,16 +1,21 @@
 """Command-line interface: spec'd examples, artifacts, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htsolve.cli import RunSpec, _pin_threads, main
 from htsolve.hsvd import add, norm, random_htensor, scale
@@ -134,6 +139,12 @@ class TestSolveCommand:
         dense_error = float(line.split("=")[1])
         report = json.loads((tmp_path / "report.json").read_text())
         assert dense_error <= report["residual_interval"][1] * (1 + 1e-9)
+
+    def test_tight_tolerance_exit_zero_only_with_true_bound(self, tmp_path):
+        # a residual norm taken as sqrt(inner(r, r)) once certified 1.99e-10
+        # here against a dense error of 6.71e-10, with exit code 0
+        code, dense_error, bound = oracle_solve(PARAMETRIC_D2, "1e-8", tmp_path)
+        assert code != 0 or dense_error <= bound
 
     def test_config_overrides_take_effect(self, tmp_path):
         code = main(["solve", PARAMETRIC_D2, "--eps", "1e-2",
@@ -323,6 +334,32 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 3
         assert "infeasible" in capsys.readouterr().err
+
+
+def oracle_solve(problem, eps, out):
+    """``solve --oracle``: exit code, printed dense error (NaN without exit
+    0) and the certified upper bound (``min`` of the interval's upper end
+    and the final bound)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["solve", problem, "--eps", eps, "--oracle",
+                     "--out", str(out)])
+    if code != 0:
+        return code, math.nan, math.nan
+    line = next(l for l in buf.getvalue().splitlines() if "oracle" in l)
+    report = json.loads((Path(out) / "report.json").read_text())
+    bound = min(report["residual_interval"][1], report["final_error_bound"])
+    return code, float(line.split("=")[1]), bound
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(problem=st.sampled_from([PARAMETRIC_D2, DIFFUSION_D2]),
+       log_eps=st.floats(min_value=-12.0, max_value=-2.0))
+def test_exit_zero_only_with_true_bound(problem, log_eps):
+    with tempfile.TemporaryDirectory() as out:
+        code, dense_error, bound = oracle_solve(problem, repr(10.0 ** log_eps),
+                                                out)
+    assert code != 0 or dense_error <= bound
 
 
 def test_module_entry_point(tmp_path):

@@ -5,8 +5,8 @@
 columns must match exactly and float columns to 1e-12 relative, so a change
 that moves the solver's iterates fails here; such a change regenerates the
 files and says why.  The d = 2 traces cover leaves and root only; the d = 3
-ones also reach interior transfer nodes (Gram recursion, interior projection,
-interior ``apply_cp`` step).  ``tests/golden/st_<fixture>_eps<eps>.csv`` is
+ones also reach interior transfer nodes (square-root spectral sweep,
+interior projection, interior ``apply_cp`` step).  ``tests/golden/st_<fixture>_eps<eps>.csv`` is
 likewise the ``st_trace.csv`` of ``htsolve st-solve``; that run builds 20
 exp-sum tables of up to 91 terms.
 """

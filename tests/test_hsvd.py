@@ -224,6 +224,44 @@ def test_hilbert_schmidt_identity(tree):
         assert abs(np.linalg.norm(s) - nrm) <= 1e-10 * max(nrm, 1)
 
 
+GRADED_SIGMAS = np.array([1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+
+
+def graded_orthogonal_cp(d, n=7, seed=0):
+    """``sum_k s_k a_k^(1) x ... x a_k^(d)`` with orthonormal factor columns,
+    so every matricization has exactly the singular values ``s``."""
+    rng = np.random.default_rng(seed)
+    factors = [np.linalg.qr(rng.standard_normal((n, len(GRADED_SIGMAS))))[0]
+               for _ in range(d)]
+    letters = "abcdefgh"[:d]
+    spec = ",".join(f"{c}k" for c in letters) + f",k->{letters}"
+    return np.einsum(spec, *factors, GRADED_SIGMAS)
+
+
+# sigma_5 / sigma_1 = 1e-12 sits far below what squared data (Gram matrices,
+# sqrt(inner(h, h))) can resolve, but well above the 1e-14 zero cutoff
+@pytest.mark.parametrize("tree", [build_balanced_tree(3), build_linear_tree(4),
+                                  build_balanced_tree(4)],
+                         ids=["balanced3", "linear4", "balanced4"])
+@pytest.mark.parametrize("form", ["from_dense", "sum"])
+def test_graded_spectrum_recovered(tree, form):
+    data = graded_orthogonal_cp(tree.d)
+    h = H.from_dense(data, tree)
+    if form == "sum":
+        h = H.add(H.scale(0.5, h), H.scale(0.5, h))
+        assert not h.orthogonal
+    spec = H.edge_spectra(h)
+    for sig in spec.sigmas:
+        k = len(GRADED_SIGMAS)
+        assert np.abs(sig[:k] - GRADED_SIGMAS).max() <= 1e-14
+        assert np.abs(sig[k:]).max(initial=0.0) <= 1e-14
+    assert spec.numerical_ranks == (5,) * len(spec)
+    exact = H.recompress(h, 0.0)
+    assert exact.ranks == (5,) * len(spec)
+    assert np.linalg.norm(H.to_dense(exact) - data) <= 1e-14
+    assert abs(H.norm(h) - np.linalg.norm(GRADED_SIGMAS)) <= 1e-14
+
+
 def test_spectra_tail_accessors():
     sig = H.EdgeSpectrum.__new__  # keep pylint quiet; constructed below
     spec = H.EdgeSpectrum(edges=effective_edges(build_balanced_tree(2)),
