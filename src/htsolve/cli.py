@@ -104,6 +104,8 @@ class RunSpec:
                 )
         if self.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {self.threads}")
+        if self.max_iter < 1:
+            raise ValueError(f"--max-iter must be at least 1, got {self.max_iter}")
         unknown = set(self.overrides) - set(_OVERRIDE_FIELDS)
         if unknown:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")

@@ -286,7 +286,7 @@ def random_htensor(tree: DimensionTree, dims, rank, rng) -> HTensor:
         want = [int(rank)] * len(edges)
     else:
         want = [int(r) for r in rank]
-    r = _node_rank_map(tree, _stored_ranks_after_repair(
+    r = _node_rank_map(tree, _stored_ranks(
         tree, [min(w, c) for w, c in zip(want, caps)]))
     r_root = r[tree.child_pair(tree.root)[0]]
     frames = {i: rng.standard_normal((dims[i], r[(i,)])) / np.sqrt(dims[i])
@@ -502,14 +502,12 @@ def norm(h: HTensor) -> float:
 def orthogonalize(h: HTensor) -> HTensor:
     """Equivalent representation with orthonormal frames and transfers.
 
-    A QR sweep from the leaves absorbs all triangular factors towards the
-    root; an SVD of the root coupling is then absorbed into the root children,
-    which restores equal root ranks (a rank-deficient side would otherwise
-    leave a rectangular root transfer) and leaves the root transfer diagonal
-    with the root-edge singular values on it.  Entrywise the tensor is
-    unchanged up to roundoff.  A zero root rank (which any zero stored rank
-    forces, by the child-product bound) yields the canonical zero tensor.
-    The form is computed once per instance (an orthogonal ``h`` is its own).
+    One :func:`_qr_sweep` absorbs all triangular factors towards the root
+    and leaves the root transfer diagonal with the root-edge singular values
+    on it.  Entrywise the tensor is unchanged up to roundoff.  A zero root
+    rank (which any zero stored rank forces, by the child-product bound)
+    yields the canonical zero tensor.  The form is computed once per
+    instance (an orthogonal ``h`` is its own).
     """
     if h.orthogonal:
         return h
@@ -517,47 +515,68 @@ def orthogonalize(h: HTensor) -> HTensor:
 
 
 def _orthogonal_form(h: HTensor) -> HTensor:
-    """The QR sweep and root SVD of :func:`orthogonalize`, uncached."""
-    if h.root_transfer.shape[0] == 0:
-        return zero_htensor(h.tree, h.dims)
-    tree = h.tree
-    frames = dict(h.frames)
-    transfer = dict(h.transfer)
-    rfac: dict[Node, np.ndarray] = {}
+    """The :func:`_qr_sweep` of :func:`orthogonalize`, uncached."""
+    return _qr_sweep(h.tree, h.dims, h.frames, h.transfer, h.root_transfer)
+
+
+def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
+              weights=None) -> HTensor:
+    """Orthogonal form of ``sum_j w_j T_j`` for ``m`` tensors ``T_j`` that
+    share their transfer tensors and root transfer ``root``.
+
+    ``leaves[i]`` is the stacked leaf frame ``[U_i1 ... U_im]`` of shape
+    ``(n_i, m r_i)``; ``weights`` (an array) defaults to one block of weight
+    one.  The sum's transfer tensors are block-diagonal in ``j`` and never
+    formed: a QR sweep from the leaves factors each stacked frame, and at
+    each interior node the children's R factors contracted with the shared
+    transfer, block by block, so every triangular factor is absorbed towards
+    the root.  The SVD of the root core ``sum_j w_j R_L[:, j] B R_R[:, j]^T``
+    is absorbed into the root children, which makes the root ranks equal and
+    leaves the root transfer diagonal with the root-edge singular values on
+    it.
+
+    Nothing is truncated, so the result equals the sum up to roundoff.  A
+    leaf rank is at most ``min(n_i, m r_i)``, an interior rank at most
+    ``min(q_left q_right, m r_node)`` for the children's new ranks ``q``, and
+    the root rank is the smaller root child rank (see :func:`_stored_ranks`).
+    A zero root rank yields the canonical zero tensor.
+    """
+    m = 1 if weights is None else len(weights)
+    frames: dict[int, np.ndarray] = {}
+    out: dict[Node, np.ndarray] = {}
+    rfac: dict[Node, np.ndarray] = {}  # (q, m, r): R factor, one block per term
     for node in tree.bottom_up():
         if node == tree.root:
             continue
         if tree.is_leaf(node):
-            q, r = np.linalg.qr(frames[node[0]])
+            q, r = np.linalg.qr(leaves[node[0]])
             frames[node[0]] = q
         else:
             left, right = tree.child_pair(node)
-            b = _einsum("xa,yb,abk->xyk", rfac[left], rfac[right], transfer[node])
-            q1, q2 = b.shape[0], b.shape[1]
-            q, r = np.linalg.qr(b.reshape(q1 * q2, -1))
-            transfer[node] = q.reshape(q1, q2, -1)
-        rfac[node] = r
+            c = _einsum("xja,yjb,abc->xyjc", rfac[left], rfac[right],
+                        transfer[node])
+            q1, q2, _, k = c.shape
+            q, r = np.linalg.qr(c.reshape(q1 * q2, m * k))
+            out[node] = q.reshape(q1, q2, q.shape[1])
+        rfac[node] = r.reshape(r.shape[0], m, r.shape[1] // m)
 
     left, right = tree.child_pair(tree.root)
-    core = rfac[left] @ h.root_transfer @ rfac[right].T
-    return _absorb_root_core(tree, h.dims, frames, transfer, core)
-
-
-def _absorb_root_core(tree: DimensionTree, dims, frames, transfer,
-                      core: np.ndarray, orthogonal: bool = True) -> HTensor:
-    """Absorb the SVD of the root core into the root children, which restores
-    equal root ranks and leaves a diagonal root transfer with the root-edge
-    singular values on it.  After a bottom-up QR sweep the result is
-    ``orthogonal``."""
+    rl, rr = rfac[left], rfac[right]
+    if rl.shape[0] == 0 or rr.shape[0] == 0:
+        return zero_htensor(tree, dims)
+    # core = sum_j w_j R_L[:, j] B R_R[:, j]^T as one matrix product
+    lb = (rl.reshape(-1, rl.shape[2]) @ root).reshape(rl.shape[0], m, -1)
+    if weights is not None:
+        lb = lb * weights[None, :, None]
+    core = lb.reshape(rl.shape[0], -1) @ rr.reshape(rr.shape[0], -1).T
     u, s, vt = _svd(core)
-    left, right = tree.child_pair(tree.root)
     for node, basis in ((left, u), (right, vt.T)):
         if tree.is_leaf(node):
             frames[node[0]] = frames[node[0]] @ basis
         else:
-            transfer[node] = np.einsum("abk,kK->abK", transfer[node], basis)
-    return HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
-                   root_transfer=np.diag(s), orthogonal=orthogonal)
+            out[node] = np.einsum("abk,kK->abK", out[node], basis)
+    return HTensor(tree=tree, dims=dims, frames=frames, transfer=out,
+                   root_transfer=np.diag(s), orthogonal=True)
 
 
 def _map_frame(factor, u: np.ndarray) -> np.ndarray:
@@ -586,20 +605,14 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
 
     ``terms`` is a sequence of ``m`` per-mode factor tuples (``None`` for an
     identity, a 1-d array for a diagonal, or a dense or scipy-sparse square
-    matrix); ``weights`` defaults to all ones.  The sum's transfer tensors are
-    block-diagonal in ``j`` and never formed: one bottom-up QR sweep of the
-    stacked leaf frames ``[M_1i U_i ... M_mi U_i]`` and of the children's
-    R factors contracted with the unchanged transfer, block by block, ends in
-    an SVD of the root core, absorbed into the root children as in
-    :func:`orthogonalize`.  A mode whose factors are all diagonal has its
-    leaf frames stacked by one broadcast product (:func:`_leaf_stack`).
-    Nothing is truncated, so the result equals the
-    sum up to roundoff.  A leaf rank is at most ``min(n_i, m r_i)``, an
-    interior rank at most ``min(q_left q_right, m r_node)`` for the children's
-    new ranks ``q``, and the root rank at most the smaller root child rank.
-    Ranks are thus within the node's own matricization size but, below the
-    root children, may exceed the size of its complement (like any exact sum,
-    see :class:`HTensor`); a recompression removes such excess.
+    matrix); ``weights`` defaults to all ones.  The stacked leaf frames
+    ``[M_1i U_i ... M_mi U_i]`` (:func:`_leaf_stack`) and the unchanged
+    transfer tensors go through one :func:`_qr_sweep`, which never forms the
+    sum's block-diagonal transfers and truncates nothing, so the result
+    equals the sum up to roundoff.  Its ranks are within each node's own
+    matricization size but, below the root children, may exceed the size of
+    its complement (like any exact sum, see :class:`HTensor`); a
+    recompression removes such excess.
     """
     m = len(terms)
     if m == 0:
@@ -609,36 +622,9 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
-    if h.root_transfer.shape[0] == 0:
-        return zero_htensor(h.tree, h.dims)
-    tree = h.tree
-    frames: dict[int, np.ndarray] = {}
-    transfer: dict[Node, np.ndarray] = {}
-    rfac: dict[Node, np.ndarray] = {}  # (q, m, r): R factor, one block per term
-    for node in tree.bottom_up():
-        if node == tree.root:
-            continue
-        if tree.is_leaf(node):
-            i = node[0]
-            u = h.frames[i]
-            q, r = np.linalg.qr(_leaf_stack([t[i] for t in terms], u))
-            frames[i] = q
-            rfac[node] = r.reshape(-1, m, u.shape[1])
-        else:
-            left, right = tree.child_pair(node)
-            b = h.transfer[node]
-            c = _einsum("xja,yjb,abc->xyjc", rfac[left], rfac[right], b)
-            q1, q2 = c.shape[0], c.shape[1]
-            q, r = np.linalg.qr(c.reshape(q1 * q2, m * b.shape[2]))
-            transfer[node] = q.reshape(q1, q2, -1)
-            rfac[node] = r.reshape(-1, m, b.shape[2])
-
-    left, right = tree.child_pair(tree.root)
-    rl, rr = rfac[left], rfac[right]
-    # core = sum_j w_j R_L[:, j] B R_R[:, j]^T as one matrix product
-    lb = np.einsum("xja,ab->xjb", rl, h.root_transfer) * w[None, :, None]
-    core = lb.reshape(rl.shape[0], -1) @ rr.reshape(rr.shape[0], -1).T
-    return _absorb_root_core(tree, h.dims, frames, transfer, core)
+    leaves = {i: _leaf_stack([t[i] for t in terms], h.frames[i])
+              for i in range(h.d)}
+    return _qr_sweep(h.tree, h.dims, leaves, h.transfer, h.root_transfer, w)
 
 
 # -- spectra and hard truncation ----------------------------------------------
@@ -759,12 +745,12 @@ def _spectral_decomposition(ho: HTensor):
 
 
 def _project(ho: HTensor, vectors: dict[Node, np.ndarray], node_ranks: dict[Node, int]) -> HTensor:
-    """Apply the per-edge rank-``r`` truncation projections in one pass.
+    """Apply the per-edge rank-``r`` truncation projections in one pass and
+    return the result's :func:`_qr_sweep`.
 
-    ``node_ranks`` may violate the child-product bound (the certified error
-    bound does not need it); any overcomplete transfer is repaired afterwards
-    by absorbing a QR factor into its parent, which changes nothing
-    entrywise.
+    ``node_ranks`` may exceed a child product (the certified error bound does
+    not need it); the sweep's QR caps every rank at its child product, which
+    changes nothing entrywise (see :func:`_stored_ranks`).
     """
     tree = ho.tree
 
@@ -772,44 +758,15 @@ def _project(ho: HTensor, vectors: dict[Node, np.ndarray], node_ranks: dict[Node
         v = vectors[node]
         return v[:, :min(node_ranks[node], v.shape[1])]
 
-    frames = {}
-    for i in range(tree.d):
-        frames[i] = ho.frames[i] @ basis((i,))
+    frames = {i: ho.frames[i] @ basis((i,)) for i in range(tree.d)}
     transfer = {}
-    for node in tree.interior_nodes():
-        if node == tree.root:
-            continue
+    for node, b in ho.transfer.items():
         left, right = tree.child_pair(node)
-        transfer[node] = _einsum("abk,aA,bB,kK->ABK", ho.transfer[node],
-                                 basis(left), basis(right), basis(node))
+        transfer[node] = _einsum("abk,aA,bB,kK->ABK", b, basis(left),
+                                 basis(right), basis(node))
     left, right = tree.child_pair(tree.root)
     root = basis(left).T @ ho.root_transfer @ basis(right)
-
-    # repair pass: restore r <= r_left * r_right where the requested ranks
-    # overshoot, absorbing the redundancy upward (exact)
-    parents = tree.parent_map()
-    for node in tree.bottom_up():
-        if node == tree.root or tree.is_leaf(node):
-            continue
-        b = transfer[node]
-        r1, r2, r = b.shape
-        if r <= r1 * r2:
-            continue
-        q, rr = np.linalg.qr(b.reshape(r1 * r2, r))
-        transfer[node] = q.reshape(r1, r2, -1)
-        parent = parents[node]
-        pleft, _ = tree.child_pair(parent)
-        if parent == tree.root:
-            root = rr @ root if node == pleft else root @ rr.T
-        elif node == pleft:
-            transfer[parent] = np.einsum("xa,abk->xbk", rr, transfer[parent])
-        else:
-            transfer[parent] = np.einsum("xb,abk->axk", rr, transfer[parent])
-    if root.shape[0] != root.shape[1]:
-        return _absorb_root_core(tree, ho.dims, frames, transfer, root,
-                                 orthogonal=False)
-    return HTensor(tree=tree, dims=ho.dims, frames=frames, transfer=transfer,
-                   root_transfer=root)
+    return _qr_sweep(tree, ho.dims, frames, transfer, root)
 
 
 def _choose_ranks(spectrum: EdgeSpectrum, eta: float) -> tuple[list[int], float]:
@@ -869,12 +826,12 @@ def _choose_ranks(spectrum: EdgeSpectrum, eta: float) -> tuple[list[int], float]
     return ranks, float(np.sqrt(max(cur, 0.0)))
 
 
-def _stored_ranks_after_repair(tree: DimensionTree, edge_ranks) -> tuple[int, ...]:
-    """Edge ranks actually stored once :func:`_project` repairs overshoots.
+def _stored_ranks(tree: DimensionTree, edge_ranks) -> tuple[int, ...]:
+    """Edge ranks that :func:`_project` stores for requested ``edge_ranks``.
 
-    A requested rank above the child product is reduced to it (the repair is
-    exact, so the certified bound is unaffected), and the two root children
-    end up sharing the smaller of their repaired ranks.
+    A requested rank above the child product is reduced to it (the QR sweep
+    does this exactly, so the certified bound is unaffected), and the two
+    root children end up sharing the smaller of their ranks.
     """
     node_ranks = _node_rank_map(tree, edge_ranks)
     for node in tree.bottom_up():
@@ -905,7 +862,7 @@ class TruncationPlan:
     _ho: HTensor = field(repr=False)
     # None when nothing is cut and the plan keeps ``_ho`` as it is
     _vectors: dict[Node, np.ndarray] | None = field(repr=False)
-    _target: tuple[int, ...] = field(repr=False)  # edge ranks before repair
+    _target: tuple[int, ...] = field(repr=False)  # requested edge ranks
 
     def execute(self) -> HTensor:
         """The truncated tensor, orthogonalized."""
@@ -915,7 +872,7 @@ class TruncationPlan:
 
     def _truncate(self) -> HTensor:
         node_ranks = _node_rank_map(self._ho.tree, self._target)
-        return orthogonalize(_project(self._ho, self._vectors, node_ranks))
+        return _project(self._ho, self._vectors, node_ranks)
 
 
 def _truncation_plan(ho: HTensor, vectors, target, bound: float) -> TruncationPlan:
@@ -924,7 +881,7 @@ def _truncation_plan(ho: HTensor, vectors, target, bound: float) -> TruncationPl
     have = ho.ranks
     target = tuple(min(int(t), r) for t, r in zip(target, have))
     keep = target == have
-    ranks = have if keep else _stored_ranks_after_repair(ho.tree, target)
+    ranks = have if keep else _stored_ranks(ho.tree, target)
     return TruncationPlan(ranks=ranks, bound=float(bound), _ho=ho,
                           _vectors=None if keep else vectors, _target=target)
 
@@ -977,7 +934,7 @@ def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
             raise ValueError(
                 f"target rank {r} at edge {e} outside [0, {s}]"
             )
-    if _stored_ranks_after_repair(h.tree, ranks) != tuple(ranks):
+    if _stored_ranks(h.tree, ranks) != tuple(ranks):
         raise ValueError(f"target ranks {tuple(ranks)} exceed a child product "
                          "r_left * r_right")
     ho = orthogonalize(h)

@@ -54,7 +54,8 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
     ``edge`` indexes the effective edge list.  Values shrunk to zero are
     removed, so the edge rank drops accordingly; the remaining singular
     directions are kept and rescaled by ``s_eta(sigma)/sigma``, which realizes
-    the proximal map of the nuclear norm at this edge exactly.
+    the proximal map of the nuclear norm at this edge exactly.  The result is
+    in orthogonal form.
     """
     if eta < 0:
         raise ValueError(f"threshold must be >= 0, got {eta}")
@@ -68,32 +69,18 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
     k = int(np.count_nonzero(shrunk > 0.0))
     if k == 0:
         return zero_htensor(h.tree, h.dims)
-    # sigma is nonincreasing, so the survivors are a prefix
-    node_ranks = {node: vec.shape[1] for node, vec in vectors.items()}
-    tree = h.tree
-    left, right = tree.child_pair(tree.root)
+    # sigma is nonincreasing, so the survivors are a prefix.  The kept
+    # directions V enter the projection V V^T twice: in the edge's node and
+    # in its parent (the root transfer, for the root edge).  Scaling V by
+    # sqrt(f) thus rescales the edge by f = s_eta(sigma)/sigma; the right
+    # root child shares the root edge's cut.
     node = edges.edges[edge]
-    root_edge = node == left
-    if root_edge:
-        node_ranks[left] = k
-        node_ranks[right] = k  # the two root children share the root edge
-    else:
-        node_ranks[node] = k
-    proj = _project(ho, vectors, node_ranks)
-    factors = shrunk[:k] / sig[:k]
-    if root_edge:
-        root = factors[:, None] * proj.root_transfer
-        return HTensor(tree=tree, dims=h.dims, frames=proj.frames,
-                       transfer=proj.transfer, root_transfer=root)
-    parent = tree.parent_map()[node]
-    pleft, _ = tree.child_pair(parent)
-    axis = 0 if node == pleft else 1
-    transfer = dict(proj.transfer)
-    shape = [1, 1, 1]
-    shape[axis] = k
-    transfer[parent] = transfer[parent] * factors.reshape(shape)
-    return HTensor(tree=tree, dims=h.dims, frames=proj.frames,
-                   transfer=transfer, root_transfer=proj.root_transfer)
+    scaled = dict(vectors)
+    scaled[node] = vectors[node][:, :k] * np.sqrt(shrunk[:k] / sig[:k])
+    left, right = h.tree.child_pair(h.tree.root)
+    if node == left:
+        scaled[right] = vectors[right][:, :k]
+    return _project(ho, scaled, {n: v.shape[1] for n, v in scaled.items()})
 
 
 def soft_threshold(h: HTensor, eta: float) -> HTensor:
@@ -155,6 +142,8 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < res_tol_factor < 1.0:
         raise ValueError(f"res_tol_factor must be in (0, 1), got {res_tol_factor}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if bbar is None:
         if a.bounds is None:
             raise ValueError("bbar not given and the operator has no bounds")

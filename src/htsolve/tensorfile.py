@@ -98,6 +98,9 @@ def load_htensor(path) -> HTensor:
         orthogonal = bool(int(fields["orthogonal"]))
     except KeyError as exc:
         raise ValueError(f"{path}: header is missing field {exc}") from None
+    if len(dims) != tree.d:
+        raise ValueError(f"{path}: header has {len(dims)} mode sizes for a "
+                         f"tree of order {tree.d}")
 
     rank_of = _node_rank_map(tree, ranks)
     buf = io.BytesIO(payload)

@@ -19,13 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htsolve.htree import DimensionTree, effective_edges
+from htsolve.htree import (
+    DimensionTree,
+    build_balanced_tree,
+    build_linear_tree,
+    effective_edges,
+)
 from htsolve.hsvd import (
     HTensor,
     add,
     contractions,
     edge_spectra,
     norm,
+    random_htensor,
     restrict_support,
     scale,
     select_support,
@@ -126,6 +132,20 @@ def best_support_error(data: np.ndarray, n_keep: int) -> float:
                 kept2 = float((sub0[:, list(s1)] ** 2).sum()) if s1 else 0.0
                 best = min(best, nrm2 - kept2)
     return float(np.sqrt(max(best, 0.0)))
+
+
+#: (tree, seed) cases of :func:`random_sum`: both tree shapes at d = 2..5
+SUM_CASES = [(build(d), seed) for build in (build_balanced_tree, build_linear_tree)
+             for d in (2, 3, 4, 5) for seed in (0, 1, 2)]
+
+
+def random_sum(tree: DimensionTree, seed: int) -> HTensor:
+    """Sum of two random tensors of ranks 3 and 2 on mode sizes 2..5: not
+    orthogonal, with stored ranks that may exceed the matricization caps."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(n) for n in rng.integers(2, 6, size=tree.d))
+    return add(random_htensor(tree, dims, 3, rng),
+               random_htensor(tree, dims, 2, rng))
 
 
 def random_lowish_rank(tree: DimensionTree, dims, rank, rng, noise=0.0):

@@ -68,6 +68,16 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="--threads"):
             RunSpec(command="info", problem="p.ini", threads=0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_validated(self, max_iter, tmp_path):
+        with pytest.raises(ValueError, match="--max-iter"):
+            RunSpec(command="st-solve", problem="p.ini", eps=1e-3,
+                    max_iter=max_iter)
+        # invalid input (exit 2), not a contraction violation (exit 4)
+        code = main(["st-solve", DIFFUSION_D2, "--eps", "1e-3", "--max-iter",
+                     str(max_iter), "--out", str(tmp_path)])
+        assert code == 2
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown config overrides"):
             RunSpec(command="solve", problem="p.ini", eps=1e-3,
@@ -223,6 +233,16 @@ class TestCompressCommand:
         payload = json.loads((tmp_path / "out" / "compress.json").read_text())
         assert payload["certificate"] == norm(h)
         assert payload["output_ranks"] == [0, 0, 0]
+
+    def test_wrong_mode_count_rejected(self, stored, tmp_path):
+        # a 3-mode file whose header lists two mode sizes
+        _, path = stored
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw.replace(b"dims 5 6 7", b"dims 5 6", 1))
+        code = main(["compress", path, "--eps", "1e-2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out" / "compress.json").exists()
 
 
     def test_false_orthogonal_flag_rejected(self, tmp_path):

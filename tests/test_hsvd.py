@@ -8,12 +8,14 @@ from htsolve.htree import build_balanced_tree, build_linear_tree, effective_edge
 from htsolve.tensorfile import ORTHONORMAL_TOL, load_htensor, save_htensor
 
 from oracles import (
+    SUM_CASES,
     best_tucker_error,
     dense_contractions,
     dense_edge_singular_values,
     dense_truncation_tail,
     matricize,
     random_lowish_rank,
+    random_sum,
 )
 
 TREES = [build_balanced_tree(2), build_balanced_tree(3), build_linear_tree(3),
@@ -194,6 +196,13 @@ def test_orthogonalize_rank_deficient_root():
     r = ho.root_transfer.shape
     assert r[0] == r[1] <= 3
     assert np.linalg.norm(H.to_dense(ho) - H.to_dense(h)) <= 1e-12 * H.norm(h)
+
+
+@pytest.mark.parametrize("tree,seed", SUM_CASES)
+def test_orthogonalize_is_identity_apply_cp(tree, seed):
+    # both run the one QR sweep, on the same bits
+    h = random_sum(tree, seed)
+    assert_bitwise_equal(H.orthogonalize(h), H.apply_cp(h, [(None,) * tree.d]))
 
 
 # -- spectra ------------------------------------------------------------------

@@ -25,8 +25,9 @@ from htsolve.softthresh import (
     soft_threshold_edge,
     st_solve,
 )
+from htsolve.tensorfile import ORTHONORMAL_TOL
 
-from oracles import random_lowish_rank
+from oracles import SUM_CASES, random_lowish_rank, random_sum
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,6 +99,19 @@ class TestSoftThresholdEdge:
             want = want[want > 0]
             got = edge_spectra(out).sigmas[i][: len(want)]
             assert np.abs(got - want).max() <= 1e-10 * sig[0]
+
+    @pytest.mark.parametrize("tree,seed", SUM_CASES)
+    def test_result_is_orthogonal(self, tree, seed):
+        h = random_sum(tree, seed)
+        spectrum = edge_spectra(h)
+        for i in range(len(h.edge_list.edges)):
+            out = soft_threshold_edge(h, i, 0.3 * spectrum.sigmas[i][0])
+            assert out.orthogonal
+            mats = list(out.frames.values()) + [b.reshape(-1, b.shape[2])
+                                                for b in out.transfer.values()]
+            for q in mats:
+                dev = np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0)
+                assert dev <= ORTHONORMAL_TOL
 
     def test_edge_index_validation(self):
         h = random_htensor(build_balanced_tree(2), (3, 3), 1, np.random.default_rng(0))
@@ -266,6 +280,8 @@ class TestStSolve:
                      res_tol_factor=1.5)
         with pytest.raises(ValueError):
             st_solve(a, f, omega=1.0, xi=0.5, bbar=-2.0, eps=1e-6)
+        with pytest.raises(ValueError, match="max_iter"):
+            st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=1e-6, max_iter=0)
         b = LowRankOperator((4, 4), [(None, None)], symmetric=True)
         with pytest.raises(ValueError, match="bounds"):
             st_solve(b, f, omega=1.0, xi=0.5, bbar=None, eps=1e-6)

@@ -81,6 +81,18 @@ def test_rejects_corruption(tmp_path):
         load_htensor(not_tensor)
 
 
+@pytest.mark.parametrize("dims", [b"dims 3 4", b"dims 3 4 3 5"])
+def test_rejects_wrong_mode_count(tmp_path, dims):
+    rng = np.random.default_rng(7)
+    h = H.random_htensor(build_balanced_tree(3), (3, 4, 3), 2, rng)
+    path = tmp_path / "dims.ht"
+    save_htensor(h, path)
+    path.write_bytes(path.read_bytes().replace(b"dims 3 4 3", dims, 1))
+    with pytest.raises(ValueError, match=r"dims\.ht: header has \d mode sizes "
+                                         r"for a tree of order 3"):
+        load_htensor(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rejects_non_finite_payload(tmp_path, bad):
     rng = np.random.default_rng(6)
