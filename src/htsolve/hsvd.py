@@ -24,8 +24,13 @@ data that chose the result:
   ``s_N``, quasi-optimally up to ``sqrt(d)``.
 
 Everything is plain float64 numpy and all reductions are deterministic,
-including tie-breaking.  Instances are immutable: arrays are stored read-only
-and the fields cannot be reassigned.  Each instance memoizes what is derived
+including tie-breaking.  The tree sweeps contract with fixed reshapes and
+matrix products (``@``, batched ``np.matmul``) on blocks that are mostly a
+few dozen rows, where per-call overhead outweighs the flops; ``np.einsum`` is
+left to the dense conversions.  Instances are immutable: arrays are stored
+read-only and the fields cannot be reassigned.  Public construction copies
+and validates its input; the results this module computes itself are built
+trusted (see :meth:`HTensor._trusted`).  Each instance memoizes what is derived
 from it (its orthogonal form, that form's spectrum, truncation bases,
 contractions and executed truncations) the first time it is asked for; since
 the data cannot change, a memo never goes stale, and reading it returns
@@ -82,20 +87,13 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# contraction paths of ``_einsum``, keyed by subscripts and operand shapes
-_EINSUM_PATHS: dict[tuple, list] = {}
-
-
-def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(..., optimize=True)`` with each path planned only once per
-    subscripts and operand shapes; running the planned path gives the same
-    bits as planning it again."""
-    key = (subscripts, *(op.shape for op in operands))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(subscripts, *operands, optimize=True)[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(subscripts, *operands, optimize=path)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, marked read-only, if it is C-contiguous float64 (the
+    caller keeps no writable alias); otherwise a read-only copy."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        return _ro(a)
+    a.setflags(write=False)
+    return a
 
 
 def _svd(a: np.ndarray):
@@ -139,6 +137,12 @@ class HTensor:
     Derived data is memoized per instance in ``_memo`` (not compared, not
     shown): the arrays are read-only and the fields frozen, so the memo can
     never go stale, and ``dataclasses.replace`` starts a fresh one.
+
+    Public construction (``HTensor(...)``, ``dataclasses.replace``) copies
+    every array and validates the whole layout.  Results this module builds
+    itself from valid operands (sums, scalings, orthogonal forms, support
+    restrictions, the zero tensor) come from :meth:`_trusted`, which freezes
+    the arrays in place and skips the validation walk.
     """
 
     tree: DimensionTree
@@ -193,6 +197,24 @@ class HTensor:
             )
         if want[0] != want[1]:
             raise ValueError(f"root ranks must be equal, got {want}")
+
+    @classmethod
+    def _trusted(cls, tree: DimensionTree, dims: tuple[int, ...], frames,
+                 transfer, root_transfer: np.ndarray,
+                 orthogonal: bool = False) -> HTensor:
+        """An instance of data that already satisfies every condition
+        ``__post_init__`` checks, with ``dims`` a tuple of ints.  Its arrays
+        are read-only, C-contiguous float64 as always, but frozen in place
+        (see :func:`_frozen`) instead of copied, and nothing is validated."""
+        h = object.__new__(cls)
+        for name, value in (
+                ("tree", tree), ("dims", dims),
+                ("frames", {i: _frozen(u) for i, u in frames.items()}),
+                ("transfer", {n: _frozen(b) for n, b in transfer.items()}),
+                ("root_transfer", _frozen(root_transfer)),
+                ("orthogonal", orthogonal), ("_memo", {})):
+            object.__setattr__(h, name, value)
+        return h
 
     def _stored_rank(self, node: Node) -> int:
         if len(node) == 1:
@@ -269,8 +291,8 @@ def zero_htensor(tree: DimensionTree, dims) -> HTensor:
     transfer = {
         n: np.zeros((0, 0, 0)) for n in tree.interior_nodes() if n != tree.root
     }
-    return HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
-                   root_transfer=np.zeros((0, 0)), orthogonal=True)
+    return HTensor._trusted(tree, dims, frames, transfer, np.zeros((0, 0)),
+                            orthogonal=True)
 
 
 def random_htensor(tree: DimensionTree, dims, rank, rng) -> HTensor:
@@ -369,7 +391,8 @@ def from_dense(data, tree: DimensionTree, tol: float = 0.0) -> HTensor:
         lft, rgt = tree.child_pair(node)
         n_l = int(np.prod([dims[i] for i in lft]))
         t = bases[node].reshape(n_l, -1, bases[node].shape[1])
-        transfer[node] = _einsum("ia,jb,ijk->abk", bases[lft], bases[rgt], t)
+        transfer[node] = np.einsum("ia,jb,ijk->abk", bases[lft], bases[rgt], t,
+                                   optimize=True)
     # SVD frames are orthonormal; projected transfer tensors need not be, so
     # with any of them (d > 2) the QR sweep of orthogonalize runs
     out = orthogonalize(HTensor(tree=tree, dims=dims, frames=frames,
@@ -395,7 +418,7 @@ def to_dense(h: HTensor, max_entries: float = 1e8) -> np.ndarray:
             return h.frames[node[0]]
         left, right = tree.child_pair(node)
         a, b = expand(left), expand(right)
-        t = _einsum("ia,jb,abk->ijk", a, b, h.transfer[node])
+        t = np.einsum("ia,jb,abk->ijk", a, b, h.transfer[node], optimize=True)
         return t.reshape(a.shape[0] * b.shape[0], -1)
 
     left, right = tree.child_pair(tree.root)
@@ -454,14 +477,13 @@ def add(a: HTensor, b: HTensor) -> HTensor:
     root = np.zeros((ra.shape[0] + rb.shape[0], ra.shape[1] + rb.shape[1]))
     root[:ra.shape[0], :ra.shape[1]] = ra
     root[ra.shape[0]:, ra.shape[1]:] = rb
-    return HTensor(tree=tree, dims=a.dims, frames=frames, transfer=transfer,
-                   root_transfer=root)
+    return HTensor._trusted(tree, a.dims, frames, transfer, root)
 
 
 def scale(c: float, h: HTensor) -> HTensor:
     """Scalar multiple; only the root transfer changes."""
-    return HTensor(tree=h.tree, dims=h.dims, frames=h.frames, transfer=h.transfer,
-                   root_transfer=float(c) * h.root_transfer, orthogonal=h.orthogonal)
+    return HTensor._trusted(h.tree, h.dims, h.frames, h.transfer,
+                            float(c) * h.root_transfer, orthogonal=h.orthogonal)
 
 
 def inner(a: HTensor, b: HTensor) -> float:
@@ -476,11 +498,15 @@ def inner(a: HTensor, b: HTensor) -> float:
             w[node] = a.frames[node[0]].T @ b.frames[node[0]]
         else:
             left, right = tree.child_pair(node)
-            w[node] = _einsum("abk,ac,bd,cdl->kl", a.transfer[node], w[left],
-                              w[right], b.transfer[node])
+            ta, tb = a.transfer[node], b.transfer[node]
+            (r1, r2, k), (s1, s2, l) = ta.shape, tb.shape
+            # sum_cd w_left[a, c] w_right[b, d] tb[c, d, l], then over a, b
+            t = (w[left] @ tb.reshape(s1, s2 * l)).reshape(r1, s2, l)
+            t = np.matmul(w[right], t)
+            w[node] = ta.reshape(r1 * r2, k).T @ t.reshape(r1 * r2, l)
     left, right = tree.child_pair(tree.root)
-    return float(_einsum("kl,kK,lL,KL->", a.root_transfer, w[left], w[right],
-                         b.root_transfer))
+    return float(np.vdot(a.root_transfer,
+                         w[left] @ b.root_transfer @ w[right].T))
 
 
 def _memoized(h: HTensor, key, compute):
@@ -553,11 +579,9 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
             frames[node[0]] = q
         else:
             left, right = tree.child_pair(node)
-            c = _einsum("xja,yjb,abc->xyjc", rfac[left], rfac[right],
-                        transfer[node])
-            q1, q2, _, k = c.shape
-            q, r = np.linalg.qr(c.reshape(q1 * q2, m * k))
-            out[node] = q.reshape(q1, q2, q.shape[1])
+            rl, rr = rfac[left], rfac[right]
+            q, r = np.linalg.qr(_stacked_block(rl, rr, transfer[node]))
+            out[node] = q.reshape(rl.shape[0], rr.shape[0], q.shape[1])
         rfac[node] = r.reshape(r.shape[0], m, r.shape[1] // m)
 
     left, right = tree.child_pair(tree.root)
@@ -574,9 +598,29 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
         if tree.is_leaf(node):
             frames[node[0]] = frames[node[0]] @ basis
         else:
-            out[node] = np.einsum("abk,kK->abK", out[node], basis)
-    return HTensor(tree=tree, dims=dims, frames=frames, transfer=out,
-                   root_transfer=np.diag(s), orthogonal=True)
+            out[node] = _last_axis_product(out[node], basis)
+    return HTensor._trusted(tree, dims, frames, out, np.diag(s), orthogonal=True)
+
+
+def _last_axis_product(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``t[a, b, l] = sum_k b[a, b, k] m[k, l]`` as one GEMM."""
+    r1, r2, k = b.shape
+    return (b.reshape(r1 * r2, k) @ m).reshape(r1, r2, m.shape[1])
+
+
+def _stacked_block(rl: np.ndarray, rr: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix ``C[(x, y), (j, c)] = sum_ab rl[x, j, a] rr[y, j, b]
+    b[a, b, c]`` that :func:`_qr_sweep` factors at an interior node, for the
+    children's per-term R factors ``rl`` ``(q1, m, r1)`` and ``rr``
+    ``(q2, m, r2)`` and the shared transfer ``b`` ``(r1, r2, k)``: one GEMM
+    of ``rr`` with ``b``, then one matrix product per term, batched."""
+    q1, m, r1 = rl.shape
+    q2, r2, k = rr.shape[0], rr.shape[2], b.shape[2]
+    # s[y, j, a, c] = sum_b rr[y, j, b] b[a, b, c]
+    s = rr.reshape(q2 * m, r2) @ b.transpose(1, 0, 2).reshape(r2, r1 * k)
+    s = s.reshape(q2, m, r1, k).transpose(1, 2, 0, 3).reshape(m, r1, q2 * k)
+    c = np.matmul(rl.transpose(1, 0, 2), s)  # (j, x, (y, c))
+    return c.reshape(m, q1, q2, k).transpose(1, 2, 0, 3).reshape(q1 * q2, m * k)
 
 
 def _map_frame(factor, u: np.ndarray) -> np.ndarray:
@@ -689,13 +733,8 @@ def edge_spectra(h: HTensor) -> EdgeSpectrum:
 
 
 def _projection_data(ho: HTensor):
-    """Per-edge spectra plus the truncation bases for every non-root node.
-
-    The two root children are factored jointly (SVD of the root transfer) so
-    their bases stay consistently paired; every other node takes the SVD
-    ``U S W^T`` of its :func:`_square_root_factors` entry, ``U`` its basis and
-    ``S`` its spectrum, accurate to order ``u sigma_1`` for unit roundoff
-    ``u`` since no data is squared.  Computed once per instance."""
+    """Per-edge spectra plus the truncation bases for every non-root node,
+    one :func:`_edge_decomposition` per edge.  Computed once per instance."""
     return _memoized(ho, "projection", lambda: _spectral_decomposition(ho))
 
 
@@ -720,7 +759,7 @@ def _factor_sweep(ho: HTensor) -> dict[Node, np.ndarray]:
             f = factors[node] = np.linalg.qr(f.T, mode="r").T
         if tree.is_leaf(node):
             continue
-        t = _einsum("abk,kl->abl", ho.transfer[node], f)
+        t = _last_axis_product(ho.transfer[node], f)
         lft, rgt = tree.child_pair(node)
         r1, r2, c = t.shape
         factors[lft] = t.reshape(r1, r2 * c)
@@ -729,44 +768,85 @@ def _factor_sweep(ho: HTensor) -> dict[Node, np.ndarray]:
 
 
 def _spectral_decomposition(ho: HTensor):
-    tree = ho.tree
-    left, right = tree.child_pair(tree.root)
-    u, s, vt = _svd(ho.root_transfer)
-    vectors: dict[Node, np.ndarray] = {left: u, right: vt.T}
-    sig_node: dict[Node, np.ndarray] = {left: s}
-    for node, f in _square_root_factors(ho).items():
-        if node not in (left, right):
-            # zero columns pad a tall factor: missing directions have sigma 0
-            f = np.pad(f, ((0, 0), (0, max(f.shape[0] - f.shape[1], 0))))
-            vectors[node], sig_node[node], _ = _svd(f)
     edges = ho.edge_list
-    spectrum = EdgeSpectrum(edges=edges, sigmas=tuple(sig_node[n] for n in edges))
-    return spectrum, vectors
+    vectors: dict[Node, np.ndarray] = {}
+    sigmas = []
+    for node in edges:
+        bases, sigma = _edge_decomposition(ho, node)
+        vectors.update(bases)
+        sigmas.append(sigma)
+    return EdgeSpectrum(edges=edges, sigmas=tuple(sigmas)), vectors
+
+
+def _edge_decomposition(ho: HTensor, node: Node):
+    """Truncation bases and spectrum of the effective edge at ``node``, from
+    a single SVD.
+
+    The two root children are factored jointly (SVD ``U S V^T`` of the root
+    transfer, for ``node`` the left root child) so their bases ``U`` and
+    ``V`` stay consistently paired; every other node takes the SVD
+    ``U S W^T`` of its :func:`_square_root_factors` entry, ``U`` its basis and
+    ``S`` its spectrum, accurate to order ``u sigma_1`` for unit roundoff
+    ``u`` since no data is squared.  Returns the bases keyed by node, and
+    ``S``.
+    """
+    left, right = ho.tree.child_pair(ho.tree.root)
+    if node == left:
+        u, s, vt = _svd(ho.root_transfer)
+        return {left: u, right: vt.T}, s
+    f = _square_root_factors(ho)[node]
+    if f.shape[0] > f.shape[1]:
+        # zero columns pad a tall factor: missing directions have sigma 0
+        f = np.pad(f, ((0, 0), (0, f.shape[0] - f.shape[1])))
+    u, s, _ = _svd(f)
+    return {node: u}, s
 
 
 def _project(ho: HTensor, vectors: dict[Node, np.ndarray], node_ranks: dict[Node, int]) -> HTensor:
     """Apply the per-edge rank-``r`` truncation projections in one pass and
     return the result's :func:`_qr_sweep`.
 
-    ``node_ranks`` may exceed a child product (the certified error bound does
-    not need it); the sweep's QR caps every rank at its child product, which
-    changes nothing entrywise (see :func:`_stored_ranks`).
+    A node without an entry in ``vectors`` keeps its frame or transfer axis
+    (its projection is the identity).  ``node_ranks`` may exceed a child
+    product (the certified error bound does not need it); the sweep's QR
+    caps every rank at its child product, which changes nothing entrywise
+    (see :func:`_stored_ranks`).
     """
     tree = ho.tree
 
-    def basis(node: Node) -> np.ndarray:
-        v = vectors[node]
-        return v[:, :min(node_ranks[node], v.shape[1])]
+    def basis(node: Node) -> np.ndarray | None:
+        v = vectors.get(node)
+        return None if v is None else v[:, :min(node_ranks[node], v.shape[1])]
 
-    frames = {i: ho.frames[i] @ basis((i,)) for i in range(tree.d)}
+    frames = {}
+    for i in range(tree.d):
+        v = basis((i,))
+        frames[i] = ho.frames[i] if v is None else ho.frames[i] @ v
     transfer = {}
     for node, b in ho.transfer.items():
         left, right = tree.child_pair(node)
-        transfer[node] = _einsum("abk,aA,bB,kK->ABK", b, basis(left),
-                                 basis(right), basis(node))
+        transfer[node] = _project_transfer(b, basis(left), basis(right),
+                                           basis(node))
     left, right = tree.child_pair(tree.root)
-    root = basis(left).T @ ho.root_transfer @ basis(right)
+    root = ho.root_transfer
+    if (v := basis(left)) is not None:
+        root = v.T @ root
+    if (v := basis(right)) is not None:
+        root = root @ v
     return _qr_sweep(tree, ho.dims, frames, transfer, root)
+
+
+def _project_transfer(b: np.ndarray, vl, vr, vk) -> np.ndarray:
+    """``sum_abk b[a, b, k] vl[a, A] vr[b, B] vk[k, K]``, one axis at a time
+    (last, first, middle); a basis of ``None`` leaves its axis alone."""
+    if vk is not None:
+        b = _last_axis_product(b, vk)
+    if vl is not None:
+        r1, r2, k = b.shape
+        b = (vl.T @ b.reshape(r1, r2 * k)).reshape(vl.shape[1], r2, k)
+    if vr is not None:
+        b = np.matmul(vr.T, b)
+    return b
 
 
 def _choose_ranks(spectrum: EdgeSpectrum, eta: float) -> tuple[list[int], float]:
@@ -1050,8 +1130,7 @@ def restrict_support(h: HTensor, sets) -> HTensor:
                 raise IndexError(f"support set for mode {i} out of range")
             keep[idx] = True
         frames[i] = np.where(keep[:, None], h.frames[i], 0.0)
-    return HTensor(tree=h.tree, dims=h.dims, frames=frames, transfer=h.transfer,
-                   root_transfer=h.root_transfer)
+    return HTensor._trusted(h.tree, h.dims, frames, h.transfer, h.root_transfer)
 
 
 # -- approximation-class diagnostics -----------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 from htsolve.errors import ContractionViolationError
 from htsolve.hsvd import (
     HTensor,
+    _edge_decomposition,
     _project,
-    _projection_data,
     add,
     norm,
     orthogonalize,
@@ -62,9 +62,9 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
     edges = h.edge_list
     if not 0 <= edge < len(edges.edges):
         raise IndexError(f"edge index {edge} out of range (0..{len(edges.edges) - 1})")
+    node = edges.edges[edge]
     ho = orthogonalize(h)
-    spectrum, vectors = _projection_data(ho)
-    sig = spectrum.sigmas[edge]
+    vectors, sig = _edge_decomposition(ho, node)
     shrunk = soft_scalar(sig, eta)
     k = int(np.count_nonzero(shrunk > 0.0))
     if k == 0:
@@ -72,15 +72,12 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
     # sigma is nonincreasing, so the survivors are a prefix.  The kept
     # directions V enter the projection V V^T twice: in the edge's node and
     # in its parent (the root transfer, for the root edge).  Scaling V by
-    # sqrt(f) thus rescales the edge by f = s_eta(sigma)/sigma; the right
-    # root child shares the root edge's cut.
-    node = edges.edges[edge]
-    scaled = dict(vectors)
-    scaled[node] = vectors[node][:, :k] * np.sqrt(shrunk[:k] / sig[:k])
-    left, right = h.tree.child_pair(h.tree.root)
-    if node == left:
-        scaled[right] = vectors[right][:, :k]
-    return _project(ho, scaled, {n: v.shape[1] for n, v in scaled.items()})
+    # sqrt(f) thus rescales the edge by f = s_eta(sigma)/sigma; at the root
+    # edge the right root child shares the cut.  Every other node has no
+    # basis here, which the projection takes as the identity.
+    scaled = {n: v[:, :k] for n, v in vectors.items()}
+    scaled[node] = scaled[node] * np.sqrt(shrunk[:k] / sig[:k])
+    return _project(ho, scaled, {n: k for n in scaled})
 
 
 def soft_threshold(h: HTensor, eta: float) -> HTensor:

@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htsolve.hsvd as H
 from htsolve.htree import build_balanced_tree, build_linear_tree, effective_edges
+from htsolve.softthresh import soft_threshold
 from htsolve.tensorfile import ORTHONORMAL_TOL, load_htensor, save_htensor
 
 from oracles import (
@@ -696,12 +699,119 @@ def test_repeated_plans_execute_bitwise_equal(tree):
         assert_bitwise_equal(got, H.plan_recompression(copy_of(h), eta).execute())
 
 
-def test_einsum_paths_planned_once_run_bitwise():
-    rng = np.random.default_rng(5)
-    for shapes in [((3, 4, 5), (3, 6), (4, 2), (6, 2, 7)),
-                   ((2, 4, 5), (2, 6), (4, 3), (6, 3, 7))]:
-        ops = [rng.standard_normal(s) for s in shapes]
-        want = np.einsum("abk,ac,bd,cdl->kl", *ops, optimize=True)
-        for _ in range(2):
-            got = H._einsum("abk,ac,bd,cdl->kl", *ops)
-            assert np.array_equal(got, want)
+# -- fixed GEMM contractions against einsum ----------------------------------
+
+
+def assert_rel_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("q1,q2,m,r1,r2,k", [
+    (3, 4, 1, 2, 3, 5), (4, 3, 1, 6, 1, 2),  # one term
+    (3, 4, 3, 2, 3, 5), (5, 2, 7, 3, 4, 6), (1, 1, 2, 1, 1, 1),  # several
+    (0, 4, 2, 2, 3, 5), (3, 0, 1, 2, 3, 5), (3, 4, 2, 0, 3, 5),  # zero ranks
+    (3, 4, 2, 2, 0, 5), (3, 4, 2, 2, 3, 0), (3, 4, 1, 2, 3, 0),
+])
+def test_stacked_block_matches_einsum(q1, q2, m, r1, r2, k):
+    rng = np.random.default_rng([q1, q2, m, r1, r2, k])
+    rl = rng.standard_normal((q1, m, r1))
+    rr = rng.standard_normal((q2, m, r2))
+    b = rng.standard_normal((r1, r2, k))
+    want = np.einsum("xja,yjb,abc->xyjc", rl, rr, b, optimize=True)
+    assert_rel_close(H._stacked_block(rl, rr, b), want.reshape(q1 * q2, m * k))
+
+
+@pytest.mark.parametrize("shape,cols", [((3, 4, 5), 2), ((2, 3, 4), 7),
+                                        ((0, 3, 2), 3), ((2, 3, 0), 4),
+                                        ((2, 3, 4), 0)])
+def test_last_axis_product_matches_einsum(shape, cols):
+    rng = np.random.default_rng([*shape, cols])
+    b = rng.standard_normal(shape)
+    m = rng.standard_normal((shape[2], cols))
+    want = np.einsum("abk,kl->abl", b, m, optimize=True)
+    assert_rel_close(H._last_axis_product(b, m), want)
+
+
+@pytest.mark.parametrize("present", [(1, 1, 1), (1, 0, 1), (0, 1, 0),
+                                     (0, 0, 1), (0, 0, 0)])
+@pytest.mark.parametrize("shape,cut", [((3, 4, 5), (2, 3, 4)),
+                                       ((4, 2, 6), (0, 2, 3)),
+                                       ((3, 3, 0), (2, 1, 0)),
+                                       ((0, 2, 3), (0, 2, 1))])
+def test_project_transfer_matches_einsum(shape, cut, present):
+    """Bases are orthonormal columns, as in a truncation; ``None`` stands
+    for the identity."""
+    rng = np.random.default_rng([*shape, *cut, *present])
+    b = rng.standard_normal(shape)
+    bases = [np.linalg.qr(rng.standard_normal((n, n)))[0][:, :c] if keep
+             else np.eye(n)
+             for n, c, keep in zip(shape, cut, present)]
+    want = np.einsum("abk,aA,bB,kK->ABK", b, *bases, optimize=True)
+    args = [v if keep else None for v, keep in zip(bases, present)]
+    assert_rel_close(H._project_transfer(b, *args), want)
+
+
+def einsum_inner(a, b):
+    """The tree contraction of ``inner`` written with ``np.einsum``."""
+    tree, w = a.tree, {}
+    for node in tree.bottom_up():
+        if node == tree.root:
+            continue
+        if tree.is_leaf(node):
+            w[node] = a.frames[node[0]].T @ b.frames[node[0]]
+        else:
+            left, right = tree.child_pair(node)
+            w[node] = np.einsum("abk,ac,bd,cdl->kl", a.transfer[node], w[left],
+                                w[right], b.transfer[node], optimize=True)
+    left, right = tree.child_pair(tree.root)
+    return float(np.einsum("kl,kK,lL,KL->", a.root_transfer, w[left], w[right],
+                           b.root_transfer, optimize=True))
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+def test_inner_matches_einsum(tree):
+    rng = np.random.default_rng(60 + tree.d)
+    dims = rand_dims(tree, rng)
+    a = H.random_htensor(tree, dims, 4, rng)
+    b = H.random_htensor(tree, dims, [1, 3, 2, 4, 3, 2, 1][:len(a.ranks)], rng)
+    zero = H.zero_htensor(tree, dims)
+    for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, zero)):
+        want = einsum_inner(x, y)
+        assert abs(H.inner(x, y) - want) <= 1e-13 * abs(want)
+
+
+# -- trusted internal construction --------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 5), linear=st.booleans(), rank=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_internal_results_frozen_and_valid(d, linear, rank, seed):
+    """Every result hsvd builds itself has read-only, C-contiguous float64
+    arrays and passes the validating public constructor."""
+    tree = (build_linear_tree if linear else build_balanced_tree)(d)
+    rng = np.random.default_rng(seed)
+    dims = rand_dims(tree, rng, 2, 5)
+    h = H.random_htensor(tree, dims, rank, rng)
+    g = H.random_htensor(tree, dims, 2, rng)
+    terms = [tuple(rng.random(n) + 0.5 for n in dims),
+             tuple(None if i % 2 else rng.standard_normal((n, n))
+                   for i, n in enumerate(dims))]
+    eta = 0.1 * H.norm(h)
+    results = {
+        "add": H.add(h, g),
+        "scale": H.scale(-0.5, h),
+        "apply_cp": H.apply_cp(h, terms, weights=[1.0, -2.0]),
+        "orthogonalize": H.orthogonalize(h),
+        "recompress": H.recompress(h, eta),
+        "coarsen": H.coarsen(h, eta),
+        "soft_threshold": soft_threshold(h, eta),
+    }
+    for name, r in results.items():
+        for a in (*r.frames.values(), *r.transfer.values(), r.root_transfer):
+            assert not a.flags.writeable, name
+            assert a.flags.c_contiguous and a.dtype == np.float64, name
+        H.HTensor(tree=r.tree, dims=r.dims, frames=r.frames,
+                  transfer=r.transfer, root_transfer=r.root_transfer,
+                  orthogonal=r.orthogonal)

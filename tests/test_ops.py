@@ -12,10 +12,13 @@ import htsolve.ops as ops_module
 from htsolve.errors import CertificateViolationError, ToleranceInfeasibleError
 from htsolve.htree import build_balanced_tree, build_linear_tree
 from htsolve.hsvd import (
+    add,
     apply_cp,
+    coarsen,
     max_ranks,
     norm,
     random_htensor,
+    recompress,
     to_dense,
     zero_htensor,
 )
@@ -522,6 +525,25 @@ def ideal_scaled_operator(dims, rng, tol=0.25):
         terms.append(tuple(term))
     return LowRankOperator(dims, terms, scaling_left=s, scaling_right=s,
                            symmetric=True, bounds=OperatorBounds(1.0, 1.0, True))
+
+
+@pytest.mark.parametrize("tree", [build_balanced_tree(4), build_linear_tree(4)],
+                         ids=["balanced", "linear"])
+def test_solve_path_calls_no_einsum(tree, monkeypatch):
+    """Application, recompression and coarsening contract with fixed matrix
+    products only: ``np.einsum``, as hsvd reaches it, raises here."""
+    rng = np.random.default_rng(31)
+    dims = (4, 3, 5, 4)
+    a = ideal_scaled_operator(dims, rng)
+    v = add(random_htensor(tree, dims, 3, rng), random_htensor(tree, dims, 2, rng))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(hsvd_module.np, "einsum", refuse)
+    w = apply_certified(a, v, 1e-3 * norm(v))
+    w = recompress(w, 1e-2 * norm(w))
+    coarsen(w, 1e-2 * norm(w))
 
 
 class TestApplyCertified:

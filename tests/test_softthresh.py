@@ -5,13 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import htsolve.hsvd as hsvd_module
 from htsolve.errors import ContractionViolationError
 from htsolve.htree import build_balanced_tree, build_linear_tree
 from htsolve.hsvd import (
+    HTensor,
+    _project,
+    _projection_data,
     add,
     edge_spectra,
     from_dense,
     norm,
+    orthogonalize,
     random_htensor,
     scale,
     to_dense,
@@ -30,6 +35,25 @@ from htsolve.tensorfile import ORTHONORMAL_TOL
 from oracles import SUM_CASES, random_lowish_rank, random_sum
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def all_nodes_soft_threshold_edge(h, edge, eta):
+    """Reference edge shrinkage that projects every node onto its full
+    truncation basis from ``_projection_data`` (square, so the projection is
+    the identity up to roundoff) and only the thresholded edge's is cut and
+    scaled."""
+    ho = orthogonalize(h)
+    spectrum, vectors = _projection_data(ho)
+    sig = spectrum.sigmas[edge]
+    shrunk = soft_scalar(sig, eta)
+    k = int(np.count_nonzero(shrunk > 0.0))
+    node = ho.edge_list.edges[edge]
+    scaled = dict(vectors)
+    scaled[node] = vectors[node][:, :k] * np.sqrt(shrunk[:k] / sig[:k])
+    left, right = ho.tree.child_pair(ho.tree.root)
+    if node == left:
+        scaled[right] = vectors[right][:, :k]
+    return _project(ho, scaled, {n: v.shape[1] for n, v in scaled.items()})
 
 
 class TestSoftScalar:
@@ -112,6 +136,33 @@ class TestSoftThresholdEdge:
             for q in mats:
                 dev = np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0)
                 assert dev <= ORTHONORMAL_TOL
+
+    @pytest.mark.parametrize("tree,dims", [
+        (build_balanced_tree(3), (4, 5, 3)),
+        (build_linear_tree(3), (3, 4, 5)),
+        (build_balanced_tree(4), (3, 4, 3, 4)),
+        (build_linear_tree(4), (4, 3, 3, 4)),
+    ])
+    def test_one_spectral_svd_per_edge(self, tree, dims, monkeypatch):
+        # equals projecting every node onto its full (square) basis, and
+        # each call runs one spectral SVD (the edge's node, or the root
+        # transfer at the root edge) plus the root-core SVD of its sweep
+        rng = np.random.default_rng(sum(dims) + tree.d)
+        h = orthogonalize(random_htensor(tree, dims, 4, rng))
+        eta = 0.3 * min(s[0] for s in edge_spectra(h).sigmas)
+        for i in range(len(h.edge_list.edges)):
+            want = to_dense(all_nodes_soft_threshold_edge(h, i, eta))
+            fresh = HTensor(tree=h.tree, dims=h.dims, frames=h.frames,
+                            transfer=h.transfer, root_transfer=h.root_transfer,
+                            orthogonal=True)
+            shapes = []
+            svd = hsvd_module._svd
+            monkeypatch.setattr(hsvd_module, "_svd",
+                                lambda a: shapes.append(a.shape) or svd(a))
+            got = to_dense(soft_threshold_edge(fresh, i, eta))
+            monkeypatch.undo()
+            assert len(shapes) == 2, shapes
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_edge_index_validation(self):
         h = random_htensor(build_balanced_tree(2), (3, 3), 1, np.random.default_rng(0))
