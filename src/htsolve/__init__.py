@@ -17,7 +17,6 @@ the CLI uses that window to pin BLAS thread counts before numpy loads.
 """
 
 from htsolve.errors import (
-    CertificateViolationError,
     ContractionViolationError,
     HTSolveError,
     InvalidDimensionError,
@@ -32,13 +31,12 @@ _API = {
     "htree": ("DimensionTree", "EdgeList", "build_balanced_tree", "build_linear_tree",
               "effective_edges", "serialize_tree", "parse_tree"),
     "hsvd": ("HTensor", "EdgeSpectrum", "ContractionSet", "from_dense", "to_dense",
-             "eval_entry", "add", "scale", "inner", "norm", "orthogonalize",
+             "add", "scale", "inner", "norm", "orthogonalize",
              "edge_spectra", "recompress", "truncate_to_ranks", "contractions",
              "coarsen", "select_support", "restrict_support", "as_quasinorm", "zero_htensor",
              "random_htensor", "max_ranks"),
     "tensorfile": ("save_htensor", "load_htensor"),
-    "softthresh": ("soft_scalar", "soft_threshold_edge", "soft_threshold", "st_solve",
-                   "StIterState"),
+    "softthresh": ("soft_scalar", "soft_threshold_edge", "soft_threshold", "st_solve"),
     "ops": ("LowRankOperator", "DiagonalScaling", "ExpSumScaling", "OperatorBounds",
             "apply_certified", "build_scaling", "rhs_truncate",
             "estimate_operator_bounds"),
@@ -53,7 +51,7 @@ _LAZY = {name: mod for mod, names in _API.items() for name in names}
 
 __all__ = sorted(
     {"HTSolveError", "InvalidDimensionError", "ToleranceInfeasibleError",
-     "CertificateViolationError", "ContractionViolationError", "__version__"}
+     "ContractionViolationError", "__version__"}
     | set(_LAZY)
     | set(_SUBMODULES)
 )

@@ -12,7 +12,11 @@ info      print operator structure, bounds and certificates of a problem file
 
 Every error figure the tool prints or writes is a certificate (an interval
 endpoint computed from the low-rank representation), never a dense reference
-value; pass ``--oracle`` to add dense cross-checks on desk-scale problems.
+value; pass ``--oracle`` to ``solve`` or ``st-solve`` to add dense
+cross-checks on desk-scale problems.
+
+Each subcommand takes only the flags it reads (``_FLAGS`` lists them); any
+other flag is invalid input.
 
 The ``--threads`` flag (default 1, for determinism) pins the BLAS thread
 count via environment variables; the pin happens before numpy is imported,
@@ -111,38 +115,48 @@ class RunSpec:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
 
 
+# every flag, the subcommands that read it, and its argparse settings; a
+# subcommand that does not read a flag rejects it (exit 2)
+_SOLVERS = ("solve", "bench")  # the commands that run ``solve``
+_FLAGS = (
+    ("--eps", ("solve", "st-solve", "compress"),
+     dict(type=float, default=None,
+          help="target tolerance (compress: truncation tolerance)")),
+    ("--alpha", _SOLVERS,
+     dict(type=float, default=None,
+          help="free parameter behind the reduction constants")),
+    ("--omega", _SOLVERS + ("st-solve",),
+     dict(type=float, default=None, help="override the Richardson step size")),
+    ("--rho", _SOLVERS + ("st-solve",),
+     dict(type=float, default=None, help="override the contraction factor")),
+    ("--kappa1", _SOLVERS, dict(type=float, default=None)),
+    ("--kappa2", _SOLVERS, dict(type=float, default=None)),
+    ("--kappa3", _SOLVERS, dict(type=float, default=None)),
+    ("--beta1", _SOLVERS,
+     dict(type=float, default=None, help="inner recompression multiplier")),
+    ("--beta2", _SOLVERS,
+     dict(type=float, default=None, help="inner coarsening multiplier")),
+    ("--threads", _COMMANDS,
+     dict(type=int, default=1,
+          help="BLAS thread count (default 1, deterministic)")),
+    ("--oracle", ("solve", "st-solve"),
+     dict(action="store_true", help="add dense cross-checks (desk-scale only)")),
+    ("--out", ("solve", "st-solve", "compress", "bench"),
+     dict(default=".", help="output directory")),
+    ("--seed", ("solve", "st-solve", "bench", "info"),
+     dict(type=int, default=None, help="seed for randomized fixtures (data only)")),
+    ("--max-iter", ("st-solve",),
+     dict(type=int, default=10000, help="iteration cap")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htsolve",
         description="accuracy-controlled low-rank solvers for operator equations",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps", type=float, default=None,
-                        help="target tolerance (compress: truncation tolerance)")
-    common.add_argument("--alpha", type=float, default=None,
-                        help="free parameter behind the reduction constants")
-    common.add_argument("--omega", type=float, default=None,
-                        help="override the Richardson step size")
-    common.add_argument("--rho", type=float, default=None,
-                        help="override the contraction factor")
-    common.add_argument("--kappa1", type=float, default=None)
-    common.add_argument("--kappa2", type=float, default=None)
-    common.add_argument("--kappa3", type=float, default=None)
-    common.add_argument("--beta1", type=float, default=None,
-                        help="inner recompression multiplier")
-    common.add_argument("--beta2", type=float, default=None,
-                        help="inner coarsening multiplier")
-    common.add_argument("--threads", type=int, default=1,
-                        help="BLAS thread count (default 1, deterministic)")
-    common.add_argument("--oracle", action="store_true",
-                        help="add dense cross-checks (desk-scale only)")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized fixtures (data only)")
-    common.add_argument("--max-iter", type=int, default=10000,
-                        help="iteration cap for st-solve")
-
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, blurb in (
         ("solve", "adaptive Richardson iteration with certified error control"),
         ("st-solve", "soft-thresholded Richardson iteration"),
@@ -150,30 +164,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ("bench", "sweep eps and tabulate rank/support/time scaling"),
         ("info", "print operator structure, bounds and certificates"),
     ):
-        p = sub.add_parser(name, parents=[common], help=blurb)
+        subparsers[name] = sub.add_parser(name, help=blurb)
+    for flag, commands, settings in _FLAGS:
+        for name in commands:
+            subparsers[name].add_argument(flag, **settings)
+    for p in subparsers.values():
         p.add_argument("problem",
                        help="problem spec file (compress: stored tensor file)")
     return parser
 
 
 def _spec_from_namespace(ns: argparse.Namespace) -> RunSpec:
+    given = vars(ns)
     overrides = {
-        name: getattr(ns, name)
+        name: given[name]
         for name in _OVERRIDE_FIELDS
-        if getattr(ns, name) is not None
+        if given.get(name) is not None
     }
-    return RunSpec(
-        command=ns.command,
-        problem=ns.problem,
-        eps=ns.eps,
-        overrides=overrides,
-        alpha=ns.alpha,
-        out=ns.out,
-        seed=ns.seed,
-        threads=ns.threads,
-        oracle=ns.oracle,
-        max_iter=ns.max_iter,
-    )
+    # a flag the subcommand does not take keeps the RunSpec default
+    read = {name: given[name]
+            for name in ("eps", "alpha", "out", "seed", "threads", "oracle", "max_iter")
+            if name in given}
+    return RunSpec(command=ns.command, problem=ns.problem, overrides=overrides,
+                   **read)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +255,10 @@ def _cmd_st_solve(spec: RunSpec) -> int:
     from htsolve.softthresh import st_solve
 
     problem = _load(spec)
-    a = problem.operator
-    if a.bounds is None:
-        raise ValueError("st-solve needs certified operator bounds")
-    lower, upper = float(a.bounds.lower), float(a.bounds.upper)
-    omega = spec.overrides.get("omega", 2.0 / (upper + lower))
-    xi = spec.overrides.get("rho", (upper - lower) / (upper + lower))
-    u, trace = st_solve(a, problem.rhs, omega, xi, eps=spec.eps,
+    # the step size and contraction factor of solve, --omega/--rho applied
+    cfg = _solver_config(problem, spec, spec.eps)
+    omega, xi = cfg.omega, cfg.rho
+    u, trace = st_solve(problem.operator, problem.rhs, omega, xi, eps=spec.eps,
                         max_iter=spec.max_iter)
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,6 @@ __all__ = [
     "HTSolveError",
     "InvalidDimensionError",
     "ToleranceInfeasibleError",
-    "CertificateViolationError",
     "ContractionViolationError",
 ]
 
@@ -22,14 +21,6 @@ class ToleranceInfeasibleError(HTSolveError, RuntimeError):
 
     Examples: an exponential-sum table would need more terms than the hard
     cap allows, or an accuracy budget cannot be split into feasible parts.
-    """
-
-
-class CertificateViolationError(HTSolveError, RuntimeError):
-    """Raised when input data violates a precondition a certificate relies on.
-
-    Example: applying a scaling built for a restricted support to a tensor
-    with mass outside that support.
     """
 
 

@@ -31,10 +31,10 @@ left to the dense conversions.  Instances are immutable: arrays are stored
 read-only and the fields cannot be reassigned.  Public construction copies
 and validates its input; the results this module computes itself are built
 trusted (see :meth:`HTensor._trusted`).  Each instance memoizes what is derived
-from it (its orthogonal form, that form's spectrum, truncation bases,
-contractions and executed truncations) the first time it is asked for; since
-the data cannot change, a memo never goes stale, and reading it returns
-bitwise what computing again would.
+from it (its orthogonal form, that form's spectrum, truncation bases and
+contractions) the first time it is asked for; since the data cannot change, a
+memo never goes stale, and reading it returns bitwise what computing again
+would.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "max_ranks",
     "from_dense",
     "to_dense",
-    "eval_entry",
     "add",
     "scale",
     "inner",
@@ -73,7 +72,6 @@ __all__ = [
     "select_support",
     "restrict_support",
     "as_quasinorm",
-    "rank_quasinorm",
 ]
 
 #: Relative cutoff below which singular values count as numerically zero.
@@ -134,9 +132,10 @@ class HTensor:
     intermediate arithmetic results (sums, operator applications) may exceed
     that cap.
 
-    Derived data is memoized per instance in ``_memo`` (not compared, not
-    shown): the arrays are read-only and the fields frozen, so the memo can
-    never go stale, and ``dataclasses.replace`` starts a fresh one.
+    Derived data (the orthogonal form, its spectral data and contractions)
+    is memoized per instance in ``_memo`` (not compared, not shown): the
+    arrays are read-only and the fields frozen, so the memo can never go
+    stale, and ``dataclasses.replace`` starts a fresh one.
 
     Public construction (``HTensor(...)``, ``dataclasses.replace``) copies
     every array and validates the whole layout.  Results this module builds
@@ -240,25 +239,6 @@ class HTensor:
     def max_rank(self) -> int:
         return max(self.ranks, default=0)
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(-1.0, other))
-
-    def __neg__(self):
-        return scale(-1.0, self)
-
-    def __mul__(self, c):
-        return scale(c, self)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return norm(self)
-
 
 def _node_rank_map(tree: DimensionTree, edge_ranks) -> dict[Node, int]:
     """Per-node ranks from a per-edge rank vector (root children share)."""
@@ -337,23 +317,20 @@ def _matricize(data: np.ndarray, tree: DimensionTree, node: Node) -> np.ndarray:
     return moved.reshape(n_in, -1)
 
 
-def from_dense(data, tree: DimensionTree, tol: float = 0.0) -> HTensor:
+def from_dense(data, tree: DimensionTree) -> HTensor:
     """Hierarchical SVD of a dense array.
 
-    With ``tol = 0`` the stored ranks are the numerical matricization ranks
-    (singular values below ``1e-14 * sigma_1`` count as zero), capped at the
-    children's rank product, and the result reproduces ``data`` to roundoff.
-    With ``tol > 0`` the exact decomposition is recompressed to the certified
-    accuracy ``tol``.  The result is orthogonal either way: a node's leading
-    singular vectors need not lie in the span of its children's, so for
-    ``d > 2`` the projected transfer tensors are not orthonormal until a QR
-    sweep makes them so.
+    The stored ranks are the numerical matricization ranks (singular values
+    below ``1e-14 * sigma_1`` count as zero), capped at the children's rank
+    product, and the result reproduces ``data`` to roundoff.  The result is
+    orthogonal: a node's leading singular vectors need not lie in the span of
+    its children's, so for ``d > 2`` the projected transfer tensors are not
+    orthonormal until a QR sweep makes them so.  Apply :func:`recompress` for
+    a certified lower-rank approximation.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != tree.d:
         raise ValueError(f"data has order {data.ndim}, tree has order {tree.d}")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     dims = data.shape
     if not np.isfinite(data).all():
         raise ValueError("data contains non-finite entries")
@@ -395,12 +372,9 @@ def from_dense(data, tree: DimensionTree, tol: float = 0.0) -> HTensor:
                                    optimize=True)
     # SVD frames are orthonormal; projected transfer tensors need not be, so
     # with any of them (d > 2) the QR sweep of orthogonalize runs
-    out = orthogonalize(HTensor(tree=tree, dims=dims, frames=frames,
-                                transfer=transfer, root_transfer=np.diag(root_sigma),
-                                orthogonal=not transfer))
-    if tol > 0:
-        out = recompress(out, tol)
-    return out
+    return orthogonalize(HTensor(tree=tree, dims=dims, frames=frames,
+                                 transfer=transfer, root_transfer=np.diag(root_sigma),
+                                 orthogonal=not transfer))
 
 
 def to_dense(h: HTensor, max_entries: float = 1e8) -> np.ndarray:
@@ -426,26 +400,6 @@ def to_dense(h: HTensor, max_entries: float = 1e8) -> np.ndarray:
     order = tree.axis_order(left) + tree.axis_order(right)
     shaped = mat.reshape([h.dims[i] for i in order])
     return np.transpose(shaped, np.argsort(order))
-
-
-def eval_entry(h: HTensor, index) -> float:
-    """Evaluate one entry without densifying."""
-    index = tuple(int(i) for i in index)
-    if len(index) != h.d:
-        raise ValueError(f"index has length {len(index)}, expected {h.d}")
-    for i, (k, n) in enumerate(zip(index, h.dims)):
-        if not 0 <= k < n:
-            raise IndexError(f"index {k} out of range for mode {i} of size {n}")
-    tree = h.tree
-
-    def vec(node: Node) -> np.ndarray:
-        if tree.is_leaf(node):
-            return h.frames[node[0]][index[node[0]], :]
-        left, right = tree.child_pair(node)
-        return np.einsum("a,b,abk->k", vec(left), vec(right), h.transfer[node])
-
-    left, right = tree.child_pair(tree.root)
-    return float(vec(left) @ h.root_transfer @ vec(right))
 
 
 # -- exact arithmetic --------------------------------------------------------
@@ -717,10 +671,6 @@ class EdgeSpectrum:
         return float(np.sqrt(sum(self.tail(e, r) ** 2
                                  for e, r in enumerate(ranks))))
 
-    @property
-    def max_rank(self) -> int:
-        return max((len(s) for s in self.sigmas), default=0)
-
 
 def edge_spectra(h: HTensor) -> EdgeSpectrum:
     """Exact edge singular values, computed without densification.
@@ -933,8 +883,7 @@ class TruncationPlan:
     ``bound`` certifies ``norm(h - execute()) <= bound``.  The plan keeps the
     orthogonal form and the truncation bases whose spectrum chose the ranks,
     so the certificate belongs to that spectrum and executing repeats no
-    spectral work.  The orthogonal form memoizes executed truncations by
-    target ranks, so a second plan with the same target executes for free.
+    spectral work.
     """
 
     ranks: tuple[int, ...]
@@ -948,9 +897,6 @@ class TruncationPlan:
         """The truncated tensor, orthogonalized."""
         if self._vectors is None:
             return self._ho
-        return _memoized(self._ho, ("truncation", self._target), self._truncate)
-
-    def _truncate(self) -> HTensor:
         node_ranks = _node_rank_map(self._ho.tree, self._target)
         return _project(self._ho, self._vectors, node_ranks)
 
@@ -1145,19 +1091,3 @@ def as_quasinorm(seq, s: float) -> float:
     tails = np.sqrt(np.concatenate([np.cumsum(a[::-1] ** 2)[::-1], [0.0]]))
     n = np.arange(len(tails), dtype=np.float64) + 1.0
     return float(np.max(n**s * tails))
-
-
-def rank_quasinorm(spectrum: EdgeSpectrum, gamma) -> float:
-    """Growth-weighted rank quasi-norm ``sup_r gamma(r) * t(r)`` where
-    ``t(r)`` is the certified tail of the uniform rank-``r`` truncation.
-    ``gamma`` is a callable or an array over ``r = 0, 1, ...``."""
-    rmax = spectrum.max_rank
-    if callable(gamma):
-        g = np.array([float(gamma(r)) for r in range(rmax + 1)])
-    else:
-        g = np.asarray(gamma, dtype=np.float64)
-        if len(g) < rmax + 1:
-            raise ValueError(f"gamma must cover ranks 0..{rmax}")
-        g = g[:rmax + 1]
-    t = np.array([spectrum.total_tail([r] * len(spectrum)) for r in range(rmax + 1)])
-    return float(np.max(g * t))

@@ -15,9 +15,7 @@ four modes.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from htsolve.errors import InvalidDimensionError
 
@@ -34,10 +32,6 @@ __all__ = [
 
 #: A tree node: the sorted tuple of the modes it covers.
 Node = tuple[int, ...]
-
-
-def _as_node(modes) -> Node:
-    return tuple(sorted(int(m) for m in modes))
 
 
 @dataclass(frozen=True)
@@ -87,13 +81,11 @@ class DimensionTree:
                 f"tree has {len(seen)} reachable nodes, expected {2 * self.d - 1}"
             )
         # traversal orders, computed once: the tree is immutable
-        parents = {c: p for p, pair in self.children.items() for c in pair}
         _, right_root = self.children[root]
         cache = object.__setattr__
         cache(self, "_nodes", tuple(preorder))
         cache(self, "_bottom_up", tuple(reversed(preorder)))
         cache(self, "_interior", tuple(n for n in preorder if len(n) > 1))
-        cache(self, "_parents", MappingProxyType(parents))
         cache(self, "_edges", EdgeList(tree=self, edges=tuple(
             n for n in preorder if n != root and n != right_root)))
 
@@ -116,14 +108,6 @@ class DimensionTree:
     def nodes(self) -> tuple[Node, ...]:
         """All nodes in depth-first preorder (root first, left before right)."""
         return self._nodes
-
-    @property
-    def leaves(self) -> tuple[Node, ...]:
-        return tuple((i,) for i in range(self.d))
-
-    def parent_map(self) -> Mapping[Node, Node]:
-        """Read-only map from every non-root node to its parent."""
-        return self._parents
 
     def interior_nodes(self) -> tuple[Node, ...]:
         """Interior nodes in depth-first preorder."""
@@ -150,8 +134,7 @@ class EdgeList:
     """Effective edges of a dimension tree, one representative node each.
 
     The two root children describe the same matricization, so they contribute
-    a single entry, represented by the *left* root child.  ``index`` resolves
-    either root child to that shared entry.
+    a single entry, represented by the *left* root child.
     """
 
     tree: DimensionTree
@@ -162,16 +145,6 @@ class EdgeList:
 
     def __iter__(self):
         return iter(self.edges)
-
-    def index(self, node: Node) -> int:
-        node = _as_node(node)
-        left, right = self.tree.child_pair(self.tree.root)
-        if node == right:
-            node = left
-        try:
-            return self.edges.index(node)
-        except ValueError:
-            raise KeyError(f"node {node} is not an effective edge") from None
 
 
 def effective_edges(tree: DimensionTree) -> EdgeList:

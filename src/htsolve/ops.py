@@ -34,10 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from htsolve.errors import (
-    CertificateViolationError,
-    ToleranceInfeasibleError,
-)
+from htsolve.errors import ToleranceInfeasibleError
 from htsolve.hsvd import (
     HTensor,
     apply_cp,
@@ -116,17 +113,16 @@ class ExpSumScaling:
     diagonal.
 
     The approximated (ideal) diagonal is ``(sum_i q_i[lam_i])^(-1/2)`` over
-    the active index set; the stored form is
+    every index; the stored form is
     ``omega~(lam) = sum_j w_j prod_i exp(-t_j q_i[lam_i])``,
     which acts on a tensor as ``m`` separable diagonals.  ``certified`` is the
     measured sup of ``|1 - omega~/omega|`` over the verification set (a bound
-    for the full active set when the set was verified exhaustively).
+    for every row when the rows were verified exhaustively).
     """
 
     weights: np.ndarray
     exponents: np.ndarray
     level_weights: tuple[np.ndarray, ...]
-    active: tuple[tuple[int, ...], ...]
     tol: float
     certified: float
 
@@ -135,8 +131,6 @@ class ExpSumScaling:
         object.__setattr__(self, "exponents", np.asarray(self.exponents, dtype=np.float64))
         object.__setattr__(self, "level_weights",
                            tuple(np.asarray(q, dtype=np.float64) for q in self.level_weights))
-        object.__setattr__(self, "active",
-                           tuple(tuple(int(k) for k in a) for a in self.active))
 
     @property
     def m(self) -> int:
@@ -188,10 +182,9 @@ def _scalar_expsum_relerr(weights, exponents, x: np.ndarray) -> float:
     return float(np.max(sups))
 
 
-def _verification_sums(level_weights, active, rng) -> np.ndarray:
+def _verification_sums(qs, rng) -> np.ndarray:
     """Row sums to verify a scaling on: exhaustive when feasible, otherwise
-    all extreme level combinations plus 1000 random active rows."""
-    qs = [np.asarray(q, dtype=np.float64)[list(a)] for q, a in zip(level_weights, active)]
+    all extreme level combinations plus 1000 random rows."""
     total = int(np.prod([len(q) for q in qs]))
     if total <= 100_000:
         x = qs[0]
@@ -209,9 +202,9 @@ def _verification_sums(level_weights, active, rng) -> np.ndarray:
     return np.unique(np.concatenate(sums))
 
 
-def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
+def build_scaling(level_weights, tol: float) -> ExpSumScaling:
     """Smallest certified exponential-sum table for the inverse square root
-    of ``sum_i q_i[lam_i]`` over the active set.
+    of ``sum_i q_i[lam_i]`` over every index.
 
     The requested relative tolerance must be below 1 and is clamped to 1/2;
     level weights must be finite.  The table size is found by doubling plus
@@ -246,24 +239,14 @@ def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
         raise ValueError("level weights must be finite")
     if any((q < 0).any() for q in level_weights):
         raise ValueError("level weights must be nonnegative")
-    if active is None:
-        active = tuple(tuple(range(len(q))) for q in level_weights)
-    else:
-        active = tuple(tuple(sorted(int(k) for k in a)) for a in active)
-        for a, q in zip(active, level_weights):
-            if len(a) == 0:
-                raise ValueError("active sets must be nonempty")
-            if a[0] < 0 or a[-1] >= len(q):
-                raise IndexError("active set outside the level-weight range")
 
-    qs = [q[list(a)] for q, a in zip(level_weights, active)]
-    c = float(sum(q.min() for q in qs))
+    c = float(sum(q.min() for q in level_weights))
     if c <= 0.0:
-        raise ValueError("the smallest active row sum must be positive")
-    big_x = float(sum(q.max() for q in qs)) / c
+        raise ValueError("the smallest row sum must be positive")
+    big_x = float(sum(q.max() for q in level_weights)) / c
 
     rng = np.random.default_rng(0x5CA1E)
-    check_x = _verification_sums(level_weights, active, rng)
+    check_x = _verification_sums(level_weights, rng)
     grid_x = np.exp(np.linspace(0.0, np.log(big_x), 4097)) * c
     check_x = np.unique(np.concatenate([check_x, grid_x])) / c  # normalized
     screen_x = check_x[::16]
@@ -321,7 +304,7 @@ def build_scaling(level_weights, tol: float, active=None) -> ExpSumScaling:
             lo = mid + 1
     w, t = candidate(hi)
     return ExpSumScaling(weights=w, exponents=t, level_weights=level_weights,
-                         active=active, tol=tol, certified=full_sup(hi))
+                         tol=tol, certified=full_sup(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +414,6 @@ def _check_dims(a: LowRankOperator, v: HTensor):
         raise ValueError(f"operator dims {a.dims} do not match tensor dims {v.dims}")
 
 
-def _check_support(s: ExpSumScaling, v: HTensor):
-    for i, a in enumerate(s.active):
-        if a == tuple(range(v.dims[i])):
-            continue  # every index is active
-        inactive = np.setdiff1d(np.arange(v.dims[i]), np.asarray(a))
-        if inactive.size and np.any(v.frames[i][inactive, :] != 0.0):
-            raise CertificateViolationError(
-                f"tensor has mass outside the scaling's active set in mode {i}; "
-                "the scaling certificate does not cover these rows"
-            )
-
-
 def _expsum_table(a: LowRankOperator, s: ExpSumScaling, beta: float) -> ExpSumScaling:
     """Rebuild (and cache) a table for the same ideal diagonal at accuracy
     ``beta``; tolerances are quantized to powers of two for cache reuse."""
@@ -451,7 +422,7 @@ def _expsum_table(a: LowRankOperator, s: ExpSumScaling, beta: float) -> ExpSumSc
     quant = 2.0 ** math.floor(math.log2(beta))
     key = (id(s), quant)
     if key not in a._table_cache:
-        a._table_cache[key] = build_scaling(s.level_weights, quant, active=s.active)
+        a._table_cache[key] = build_scaling(s.level_weights, quant)
     return a._table_cache[key]
 
 
@@ -461,7 +432,6 @@ def _apply_side(a: LowRankOperator, s, v: HTensor, beta: float) -> tuple[HTensor
     if isinstance(s, DiagonalScaling):
         return apply_cp(v, [s.vectors]), 0
     table = _expsum_table(a, s, beta)
-    _check_support(table, v)
     # term j takes column j of every mode's factor matrix
     terms = list(zip(*(table.mode_factors(i).T for i in range(v.d))))
     return apply_cp(v, terms, table.weights), table.m
@@ -548,8 +518,8 @@ def rhs_truncate(f: HTensor, eta: float) -> HTensor:
 # ---------------------------------------------------------------------------
 
 
-def estimate_operator_bounds(a: LowRankOperator, dense_cutoff: int = 4000,
-                             seed: int = 0) -> OperatorBounds:
+def estimate_operator_bounds(a: LowRankOperator,
+                             dense_cutoff: int = 4000) -> OperatorBounds:
     """Two-sided spectral bounds for a symmetric operator.
 
     Below ``dense_cutoff`` unknowns the operator is assembled densely and the
@@ -587,7 +557,7 @@ def estimate_operator_bounds(a: LowRankOperator, dense_cutoff: int = 4000,
         return y
 
     lin = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     hi = float(eigsh(lin, k=1, which="LA", v0=v0, maxiter=5000,
                      return_eigenvectors=False)[0])

@@ -12,7 +12,6 @@ the threshold steering the rank/accuracy trade-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "soft_scalar",
     "soft_threshold_edge",
     "soft_threshold",
-    "StIterState",
     "st_solve",
 ]
 
@@ -92,36 +90,19 @@ def soft_threshold(h: HTensor, eta: float) -> HTensor:
     return h
 
 
-@dataclass
-class StIterState:
-    """State of the soft-thresholded Richardson iteration.
-
-    ``alpha`` is nonincreasing: each step either halves it (when the step
-    size falls below the residual-proportional trigger) or keeps it.
-    """
-
-    u: HTensor
-    alpha: float
-    omega: float
-    xi: float
-    bbar: float
-    n: int = 0
-
-
 def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
-             bbar: float | None = None, eps: float = 1e-6,
-             res_tol_factor: float = 0.1, max_iter: int = 500):
+             bbar: float | None = None, eps: float = 1e-6, max_iter: int = 500):
     """Soft-thresholded Richardson iteration ``u <- S_alpha(u - omega (A u - f))``.
 
     The caller certifies ``|I - omega A| <= xi < 1`` and ``bbar > |A|``
     (``bbar`` defaults to the operator's ``bounds.upper``).  The threshold
-    starts at
-    ``omega |f| / (d - 1)`` and is halved whenever
+    starts at ``omega |f| / (d - 1)`` and is halved whenever
     ``|u_new - u| <= (1 - xi) / (xi bbar) |A u_new - f|``, evaluated on the
-    pessimistic side of the certified residual interval.  The iteration stops
-    when the certified residual bound implies ``|u - u*| <= eps`` (coercivity
-    ``lambda_min >= (1 - xi) / omega``).  Returns ``(u, trace)`` with one
-    record per step: threshold, max rank, residual interval, halving flag.
+    pessimistic side of the certified residual interval, and never grows.
+    The iteration stops when the certified residual bound implies
+    ``|u - u*| <= eps`` (coercivity ``lambda_min >= (1 - xi) / omega``).
+    Returns ``(u, trace)`` with one record per step: threshold, max rank,
+    residual interval, halving flag.
 
     Raises :class:`ContractionViolationError` when the certified residual
     grows past twice the best value seen in the current threshold period, or
@@ -137,8 +118,6 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         raise ValueError(f"omega must be positive and finite, got {omega}")
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not 0.0 < res_tol_factor < 1.0:
-        raise ValueError(f"res_tol_factor must be in (0, 1), got {res_tol_factor}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if bbar is None:
@@ -155,9 +134,8 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         return zero_htensor(f.tree, f.dims), []
     d = f.d
     res_target = eps * (1.0 - xi) / omega  # certified stop: ||r|| below this
-    state = StIterState(u=zero_htensor(f.tree, f.dims),
-                        alpha=omega * nf / max(d - 1, 1),
-                        omega=omega, xi=xi, bbar=bbar)
+    u = zero_htensor(f.tree, f.dims)
+    alpha = omega * nf / max(d - 1, 1)
     trigger = (1.0 - xi) / (xi * bbar)
     trace: list[dict] = []
     # residual of u^0 = 0 is exactly -f
@@ -167,11 +145,12 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
     period_len = 0
     for n in range(1, max_iter + 1):
         if res_hi * omega / (1.0 - xi) <= eps:
-            return state.u, trace
-        u_new = soft_threshold(add(state.u, scale(-omega, r)), state.alpha)
-        step = norm(add(u_new, scale(-1.0, state.u)))
-        # fresh certified residual at the new iterate
-        tol = res_tol_factor * max(r_est, res_target / 2.0)
+            return u, trace
+        u_new = soft_threshold(add(u, scale(-omega, r)), alpha)
+        step = norm(add(u_new, scale(-1.0, u)))
+        # fresh certified residual at the new iterate, accurate to a tenth of
+        # the last residual norm
+        tol = 0.1 * max(r_est, res_target / 2.0)
         if not a.has_expsum:
             tol = 0.0
         w = apply_certified(a, u_new, tol)
@@ -180,8 +159,8 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         res_lo, res_hi = max(rn - tol, 0.0), rn + tol
         r_est = max(rn, res_target / 2.0)
         halved = step <= trigger * res_lo
-        state.u, state.n = u_new, n
-        trace.append({"n": n, "alpha": state.alpha,
+        u = u_new
+        trace.append({"n": n, "alpha": alpha,
                       "max_rank": max(u_new.ranks) if u_new.ranks else 0,
                       "res_lo": res_lo, "res_hi": res_hi, "halved": halved})
         period_len += 1
@@ -194,12 +173,12 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
                 f"(check omega, xi={xi}, bbar={bbar})"
             )
         if halved:
-            state.alpha /= 2.0
+            alpha /= 2.0
             period_best_hi = np.inf
             period_len = 0
     raise ContractionViolationError(
         f"certified residual bound {res_hi:.3g} did not reach the stopping "
         f"level {res_target:.3g} within {max_iter} iterations "
-        f"(last threshold {state.alpha:.3g}); the iteration may be "
+        f"(last threshold {alpha:.3g}); the iteration may be "
         f"non-contractive or max_iter too small"
     )

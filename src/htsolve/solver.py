@@ -137,7 +137,7 @@ class SolveConfig:
 
 
 def default_config(a: LowRankOperator, f: HTensor, eps: float,
-                   alpha: float = 1.0, d: int | None = None) -> SolveConfig:
+                   alpha: float = 1.0) -> SolveConfig:
     """Configuration derived from certified operator bounds.
 
     Uses the optimal Richardson parameters for a symmetric spectrum in
@@ -155,9 +155,7 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
         raise ValueError(
             f"the lower operator bound must be positive, got {lower}"
         )
-    if d is None:
-        d = a.d
-    kappa1, kappa2, kappa3 = kappa_defaults(d, alpha)
+    kappa1, kappa2, kappa3 = kappa_defaults(a.d, alpha)
     return SolveConfig(
         omega=2.0 / (upper + lower),
         rho=(upper - lower) / (upper + lower),

@@ -4,10 +4,9 @@ The dense references work on full numpy arrays with no shared code paths
 with the package internals (matricizations are re-derived from scratch), so
 agreement is meaningful.  The literal operator sums (:func:`apply_exact`,
 :func:`apply_scaling`) map leaf frames term by term and reuse only
-:func:`htsolve.hsvd.add` to stack the terms, plus the package's active-set
-guard; they are the references for the one-sweep
-:func:`htsolve.hsvd.apply_cp`.  :func:`bh_exponential_sum` is a sinc
-quadrature for ``1/x`` built from scratch.
+:func:`htsolve.hsvd.add` to stack the terms; they are the references for
+the one-sweep :func:`htsolve.hsvd.apply_cp`.  :func:`bh_exponential_sum` is a
+sinc quadrature for ``1/x`` built from scratch.
 :func:`reduction_quasi_optimality_check` runs the package's reductions on
 purpose: it checks their ranks and supports against the best approximations
 of a nearby reference.
@@ -37,7 +36,7 @@ from htsolve.hsvd import (
     select_support,
     truncate_to_ranks,
 )
-from htsolve.ops import DiagonalScaling, ExpSumScaling, LowRankOperator, _check_support
+from htsolve.ops import DiagonalScaling, ExpSumScaling, LowRankOperator
 
 
 def matricize(data: np.ndarray, modes) -> np.ndarray:
@@ -165,7 +164,7 @@ def random_lowish_rank(tree: DimensionTree, dims, rank, rng, noise=0.0):
     return data
 
 
-def reference_scaling_table(level_weights, tol, active=None):
+def reference_scaling_table(level_weights, tol):
     """The exponential-sum table search as first written, with no screening.
 
     Doubling from ``m = 2`` then bisection; every candidate is fully checked
@@ -178,11 +177,7 @@ def reference_scaling_table(level_weights, tol, active=None):
     from htsolve.errors import ToleranceInfeasibleError
 
     delta = min(tol, 0.5)
-    qs_all = [np.asarray(q, dtype=np.float64) for q in level_weights]
-    if active is None:
-        active = [tuple(range(len(q))) for q in qs_all]
-    active = [tuple(sorted(int(k) for k in a)) for a in active]
-    qs = [q[list(a)] for q, a in zip(qs_all, active)]
+    qs = [np.asarray(q, dtype=np.float64) for q in level_weights]
     c = float(sum(q.min() for q in qs))
     big_x = float(sum(q.max() for q in qs)) / c
 
@@ -282,8 +277,7 @@ def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTe
     """Exact application of the stored ``m``-term diagonal (not the ideal one):
     every edge rank is multiplied by exactly ``m``.
 
-    Tensors with mass outside the scaling's active set are rejected with a
-    :class:`CertificateViolationError`.  This literal form is a reference;
+    This literal form is a reference;
     :func:`htsolve.ops.apply_certified` applies the same diagonal in one
     orthogonalizing sweep (:func:`~htsolve.hsvd.apply_cp`) whose ranks are
     capped by the QR block sizes.  The size guard protects against
@@ -291,7 +285,6 @@ def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTe
     """
     if s.dims != v.dims:
         raise ValueError(f"scaling dims {s.dims} do not match tensor dims {v.dims}")
-    _check_support(s, v)
     m = s.m
     biggest = max(
         (m**3 * b.shape[0] * b.shape[1] * b.shape[2] for b in v.transfer.values()),

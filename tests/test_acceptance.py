@@ -226,7 +226,7 @@ def test_06_reciprocal_exponential_sums_converge():
 
 def test_07_inverse_sqrt_scaling_certified_on_active_set():
     # half-tolerance tables are within a factor 1/2 of the ideal inverse
-    # square root on every active row (exhaustive), and the term count
+    # square root on every row (exhaustive), and the term count
     # grows at most linearly in the maximum level
     details = []
     for name in ("diffusion_d3_ml3", "diffusion_d3_ml4", "diffusion_d2_ml5"):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htsolve.cli import RunSpec, _pin_threads, main
+from htsolve.cli import RunSpec, _build_parser, _pin_threads, main
 from htsolve.hsvd import add, norm, random_htensor, scale
 from htsolve.htree import build_balanced_tree
 from htsolve.tensorfile import load_htensor, save_htensor
@@ -184,6 +184,18 @@ class TestStSolveCommand:
                            "halved"]
         assert len(rows) == 1 + report["iterations"]
 
+    def test_step_overrides_reach_the_iteration(self, tmp_path):
+        # omega and rho come from solve's configuration, flags applied
+        assert main(["st-solve", PARAMETRIC_D2, "--eps", "1e-2",
+                     "--out", str(tmp_path / "a")]) == 0
+        derived = json.loads((tmp_path / "a" / "st_report.json").read_text())
+        rho = 0.5 * (1.0 + derived["xi"])  # a looser contraction bound
+        assert main(["st-solve", PARAMETRIC_D2, "--eps", "1e-2",
+                     "--omega", repr(derived["omega"]), "--rho", repr(rho),
+                     "--out", str(tmp_path / "b")]) == 0
+        report = json.loads((tmp_path / "b" / "st_report.json").read_text())
+        assert (report["omega"], report["xi"]) == (derived["omega"], rho)
+
 
 class TestCompressCommand:
     @pytest.fixture()
@@ -307,6 +319,43 @@ class TestInfoCommand:
         assert main(["info", str(FIXTURES / "diffusion_d2_ml5.ini")]) == 0
         out = capsys.readouterr().out
         assert "exp-sum (m=" in out
+
+
+# the flags each subcommand reads; every other flag is rejected
+_OVERRIDES = ("--omega", "--rho", "--kappa1", "--kappa2", "--kappa3",
+              "--beta1", "--beta2")
+FLAGS_READ = {
+    "solve": ("--eps", "--alpha", *_OVERRIDES, "--threads", "--oracle",
+              "--out", "--seed"),
+    "st-solve": ("--eps", "--omega", "--rho", "--threads", "--oracle", "--out",
+                 "--seed", "--max-iter"),
+    "compress": ("--eps", "--threads", "--out"),
+    "bench": ("--alpha", *_OVERRIDES, "--threads", "--out", "--seed"),
+    "info": ("--threads", "--seed"),
+}
+ALL_FLAGS = sorted({f for flags in FLAGS_READ.values() for f in flags})
+FLAG_VALUES = {"--oracle": [], "--out": ["somewhere"], "--seed": ["3"],
+               "--threads": ["2"], "--max-iter": ["7"]}
+
+
+def _flag_args(flag):
+    return [flag] + FLAG_VALUES.get(flag, ["0.5"])
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("command,flag", [
+        (c, f) for c in FLAGS_READ for f in ALL_FLAGS if f not in FLAGS_READ[c]])
+    def test_foreign_flag_is_invalid_input(self, command, flag, capsys):
+        assert main([command, DIFFUSION_D2, *_flag_args(flag)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        (c, f) for c in FLAGS_READ for f in FLAGS_READ[c]])
+    def test_flag_read_is_accepted(self, command, flag):
+        args = _flag_args(flag)
+        ns = _build_parser().parse_args([command, "p.ini", *args])
+        value = getattr(ns, flag[2:].replace("-", "_"))
+        assert str(value) == (args[1] if len(args) > 1 else "True")
 
 
 class TestExitCodes:

@@ -24,7 +24,6 @@ from htsolve.hsvd import (
 from htsolve.ops import LowRankOperator, OperatorBounds, identity_operator
 from htsolve.problems import dense_solve, load_problem
 from htsolve.softthresh import (
-    StIterState,
     soft_scalar,
     soft_threshold,
     soft_threshold_edge,
@@ -327,9 +326,6 @@ class TestStSolve:
             with pytest.raises(ValueError, match="eps"):
                 st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=eps)
         with pytest.raises(ValueError):
-            st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=1e-6,
-                     res_tol_factor=1.5)
-        with pytest.raises(ValueError):
             st_solve(a, f, omega=1.0, xi=0.5, bbar=-2.0, eps=1e-6)
         with pytest.raises(ValueError, match="max_iter"):
             st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=1e-6, max_iter=0)
@@ -362,10 +358,3 @@ class TestStSolve:
         u, _ = st_solve(a, problem.rhs, omega=2.0 / (upper + lower),
                         xi=(upper - lower) / (upper + lower), eps=eps)
         assert np.linalg.norm(to_dense(u) - dense_solve(problem)) <= eps
-
-    def test_state_dataclass(self):
-        from htsolve.hsvd import zero_htensor
-
-        s = StIterState(u=zero_htensor(build_balanced_tree(2), (3, 3)),
-                        alpha=1.0, omega=0.5, xi=0.9, bbar=2.0)
-        assert s.n == 0 and s.alpha == 1.0
