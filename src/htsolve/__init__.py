@@ -38,8 +38,7 @@ _API = {
     "tensorfile": ("save_htensor", "load_htensor"),
     "softthresh": ("soft_scalar", "soft_threshold_edge", "soft_threshold", "st_solve"),
     "ops": ("LowRankOperator", "DiagonalScaling", "ExpSumScaling", "OperatorBounds",
-            "apply_certified", "build_scaling", "rhs_truncate",
-            "estimate_operator_bounds"),
+            "apply_certified", "build_scaling", "rhs_truncate"),
     "problems": ("DiffusionProblemI", "ParametricProblemII", "build_diffusion_I",
                  "build_parametric_II", "dense_solve",
                  "spatial_parametric_singular_values", "load_problem"),

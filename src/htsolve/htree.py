@@ -86,7 +86,7 @@ class DimensionTree:
         cache(self, "_nodes", tuple(preorder))
         cache(self, "_bottom_up", tuple(reversed(preorder)))
         cache(self, "_interior", tuple(n for n in preorder if len(n) > 1))
-        cache(self, "_edges", EdgeList(tree=self, edges=tuple(
+        cache(self, "_edges", EdgeList(edges=tuple(
             n for n in preorder if n != root and n != right_root)))
 
     # -- basic structure ---------------------------------------------------
@@ -137,7 +137,6 @@ class EdgeList:
     a single entry, represented by the *left* root child.
     """
 
-    tree: DimensionTree
     edges: tuple[Node, ...]
 
     def __len__(self) -> int:

@@ -53,7 +53,6 @@ __all__ = [
     "build_scaling",
     "apply_certified",
     "rhs_truncate",
-    "estimate_operator_bounds",
 ]
 
 SCALING_TERM_CAP = 4096
@@ -61,15 +60,11 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class OperatorBounds(NamedTuple):
-    """Two-sided spectral bounds ``lower <= A <= upper`` (SPD sense).
-
-    ``certified`` records whether the bounds come with a proof (dense
-    eigensolve, structural argument) or from a non-certified estimator.
-    """
+    """Proved spectral bounds ``lower <= A <= upper`` (SPD sense), attached
+    by the problem builders from a structural argument."""
 
     lower: float
     upper: float
-    certified: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +87,6 @@ class DiagonalScaling:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.vectors)
-
-    def row_value(self, lam) -> float:
-        return float(np.prod([v[k] for v, k in zip(self.vectors, lam)]))
 
     def dense_diag(self) -> np.ndarray:
         out = self.vectors[0]
@@ -139,14 +131,6 @@ class ExpSumScaling:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(q) for q in self.level_weights)
-
-    def row_value(self, lam) -> float:
-        x = float(sum(q[k] for q, k in zip(self.level_weights, lam)))
-        return float(np.dot(self.weights, np.exp(-self.exponents * x)))
-
-    def ideal_row(self, lam) -> float:
-        x = float(sum(q[k] for q, k in zip(self.level_weights, lam)))
-        return x ** -0.5
 
     def mode_factors(self, i: int) -> np.ndarray:
         """(n_i, m) array of per-index exponential factors for mode i."""
@@ -335,7 +319,7 @@ class LowRankOperator:
         :class:`ExpSumScaling` (the operator then means the *ideal* diagonal
         the table approximates).
     symmetric : declared symmetry of the (scaled) operator.
-    bounds : optional :class:`OperatorBounds`.
+    bounds : optional proved :class:`OperatorBounds`.
     """
 
     def __init__(self, dims, terms, scaling_left=None, scaling_right=None,
@@ -376,32 +360,10 @@ class LowRankOperator:
         return isinstance(self.scaling_left, ExpSumScaling) or isinstance(
             self.scaling_right, ExpSumScaling)
 
-    def assemble_dense(self, max_entries: float = 1e8) -> np.ndarray:
-        """Dense matrix of the operator, with exp-sum scalings replaced by the
-        ideal diagonals they approximate.  Reference/oracle use only."""
-        n = float(np.prod(self.dims)) ** 2
-        if n > max_entries:
-            raise ValueError(
-                f"dense operator would have {n:.3g} entries (> {max_entries:.3g})"
-            )
-        total = None
-        for term in self.terms:
-            mat = None
-            for m, sz in zip(term, self.dims):
-                factor = np.eye(sz) if m is None else m.toarray()
-                mat = factor if mat is None else np.kron(mat, factor)
-            total = mat if total is None else total + mat
-        for s, side in ((self.scaling_left, "left"), (self.scaling_right, "right")):
-            if s is None:
-                continue
-            diag = s.ideal_dense_diag()
-            total = diag[:, None] * total if side == "left" else total * diag[None, :]
-        return total
 
-
-def identity_operator(dims, certified=True) -> LowRankOperator:
+def identity_operator(dims) -> LowRankOperator:
     return LowRankOperator(dims, [(None,) * len(tuple(dims))], symmetric=True,
-                           bounds=OperatorBounds(1.0, 1.0, certified))
+                           bounds=OperatorBounds(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +443,7 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
         if a.bounds is None:
             raise ValueError(
                 "certified application with exponential-sum scalings needs "
-                "operator bounds (see estimate_operator_bounds)"
+                "operator bounds, and the operator carries none"
             )
         upper = float(a.bounds.upper)
         # table error [beta_L + beta_R (1 + beta_L)] * upper * ||v||
@@ -511,56 +473,3 @@ def rhs_truncate(f: HTensor, eta: float) -> HTensor:
         return zero_htensor(f.tree, f.dims)
     g = recompress(f, eta / 2.0)
     return coarsen(g, eta / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# spectral bounds
-# ---------------------------------------------------------------------------
-
-
-def estimate_operator_bounds(a: LowRankOperator,
-                             dense_cutoff: int = 4000) -> OperatorBounds:
-    """Two-sided spectral bounds for a symmetric operator.
-
-    Below ``dense_cutoff`` unknowns the operator is assembled densely and the
-    extreme eigenvalues are certified by a full symmetric eigensolve; above,
-    a Lanczos estimate (non-certified) is returned with a 10% safety margin.
-    """
-    if not a.symmetric:
-        raise ValueError("spectral bounds are defined for symmetric operators")
-    n = int(np.prod(a.dims))
-    if n <= dense_cutoff:
-        mat = a.assemble_dense(max_entries=max(float(n) ** 2, 1.0))
-        ev = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-        return OperatorBounds(float(ev[0]), float(ev[-1]), True)
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    diag_l, diag_r = (None if s is None else s.ideal_dense_diag()
-                      for s in (a.scaling_left, a.scaling_right))
-
-    def matvec(x):
-        if diag_r is not None:
-            x = diag_r * x
-        t = x.reshape(a.dims)
-        out = np.zeros_like(t)
-        for term in a.terms:
-            y = t
-            for i, m in enumerate(term):
-                if m is None:
-                    continue
-                y = np.tensordot(m.toarray(), y, axes=([1], [i]))
-                y = np.moveaxis(y, 0, i)
-            out = out + y
-        y = out.ravel()
-        if diag_l is not None:
-            y = diag_l * y
-        return y
-
-    lin = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
-    hi = float(eigsh(lin, k=1, which="LA", v0=v0, maxiter=5000,
-                     return_eigenvectors=False)[0])
-    lo = float(eigsh(lin, k=1, which="SA", v0=v0, maxiter=5000,
-                     return_eigenvectors=False)[0])
-    return OperatorBounds(0.9 * lo, 1.1 * hi, False)

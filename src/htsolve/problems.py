@@ -236,7 +236,7 @@ def build_diffusion_I(d, basis_spec, m_matrix, rhs_spec=("rank1", None),
     scaling = build_scaling(weights, scaling_tol)
     op = LowRankOperator((n,) * d, terms, scaling_left=scaling,
                          scaling_right=scaling, symmetric=True,
-                         bounds=OperatorBounds(lo, hi, certified=True))
+                         bounds=OperatorBounds(lo, hi))
     tree = build_balanced_tree(d)
     rhs = _build_rhs(rhs_spec, tree, (n,) * d)
     return DiffusionProblemI(d=d, basis=kind, size=size, diffusion=m_matrix,
@@ -405,7 +405,7 @@ def build_parametric_II(n, d, inclusion_spec, theta, p,
                          "combination loses positivity")
 
     op = LowRankOperator(dims, terms, symmetric=True,
-                         bounds=OperatorBounds(lo_b, hi_b, certified=True))
+                         bounds=OperatorBounds(lo_b, hi_b))
     tree = build_linear_tree(d + 1)
     load = s_half @ np.full(n - 1, h)
     rhs = _build_rhs(rhs_spec, tree, dims, spatial_vector=load)

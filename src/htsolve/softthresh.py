@@ -91,13 +91,13 @@ def soft_threshold(h: HTensor, eta: float) -> HTensor:
 
 
 def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
-             bbar: float | None = None, eps: float = 1e-6, max_iter: int = 500):
+             eps: float = 1e-6, max_iter: int = 500):
     """Soft-thresholded Richardson iteration ``u <- S_alpha(u - omega (A u - f))``.
 
-    The caller certifies ``|I - omega A| <= xi < 1`` and ``bbar > |A|``
-    (``bbar`` defaults to the operator's ``bounds.upper``).  The threshold
+    The caller certifies ``|I - omega A| <= xi < 1``; ``|A|`` is bounded by
+    the operator's proved ``bounds.upper``.  The threshold
     starts at ``omega |f| / (d - 1)`` and is halved whenever
-    ``|u_new - u| <= (1 - xi) / (xi bbar) |A u_new - f|``, evaluated on the
+    ``|u_new - u| <= (1 - xi) / (xi upper) |A u_new - f|``, evaluated on the
     pessimistic side of the certified residual interval, and never grows.
     The iteration stops when the certified residual bound implies
     ``|u - u*| <= eps`` (coercivity ``lambda_min >= (1 - xi) / omega``).
@@ -120,12 +120,13 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if bbar is None:
-        if a.bounds is None:
-            raise ValueError("bbar not given and the operator has no bounds")
-        bbar = float(a.bounds.upper)
-    if not math.isfinite(bbar) or bbar <= 0.0:
-        raise ValueError(f"bbar must be positive and finite, got {bbar}")
+    if a.bounds is None:
+        raise ValueError("st_solve needs operator bounds, and the operator "
+                         "carries none")
+    upper = float(a.bounds.upper)
+    if not math.isfinite(upper) or upper <= 0.0:
+        raise ValueError(f"the upper operator bound must be positive and "
+                         f"finite, got {upper}")
     if a.dims != f.dims:
         raise ValueError(f"operator dims {a.dims} do not match {f.dims}")
 
@@ -136,7 +137,7 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
     res_target = eps * (1.0 - xi) / omega  # certified stop: ||r|| below this
     u = zero_htensor(f.tree, f.dims)
     alpha = omega * nf / max(d - 1, 1)
-    trigger = (1.0 - xi) / (xi * bbar)
+    trigger = (1.0 - xi) / (xi * upper)
     trace: list[dict] = []
     # residual of u^0 = 0 is exactly -f
     r, res_lo, res_hi = scale(-1.0, f), nf, nf
@@ -170,7 +171,7 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
                 f"residual grew from {period_best_hi:.3g} to at least "
                 f"{res_lo:.3g} within one threshold period (iteration {n}); "
                 f"the configuration is not a certified contraction "
-                f"(check omega, xi={xi}, bbar={bbar})"
+                f"(check omega, xi={xi}, upper={upper})"
             )
         if halved:
             alpha /= 2.0

@@ -37,7 +37,7 @@ from .hsvd import (
     scale,
     zero_htensor,
 )
-from .ops import LowRankOperator, apply_certified, estimate_operator_bounds, rhs_truncate
+from .ops import LowRankOperator, apply_certified, rhs_truncate
 
 __all__ = [
     "SolveConfig",
@@ -138,7 +138,7 @@ class SolveConfig:
 
 def default_config(a: LowRankOperator, f: HTensor, eps: float,
                    alpha: float = 1.0) -> SolveConfig:
-    """Configuration derived from certified operator bounds.
+    """Configuration derived from the operator's proved bounds.
 
     Uses the optimal Richardson parameters for a symmetric spectrum in
     ``[lower, upper]``: ``omega = 2/(upper+lower)`` and
@@ -146,11 +146,13 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
     (the representation norm is exact).  The kappa
     constants follow :func:`kappa_defaults` for the operator's order; the
     inner reduction keeps only the coarsening step (``beta1 = 0``,
-    ``beta2 = kappa1/4``).  Operator bounds are estimated on the fly when
-    the operator does not carry any.
+    ``beta2 = kappa1/4``).  Raises ``ValueError`` when the operator carries
+    no bounds.
     """
-    bounds = a.bounds if a.bounds is not None else estimate_operator_bounds(a)
-    lower, upper = float(bounds.lower), float(bounds.upper)
+    if a.bounds is None:
+        raise ValueError("default_config needs operator bounds, and the "
+                         "operator carries none")
+    lower, upper = float(a.bounds.lower), float(a.bounds.upper)
     if lower <= 0:
         raise ValueError(
             f"the lower operator bound must be positive, got {lower}"
@@ -373,10 +375,8 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
             f"operator dims {a.dims} do not match right-hand side dims {f.dims}"
         )
     if a.bounds is None:
-        raise ValueError(
-            "solve needs certified operator bounds "
-            "(see estimate_operator_bounds)"
-        )
+        raise ValueError("solve needs operator bounds, and the operator "
+                         "carries none")
     upper = float(a.bounds.upper)
     started = time.perf_counter()
     reps = inner_repetitions(cfg)
@@ -491,10 +491,8 @@ def error_certificate(a: LowRankOperator, v: HTensor, f: HTensor,
             f"{v.dims} / {f.dims}"
         )
     if a.bounds is None:
-        raise ValueError(
-            "error certificates need operator bounds "
-            "(see estimate_operator_bounds)"
-        )
+        raise ValueError("error certificates need operator bounds, and the "
+                         "operator carries none")
     lower, upper = float(a.bounds.lower), float(a.bounds.upper)
     if lower <= 0:
         raise ValueError(

@@ -28,10 +28,10 @@ from htsolve.ops import (
     OperatorBounds,
     apply_certified,
     build_scaling,
-    estimate_operator_bounds,
     identity_operator,
     rhs_truncate,
 )
+from htsolve.problems import _assemble_sparse
 
 from oracles import (
     apply_exact,
@@ -252,8 +252,8 @@ class TestLowRankOperator:
 
     def test_identity(self):
         a = identity_operator((3, 2, 4))
-        assert np.allclose(a.assemble_dense(), np.eye(24))
-        assert a.bounds == OperatorBounds(1.0, 1.0, True)
+        assert np.allclose(_assemble_sparse(a).toarray(), np.eye(24))
+        assert a.bounds == OperatorBounds(1.0, 1.0)
 
     def test_apply_exact_matches_dense(self):
         rng = np.random.default_rng(42)
@@ -267,7 +267,7 @@ class TestLowRankOperator:
                 a = random_operator(dims, rng.integers(1, 4), rng, density=0.6)
                 v = random_htensor(tree, dims, 2, rng)
                 w = apply_exact(a, v)
-                want = a.assemble_dense() @ dense_vec(v)
+                want = _assemble_sparse(a).toarray() @ dense_vec(v)
                 assert np.linalg.norm(dense_vec(w) - want) <= 1e-10 * max(
                     1.0, np.linalg.norm(want)
                 )
@@ -289,7 +289,7 @@ class TestLowRankOperator:
                             scaling_left=ds, scaling_right=ds)
         v = random_htensor(tree, dims, 2, rng)
         w = apply_exact(a, v)
-        want = a.assemble_dense() @ dense_vec(v)
+        want = _assemble_sparse(a).toarray() @ dense_vec(v)
         assert np.linalg.norm(dense_vec(w) - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_apply_exact_rejects_expsum(self):
@@ -499,7 +499,7 @@ def ideal_scaled_operator(dims, rng, tol=0.25):
         term[i] = np.diag(q)
         terms.append(tuple(term))
     return LowRankOperator(dims, terms, scaling_left=s, scaling_right=s,
-                           symmetric=True, bounds=OperatorBounds(1.0, 1.0, True))
+                           symmetric=True, bounds=OperatorBounds(1.0, 1.0))
 
 
 @pytest.mark.parametrize("tree", [build_balanced_tree(4), build_linear_tree(4)],
@@ -529,7 +529,7 @@ class TestApplyCertified:
 
     def test_certified_error_bound(self):
         a = ideal_scaled_operator(self.dims, self.rng)
-        dense = a.assemble_dense()
+        dense = _assemble_sparse(a).toarray()
         for eta_rel in (1e-1, 1e-3, 1e-6, 1e-9):
             v = random_htensor(self.tree, self.dims, 2, self.rng)
             eta = eta_rel * norm(v)
@@ -626,40 +626,3 @@ class TestRhsTruncate:
         assert np.linalg.norm(dense_vec(f) - dense_vec(g)) <= 1e-12 * norm(f)
         with pytest.raises(ValueError):
             rhs_truncate(f, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# spectral bounds
-# ---------------------------------------------------------------------------
-
-
-class TestOperatorBounds:
-    def test_identity(self):
-        b = estimate_operator_bounds(identity_operator((4, 4)))
-        assert b == OperatorBounds(1.0, 1.0, True)
-
-    def test_kronecker_sum_of_diagonals(self):
-        q = np.array([1.0, 4.0])
-        a = LowRankOperator((2, 2), [(np.diag(q), None), (None, np.diag(q))],
-                            symmetric=True)
-        b = estimate_operator_bounds(a)
-        assert b.certified
-        assert b.lower == pytest.approx(2.0)
-        assert b.upper == pytest.approx(8.0)
-
-    def test_lanczos_path(self):
-        n = 18
-        q = np.arange(1.0, n + 1)
-        a = LowRankOperator((n, n, n),
-                            [(np.diag(q), None, None), (None, np.diag(q), None),
-                             (None, None, np.diag(q))], symmetric=True)
-        b = estimate_operator_bounds(a, dense_cutoff=100)
-        assert not b.certified
-        assert b.lower == pytest.approx(0.9 * 3.0, rel=0.05)
-        assert b.upper == pytest.approx(1.1 * 3.0 * n, rel=0.05)
-
-    def test_requires_symmetry(self):
-        a = LowRankOperator((3, 3), [(np.triu(np.ones((3, 3))), None)])
-        with pytest.raises(ValueError):
-            estimate_operator_bounds(a)
-

@@ -83,7 +83,7 @@ class TestBuildDiffusionI:
 
     def test_identity_coefficient_condition(self):
         p = build_diffusion_I(2, ("eigensine", 4), np.eye(2))
-        a = p.operator.assemble_dense()
+        a = _assemble_sparse(p.operator).toarray()
         ev = np.linalg.eigvalsh(0.5 * (a + a.T))
         assert ev[-1] / ev[0] <= 4.0
 
@@ -133,12 +133,11 @@ class TestBuildDiffusionI:
     ])
     def test_spd_and_certified_bounds_densely(self, spec, m):
         p = build_diffusion_I(len(np.atleast_2d(m)), spec, m)
-        a = p.operator.assemble_dense()
+        a = _assemble_sparse(p.operator).toarray()
         assert np.abs(a - a.T).max() <= 1e-10 * np.abs(a).max()
         ev = np.linalg.eigvalsh(0.5 * (a + a.T))
         assert ev[0] > 0.0
         b = p.operator.bounds
-        assert b.certified
         assert b.lower - 1e-10 <= ev[0] and ev[-1] <= b.upper + 1e-10
         assert ev[-1] / ev[0] <= 10.0
 
@@ -188,7 +187,7 @@ class TestBuildParametricII:
 
     def test_zero_amplitude_reduces_to_identity(self):
         p = build_parametric_II(8, 1, ("explicit", [(0.0, 1.0, 0.0)]), 0.5, 3)
-        a = p.operator.assemble_dense()
+        a = _assemble_sparse(p.operator).toarray()
         assert np.abs(a - np.eye(a.shape[0])).max() <= 1e-12
 
     def test_equal_overlapping_inclusions(self):
@@ -204,12 +203,11 @@ class TestBuildParametricII:
     def test_spectrum_inside_theta_bracket(self):
         theta = 0.3
         p = build_parametric_II(16, 2, ("disjoint", 2), theta, 4)
-        a = p.operator.assemble_dense()
+        a = _assemble_sparse(p.operator).toarray()
         ev = np.linalg.eigvalsh(0.5 * (a + a.T))
         assert ev[0] >= 1.0 - theta - 1e-10
         assert ev[-1] <= 1.0 + theta + 1e-10
         b = p.operator.bounds
-        assert b.certified
         assert b.lower - 1e-10 <= ev[0] and ev[-1] <= b.upper + 1e-10
 
     def test_y_independent_rhs_is_rank_one(self):
@@ -317,7 +315,7 @@ class TestProblemSpecFiles:
         for path in paths:
             p = load_problem(path)
             assert p.operator.bounds is not None
-            assert p.operator.bounds.certified
+            assert 0.0 < p.operator.bounds.lower <= p.operator.bounds.upper
 
     def test_diffusion_roundtrip(self, tmp_path):
         spec = tmp_path / "p.ini"

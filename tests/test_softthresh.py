@@ -22,7 +22,7 @@ from htsolve.hsvd import (
     to_dense,
 )
 from htsolve.ops import LowRankOperator, OperatorBounds, identity_operator
-from htsolve.problems import dense_solve, load_problem
+from htsolve.problems import _assemble_sparse, dense_solve, load_problem
 from htsolve.softthresh import (
     soft_scalar,
     soft_threshold,
@@ -224,14 +224,20 @@ def kron_sum_operator(mat, d):
     return LowRankOperator((n,) * d, terms, symmetric=True)
 
 
+def with_bounds(a, lower, upper):
+    """``a`` carrying the bounds ``(lower, upper)``; st_solve reads the upper."""
+    a.bounds = OperatorBounds(lower, upper)
+    return a
+
+
 class TestStSolve:
     def test_identity_fixed_point(self):
         # for A = I, omega = 1: every iterate is S_alpha(f) exactly
         rng = np.random.default_rng(20)
         tree = build_balanced_tree(2)
         f = random_htensor(tree, (8, 8), 3, rng)
-        u, trace = st_solve(identity_operator((8, 8)), f, omega=1.0, xi=0.5,
-                            bbar=1.5, eps=1e-6)
+        a = with_bounds(identity_operator((8, 8)), 1.0, 1.5)
+        u, trace = st_solve(a, f, omega=1.0, xi=0.5, eps=1e-6)
         alpha_last = trace[-1]["alpha"]
         want = soft_threshold(f, alpha_last)
         assert np.linalg.norm(to_dense(u) - to_dense(want)) <= 1e-10 * norm(f)
@@ -242,14 +248,15 @@ class TestStSolve:
         n = 8
         lap = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) + 2.0 * np.eye(n)
         a = kron_sum_operator(lap, 2)
-        ev = np.linalg.eigvalsh(a.assemble_dense())
+        dense = _assemble_sparse(a).toarray()
+        ev = np.linalg.eigvalsh(dense)
+        with_bounds(a, ev[0], 1.05 * ev[-1])
         omega = 2.0 / (ev[0] + ev[-1])
         xi = (ev[-1] - ev[0]) / (ev[-1] + ev[0])
         f = random_htensor(build_balanced_tree(2), (n, n), 3, rng)
-        u_dense = np.linalg.solve(a.assemble_dense(), to_dense(f).ravel())
+        u_dense = np.linalg.solve(dense, to_dense(f).ravel())
         eps = 1e-6
-        u, trace = st_solve(a, f, omega=omega, xi=xi, bbar=1.05 * ev[-1],
-                            eps=eps, max_iter=3000)
+        u, trace = st_solve(a, f, omega=omega, xi=xi, eps=eps, max_iter=3000)
         err = np.linalg.norm(to_dense(u).ravel() - u_dense)
         assert err <= eps
 
@@ -272,10 +279,9 @@ class TestStSolve:
 
         rng = np.random.default_rng(22)
         dims = (5, 4, 6)
-        a = ideal_scaled_operator(dims, rng)
+        a = with_bounds(ideal_scaled_operator(dims, rng), 1.0, 1.6)
         f = random_htensor(build_balanced_tree(3), dims, 2, rng)
-        u, trace = st_solve(a, f, omega=1.0, xi=0.6, bbar=1.6, eps=1e-5,
-                            max_iter=2000)
+        u, trace = st_solve(a, f, omega=1.0, xi=0.6, eps=1e-5, max_iter=2000)
         err = np.linalg.norm(to_dense(u) - to_dense(f))
         assert err <= 1e-5
         assert all(t["res_lo"] <= t["res_hi"] for t in trace)
@@ -285,66 +291,62 @@ class TestStSolve:
         n = 8
         lap = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         a = kron_sum_operator(lap, 2)
-        ev = np.linalg.eigvalsh(a.assemble_dense())
+        ev = np.linalg.eigvalsh(_assemble_sparse(a).toarray())
+        with_bounds(a, ev[0], 1.05 * ev[-1])
         f = random_htensor(build_balanced_tree(2), (n, n), 2, rng)
         with pytest.raises(ContractionViolationError):
-            st_solve(a, f, omega=3.0 / ev[0], xi=0.9, bbar=1.05 * ev[-1],
-                     eps=1e-6, max_iter=200)
+            st_solve(a, f, omega=3.0 / ev[0], xi=0.9, eps=1e-6, max_iter=200)
 
     def test_iteration_cap(self):
         rng = np.random.default_rng(24)
         n = 6
         lap = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         a = kron_sum_operator(lap, 2)
-        ev = np.linalg.eigvalsh(a.assemble_dense())
+        ev = np.linalg.eigvalsh(_assemble_sparse(a).toarray())
+        with_bounds(a, ev[0], 1.05 * ev[-1])
         omega = 2.0 / (ev[0] + ev[-1])
         xi = (ev[-1] - ev[0]) / (ev[-1] + ev[0])
         f = random_htensor(build_balanced_tree(2), (n, n), 2, rng)
         with pytest.raises(ContractionViolationError, match="iterations"):
-            st_solve(a, f, omega=omega, xi=xi, bbar=1.05 * ev[-1], eps=1e-10,
-                     max_iter=3)
+            st_solve(a, f, omega=omega, xi=xi, eps=1e-10, max_iter=3)
 
     def test_zero_rhs(self):
         from htsolve.hsvd import zero_htensor
 
         f = zero_htensor(build_balanced_tree(2), (4, 4))
-        u, trace = st_solve(identity_operator((4, 4)), f, omega=1.0, xi=0.5,
-                            bbar=2.0, eps=1e-6)
+        a = with_bounds(identity_operator((4, 4)), 1.0, 2.0)
+        u, trace = st_solve(a, f, omega=1.0, xi=0.5, eps=1e-6)
         assert norm(u) == 0.0 and trace == []
 
     def test_validation(self):
         rng = np.random.default_rng(25)
         f = random_htensor(build_balanced_tree(2), (4, 4), 1, rng)
-        a = identity_operator((4, 4))
+        a = with_bounds(identity_operator((4, 4)), 1.0, 2.0)
         with pytest.raises(ValueError):
-            st_solve(a, f, omega=1.0, xi=1.0, bbar=2.0, eps=1e-6)
+            st_solve(a, f, omega=1.0, xi=1.0, eps=1e-6)
         with pytest.raises(ValueError):
-            st_solve(a, f, omega=-1.0, xi=0.5, bbar=2.0, eps=1e-6)
+            st_solve(a, f, omega=-1.0, xi=0.5, eps=1e-6)
         with pytest.raises(ValueError):
-            st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=0.0)
+            st_solve(a, f, omega=1.0, xi=0.5, eps=0.0)
         for eps in (np.nan, np.inf):
             with pytest.raises(ValueError, match="eps"):
-                st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=eps)
-        with pytest.raises(ValueError):
-            st_solve(a, f, omega=1.0, xi=0.5, bbar=-2.0, eps=1e-6)
+                st_solve(a, f, omega=1.0, xi=0.5, eps=eps)
         with pytest.raises(ValueError, match="max_iter"):
-            st_solve(a, f, omega=1.0, xi=0.5, bbar=2.0, eps=1e-6, max_iter=0)
-        b = LowRankOperator((4, 4), [(None, None)], symmetric=True)
-        with pytest.raises(ValueError, match="bounds"):
-            st_solve(b, f, omega=1.0, xi=0.5, bbar=None, eps=1e-6)
+            st_solve(a, f, omega=1.0, xi=0.5, eps=1e-6, max_iter=0)
         g = random_htensor(build_balanced_tree(2), (5, 5), 1, rng)
         with pytest.raises(ValueError):
-            st_solve(a, g, omega=1.0, xi=0.5, bbar=2.0, eps=1e-6)
+            st_solve(a, g, omega=1.0, xi=0.5, eps=1e-6)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["omega", "bbar"])
+    @pytest.mark.parametrize("name", ["omega", "upper"])
     def test_rejects_non_finite_step_and_bound(self, name, value):
         rng = np.random.default_rng(26)
         f = random_htensor(build_balanced_tree(2), (4, 4), 1, rng)
-        kwargs = dict(omega=1.0, xi=0.5, bbar=2.0, eps=1e-6)
+        kwargs = dict(omega=1.0, upper=2.0)
         kwargs[name] = value
+        a = with_bounds(identity_operator((4, 4)), 1.0, kwargs["upper"])
         with pytest.raises(ValueError, match=name):
-            st_solve(identity_operator((4, 4)), f, **kwargs)
+            st_solve(a, f, omega=kwargs["omega"], xi=0.5, eps=1e-6)
 
     @pytest.mark.parametrize("name,eps", [("diffusion_d2_sine", 1e-8),
                                           ("parametric_d2", 1e-10)])

@@ -20,7 +20,12 @@ from htsolve.hsvd import (
     to_dense,
     zero_htensor,
 )
-from htsolve.ops import LowRankOperator, OperatorBounds, identity_operator
+from htsolve.ops import (
+    LowRankOperator,
+    OperatorBounds,
+    apply_certified,
+    identity_operator,
+)
 from htsolve.problems import dense_solve, load_problem
 from htsolve.solver import (
     SolveConfig,
@@ -31,6 +36,7 @@ from htsolve.solver import (
     kappa_defaults,
     solve,
 )
+from htsolve.softthresh import st_solve
 
 from oracles import reduction_quasi_optimality_check
 
@@ -150,7 +156,7 @@ class TestDefaultConfig:
 
     def test_optimal_richardson_formulas(self):
         a = LowRankOperator((4, 4), [(None, None)], symmetric=True,
-                            bounds=OperatorBounds(2.0, 8.0, True))
+                            bounds=OperatorBounds(2.0, 8.0))
         cfg = default_config(a, uniform_rank_one((4, 4)), eps=1e-3)
         assert cfg.omega == pytest.approx(0.2, rel=1e-14)
         assert cfg.rho == pytest.approx(0.6, rel=1e-14)
@@ -162,15 +168,9 @@ class TestDefaultConfig:
         k1, k2, k3 = kappa_defaults(3, alpha=2.0)
         assert (cfg.kappa1, cfg.kappa2, cfg.kappa3) == (k1, k2, k3)
 
-    def test_estimates_missing_bounds(self):
-        a = LowRankOperator((4, 4), [(2.0 * np.eye(4), None)], symmetric=True)
-        cfg = default_config(a, uniform_rank_one((4, 4)), eps=0.1)
-        assert cfg.omega == pytest.approx(0.5, rel=1e-9)
-        assert cfg.rho == pytest.approx(0.0, abs=1e-9)
-
     def test_rejects_nonpositive_lower(self):
         a = LowRankOperator((4, 4), [(None, None)], symmetric=True,
-                            bounds=OperatorBounds(0.0, 1.0, True))
+                            bounds=OperatorBounds(0.0, 1.0))
         with pytest.raises(ValueError, match="lower"):
             default_config(a, uniform_rank_one((4, 4)), eps=0.1)
 
@@ -340,11 +340,35 @@ class TestSolveValidation:
         # conspicuously wrong bounds: the operator is 2I but claims
         # spectrum [0.5, 0.6], so the scheduled contraction cannot hold
         a = LowRankOperator((6, 6), [(2.0 * np.eye(6), None)], symmetric=True,
-                            bounds=OperatorBounds(0.5, 0.6, False))
+                            bounds=OperatorBounds(0.5, 0.6))
         f = uniform_rank_one((6, 6))
         cfg = default_config(a, f, eps=1e-3)
         with pytest.raises(ContractionViolationError, match="outer step 0"):
             solve(a, f, cfg)
+
+
+@pytest.mark.parametrize("call", ["apply_certified", "solve", "error_certificate",
+                                  "default_config", "st_solve"])
+def test_operator_without_bounds_rejected(call):
+    # bounds come only from the problem builders; nothing estimates missing ones
+    from test_ops import ideal_scaled_operator
+
+    rng = np.random.default_rng(41)
+    dims = (4, 5)
+    a = ideal_scaled_operator(dims, rng)
+    a.bounds = None
+    f = random_htensor(build_balanced_tree(2), dims, 2, rng)
+    cfg = SolveConfig(omega=1.0, rho=0.0, eps0=1.0,
+                      kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
+    calls = {
+        "apply_certified": lambda: apply_certified(a, f, 0.1),
+        "solve": lambda: solve(a, f, cfg),
+        "error_certificate": lambda: error_certificate(a, f, f, 0.1),
+        "default_config": lambda: default_config(a, f, eps=0.1),
+        "st_solve": lambda: st_solve(a, f, omega=1.0, xi=0.5),
+    }
+    with pytest.raises(ValueError, match="bounds"):
+        calls[call]()
 
 
 class TestSolveReport:
