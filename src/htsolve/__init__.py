@@ -31,17 +31,16 @@ _API = {
     "htree": ("DimensionTree", "EdgeList", "build_balanced_tree", "build_linear_tree",
               "effective_edges", "serialize_tree", "parse_tree"),
     "hsvd": ("HTensor", "EdgeSpectrum", "ContractionSet", "from_dense", "to_dense",
-             "add", "scale", "inner", "norm", "orthogonalize",
+             "add", "scale", "norm", "orthogonalize",
              "edge_spectra", "recompress", "truncate_to_ranks", "contractions",
              "coarsen", "select_support", "restrict_support", "as_quasinorm", "zero_htensor",
              "random_htensor", "max_ranks"),
     "tensorfile": ("save_htensor", "load_htensor"),
     "softthresh": ("soft_scalar", "soft_threshold_edge", "soft_threshold", "st_solve"),
-    "ops": ("LowRankOperator", "DiagonalScaling", "ExpSumScaling", "OperatorBounds",
-            "apply_certified", "build_scaling", "rhs_truncate"),
+    "ops": ("LowRankOperator", "DiagonalScaling", "ExpSumScaling", "ExpSumTable",
+            "OperatorBounds", "apply_certified", "build_scaling", "rhs_truncate"),
     "problems": ("DiffusionProblemI", "ParametricProblemII", "build_diffusion_I",
-                 "build_parametric_II", "dense_solve",
-                 "spatial_parametric_singular_values", "load_problem"),
+                 "build_parametric_II", "dense_solve", "load_problem"),
     "solver": ("SolveConfig", "SolveReport", "default_config", "solve",
                "error_certificate"),
 }

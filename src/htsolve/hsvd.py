@@ -7,10 +7,9 @@ single square *root transfer* matrix coupling the two root children.  Stored
 ranks are per effective edge (see :mod:`htsolve.htree`).
 
 The format supports exact arithmetic (addition concatenates ranks, scalar
-multiplication touches the root transfer only, inner products contract the
-tree without densification) and accuracy-controlled reduction, each planned
-once and carried out from its plan, so a certificate always comes from the
-data that chose the result:
+multiplication touches the root transfer only) and accuracy-controlled
+reduction, each planned once and carried out from its plan, so a
+certificate always comes from the data that chose the result:
 
 * :func:`recompress` - hard rank truncation based on the hierarchical SVD,
   ``plan_recompression(h, eta).execute()``; :func:`truncate_to_ranks` runs
@@ -56,7 +55,6 @@ __all__ = [
     "to_dense",
     "add",
     "scale",
-    "inner",
     "norm",
     "orthogonalize",
     "apply_cp",
@@ -433,29 +431,6 @@ def scale(c: float, h: HTensor) -> HTensor:
     """Scalar multiple; only the root transfer changes."""
     return HTensor._trusted(h.tree, h.dims, h.frames, h.transfer,
                             float(c) * h.root_transfer, orthogonal=h.orthogonal)
-
-
-def inner(a: HTensor, b: HTensor) -> float:
-    """Euclidean inner product via a single bottom-up tree contraction."""
-    _check_same_space(a, b)
-    tree = a.tree
-    w: dict[Node, np.ndarray] = {}
-    for node in tree.bottom_up():
-        if node == tree.root:
-            continue
-        if tree.is_leaf(node):
-            w[node] = a.frames[node[0]].T @ b.frames[node[0]]
-        else:
-            left, right = tree.child_pair(node)
-            ta, tb = a.transfer[node], b.transfer[node]
-            (r1, r2, k), (s1, s2, l) = ta.shape, tb.shape
-            # sum_cd w_left[a, c] w_right[b, d] tb[c, d, l], then over a, b
-            t = (w[left] @ tb.reshape(s1, s2 * l)).reshape(r1, s2, l)
-            t = np.matmul(w[right], t)
-            w[node] = ta.reshape(r1 * r2, k).T @ t.reshape(r1 * r2, l)
-    left, right = tree.child_pair(tree.root)
-    return float(np.vdot(a.root_transfer,
-                         w[left] @ b.root_transfer @ w[right].T))
 
 
 def _memoized(h: HTensor, key, compute):

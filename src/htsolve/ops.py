@@ -5,11 +5,12 @@ per-mode square matrices ``M_{r,i}`` (``None`` marks an identity factor) and
 optional diagonal scalings on either side.  A scaling is either
 
 * :class:`DiagonalScaling` - an explicit separable diagonal, applied exactly;
-* :class:`ExpSumScaling` - a certified exponential-sum approximation of the
-  *ideal* inverse-square-root diagonal ``omega(lam) = (sum_i q_i[lam_i])^(-1/2)``
-  built from per-mode level weights ``q_i >= 0``.  The operator *means* the
-  ideal diagonal; tables at any accuracy can be rebuilt on demand, and every
-  application carries a certificate relative to the ideal operator.
+* :class:`ExpSumScaling` - the *ideal* inverse-square-root diagonal
+  ``omega(lam) = (sum_i q_i[lam_i])^(-1/2)`` given by per-mode level weights
+  ``q_i >= 0``, applied through certified exponential-sum tables
+  (:class:`ExpSumTable`).  The operator *means* the ideal diagonal; tables
+  at any accuracy are built on demand, and every application carries a
+  certificate relative to the ideal operator.
 
 The separable structure is what keeps ranks predictable: the Kronecker
 middle and an ``m``-term scaling are sums of CP terms, so
@@ -48,8 +49,8 @@ __all__ = [
     "OperatorBounds",
     "DiagonalScaling",
     "ExpSumScaling",
+    "ExpSumTable",
     "LowRankOperator",
-    "identity_operator",
     "build_scaling",
     "apply_certified",
     "rhs_truncate",
@@ -101,40 +102,37 @@ class DiagonalScaling:
 
 @dataclass(frozen=True)
 class ExpSumScaling:
-    """Certified exponential-sum approximation of an inverse-square-root
-    diagonal.
+    """The ideal diagonal ``(sum_i q_i[lam_i])^(-1/2)`` over every index.
 
-    The approximated (ideal) diagonal is ``(sum_i q_i[lam_i])^(-1/2)`` over
-    every index; the stored form is
-    ``omega~(lam) = sum_j w_j prod_i exp(-t_j q_i[lam_i])``,
-    which acts on a tensor as ``m`` separable diagonals.  ``certified`` is the
-    measured sup of ``|1 - omega~/omega|`` over the verification set (a bound
-    for every row when the rows were verified exhaustively).
+    The level weights ``q_i`` must be nonempty 1-d, finite and nonnegative,
+    with a positive smallest row sum.  :func:`apply_certified` caches here
+    the tables it builds, keyed by their quantized tolerance.
     """
 
-    weights: np.ndarray
-    exponents: np.ndarray
     level_weights: tuple[np.ndarray, ...]
-    tol: float
-    certified: float
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        object.__setattr__(self, "exponents", np.asarray(self.exponents, dtype=np.float64))
-        object.__setattr__(self, "level_weights",
-                           tuple(np.asarray(q, dtype=np.float64) for q in self.level_weights))
-
-    @property
-    def m(self) -> int:
-        return len(self.weights)
+        qs = tuple(np.asarray(q, dtype=np.float64) for q in self.level_weights)
+        if any(q.ndim != 1 or len(q) == 0 for q in qs):
+            raise ValueError("level weights must be nonempty 1-d arrays")
+        if any(not np.isfinite(q).all() for q in qs):
+            raise ValueError("level weights must be finite")
+        if any((q < 0).any() for q in qs):
+            raise ValueError("level weights must be nonnegative")
+        if sum(q.min() for q in qs) <= 0.0:
+            raise ValueError("the smallest row sum must be positive")
+        object.__setattr__(self, "level_weights", qs)
+        object.__setattr__(self, "_tables", {})
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(q) for q in self.level_weights)
 
-    def mode_factors(self, i: int) -> np.ndarray:
-        """(n_i, m) array of per-index exponential factors for mode i."""
-        return np.exp(-np.outer(self.level_weights[i], self.exponents))
+    @property
+    def row_sum_range(self) -> tuple[float, float]:
+        """Smallest row sum ``c`` and normalized range ``X`` (largest / c)."""
+        c = float(sum(q.min() for q in self.level_weights))
+        return c, float(sum(q.max() for q in self.level_weights)) / c
 
     def ideal_dense_diag(self) -> np.ndarray:
         x = self.level_weights[0]
@@ -142,12 +140,21 @@ class ExpSumScaling:
             x = np.add.outer(x, q)
         return x.ravel() ** -0.5
 
-    def approx_dense_diag(self) -> np.ndarray:
-        x = self.level_weights[0]
-        for q in self.level_weights[1:]:
-            x = np.add.outer(x, q)
-        x = x.ravel()
-        return np.exp(-np.outer(x, self.exponents)) @ self.weights
+
+@dataclass(frozen=True)
+class ExpSumTable:
+    """``omega~(lam) = sum_j w_j prod_i exp(-t_j q_i[lam_i])``, ``m``
+    separable diagonals approximating an :class:`ExpSumScaling`;
+    ``certified`` is the sup of ``|1 - omega~/omega|`` over the verification
+    set (a bound for every row when all rows were verified)."""
+
+    weights: np.ndarray
+    exponents: np.ndarray
+    certified: float
+
+    @property
+    def m(self) -> int:
+        return len(self.weights)
 
 
 def _scalar_expsum_relerr(weights, exponents, x: np.ndarray) -> float:
@@ -186,17 +193,18 @@ def _verification_sums(qs, rng) -> np.ndarray:
     return np.unique(np.concatenate(sums))
 
 
-def build_scaling(level_weights, tol: float) -> ExpSumScaling:
+def build_scaling(level_weights, tol: float) -> ExpSumTable:
     """Smallest certified exponential-sum table for the inverse square root
     of ``sum_i q_i[lam_i]`` over every index.
 
     The requested relative tolerance must be below 1 and is clamped to 1/2;
-    level weights must be finite.  The table size is found by doubling plus
-    bisection.  A candidate passes when its sup error against the ideal
-    diagonal is at most ``0.995 delta`` on all extreme level combinations,
-    1000 seeded random rows (every row when there are at most 100k), and a
-    4097-point log grid in the scalar sum (the relative error depends on the
-    row only through the sum, so the grid check dominates both).
+    the level weights are checked as :class:`ExpSumScaling` checks them.
+    The table size is found by doubling plus bisection.  A candidate passes
+    when its sup error against the ideal diagonal is at most ``0.995 delta``
+    on all extreme level combinations, 1000 seeded random rows (every row
+    when there are at most 100k), and a 4097-point log grid in the scalar
+    sum (the relative error depends on the row only through the sum, so the
+    grid check dominates both).
 
     Each candidate is first screened on every 16th of those points.  The sup
     over a subset bounds the full sup from below, so a screen above the
@@ -216,18 +224,9 @@ def build_scaling(level_weights, tol: float) -> ExpSumScaling:
     if tol <= 0.0:
         raise ValueError(f"relative tolerance must be positive, got {tol}")
     delta = min(tol, 0.5)
-    level_weights = tuple(np.asarray(q, dtype=np.float64) for q in level_weights)
-    if any(q.ndim != 1 or len(q) == 0 for q in level_weights):
-        raise ValueError("level weights must be nonempty 1-d arrays")
-    if any(not np.isfinite(q).all() for q in level_weights):
-        raise ValueError("level weights must be finite")
-    if any((q < 0).any() for q in level_weights):
-        raise ValueError("level weights must be nonnegative")
-
-    c = float(sum(q.min() for q in level_weights))
-    if c <= 0.0:
-        raise ValueError("the smallest row sum must be positive")
-    big_x = float(sum(q.max() for q in level_weights)) / c
+    scaling = ExpSumScaling(level_weights)
+    level_weights = scaling.level_weights
+    c, big_x = scaling.row_sum_range
 
     rng = np.random.default_rng(0x5CA1E)
     check_x = _verification_sums(level_weights, rng)
@@ -287,8 +286,7 @@ def build_scaling(level_weights, tol: float) -> ExpSumScaling:
         else:
             lo = mid + 1
     w, t = candidate(hi)
-    return ExpSumScaling(weights=w, exponents=t, level_weights=level_weights,
-                         tol=tol, certified=full_sup(hi))
+    return ExpSumTable(weights=w, exponents=t, certified=full_sup(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +314,14 @@ class LowRankOperator:
     dims : mode sizes.
     terms : iterable of per-mode factor tuples; ``None`` marks an identity.
     scaling_left, scaling_right : optional :class:`DiagonalScaling` (exact) or
-        :class:`ExpSumScaling` (the operator then means the *ideal* diagonal
-        the table approximates).
-    symmetric : declared symmetry of the (scaled) operator.
-    bounds : optional proved :class:`OperatorBounds`.
+        :class:`ExpSumScaling` (the operator then means its *ideal*
+        diagonal).
+    bounds : optional proved :class:`OperatorBounds`; the solvers read them
+        as the spectral bounds of an SPD operator.
     """
 
     def __init__(self, dims, terms, scaling_left=None, scaling_right=None,
-                 symmetric=False, bounds=None):
+                 bounds=None):
         self.dims = tuple(int(n) for n in dims)
         if any(n < 1 for n in self.dims):
             raise ValueError(f"mode sizes must be positive: {self.dims}")
@@ -343,9 +341,7 @@ class LowRankOperator:
                 raise ValueError(f"scaling dims {s.dims} do not match {self.dims}")
         self.scaling_left = scaling_left
         self.scaling_right = scaling_right
-        self.symmetric = bool(symmetric)
         self.bounds = bounds
-        self._table_cache: dict = {}
 
     @property
     def d(self) -> int:
@@ -361,11 +357,6 @@ class LowRankOperator:
             self.scaling_right, ExpSumScaling)
 
 
-def identity_operator(dims) -> LowRankOperator:
-    return LowRankOperator(dims, [(None,) * len(tuple(dims))], symmetric=True,
-                           bounds=OperatorBounds(1.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
@@ -376,26 +367,25 @@ def _check_dims(a: LowRankOperator, v: HTensor):
         raise ValueError(f"operator dims {a.dims} do not match tensor dims {v.dims}")
 
 
-def _expsum_table(a: LowRankOperator, s: ExpSumScaling, beta: float) -> ExpSumScaling:
-    """Rebuild (and cache) a table for the same ideal diagonal at accuracy
-    ``beta``; tolerances are quantized to powers of two for cache reuse."""
-    if beta >= s.certified and s.certified <= min(s.tol, 0.5):
-        return s
+def _expsum_table(s: ExpSumScaling, beta: float) -> ExpSumTable:
+    """The table for ``s`` at accuracy ``beta``, built on first use and
+    cached on ``s``; tolerances are quantized down to powers of two so that
+    nearby requests share a table."""
     quant = 2.0 ** math.floor(math.log2(beta))
-    key = (id(s), quant)
-    if key not in a._table_cache:
-        a._table_cache[key] = build_scaling(s.level_weights, quant)
-    return a._table_cache[key]
+    if quant not in s._tables:
+        s._tables[quant] = build_scaling(s.level_weights, quant)
+    return s._tables[quant]
 
 
-def _apply_side(a: LowRankOperator, s, v: HTensor, beta: float) -> tuple[HTensor, int]:
+def _apply_side(s, v: HTensor, beta: float) -> tuple[HTensor, int]:
     """Apply one scaling as a CP sum in a single sweep; returns the result and
     the number of exp-sum terms used (0 for an exact diagonal)."""
     if isinstance(s, DiagonalScaling):
         return apply_cp(v, [s.vectors]), 0
-    table = _expsum_table(a, s, beta)
-    # term j takes column j of every mode's factor matrix
-    terms = list(zip(*(table.mode_factors(i).T for i in range(v.d))))
+    table = _expsum_table(s, beta)
+    # term j takes exp(-t_j q_i) in every mode i
+    terms = list(zip(*(np.exp(-np.outer(q, table.exponents)).T
+                       for q in s.level_weights)))
     return apply_cp(v, terms, table.weights), table.m
 
 
@@ -406,7 +396,7 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
     The right scaling, the Kronecker middle and the left scaling are each
     applied exactly by one :func:`~htsolve.hsvd.apply_cp` sweep, with no
     intermediate truncation.  The only errors are the exponential-sum table
-    accuracy and one final recompression.  The tables are rebuilt at a
+    accuracy and one final recompression.  The tables are built at a
     relative accuracy ``beta`` sized from the operator's certified upper
     bound so that they contribute at most
     ``beta (2 + beta) upper ||v|| <= eta/4``; the final recompression spends
@@ -454,10 +444,10 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
 
     w = v
     if a.scaling_right is not None:
-        w, info["m_right"] = _apply_side(a, a.scaling_right, w, beta)
+        w, info["m_right"] = _apply_side(a.scaling_right, w, beta)
     w = apply_cp(w, a.terms)
     if a.scaling_left is not None:
-        w, info["m_left"] = _apply_side(a, a.scaling_left, w, beta)
+        w, info["m_left"] = _apply_side(a.scaling_left, w, beta)
     info["pre_ranks"] = w.ranks
     info["recompress_error"] = eta / 2.0
     w = recompress(w, eta / 2.0)

@@ -6,9 +6,9 @@ together with a right-hand side in hierarchical format:
 * high-dimensional diffusion with a constant symmetric positive definite
   coefficient matrix, discretized either in the eigen-sine basis (where the
   Laplacian part is diagonal) or in a synthetic multilevel basis with
-  prescribed ``4**level`` spectral growth, scaled on both sides by an
-  exponential-sum approximation of the inverse square root of the
-  Kronecker-sum diagonal;
+  prescribed ``4**level`` spectral growth, scaled on both sides by the
+  inverse square root of the Kronecker-sum diagonal (applied through
+  exponential-sum tables);
 * 1D parametric diffusion with piecewise-constant inclusion fields and
   normalized Legendre chaos in each parameter, spatially preconditioned so
   the mean-field block is the identity.
@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from htsolve.htree import build_balanced_tree, build_linear_tree
 from htsolve.hsvd import HTensor, norm, random_htensor, scale, to_dense
-from htsolve.ops import LowRankOperator, OperatorBounds, build_scaling
+from htsolve.ops import ExpSumScaling, LowRankOperator, OperatorBounds
 
 __all__ = [
     "DiffusionProblemI",
@@ -38,7 +38,6 @@ __all__ = [
     "build_diffusion_I",
     "build_parametric_II",
     "dense_solve",
-    "spatial_parametric_singular_values",
     "load_problem",
 ]
 
@@ -140,9 +139,9 @@ def _build_rhs(spec, tree, dims, spatial_vector=None) -> HTensor:
 class DiffusionProblemI:
     """Preconditioned high-dimensional diffusion problem.
 
-    ``operator`` is the two-sided exponential-sum-scaled Galerkin matrix of
-    the form ``integral of M grad(u) . grad(v)``; ``rhs`` lives in the scaled
-    coordinates.  ``gamma``/``big_gamma`` are the extreme eigenvalues of the
+    ``operator`` is the Galerkin matrix of the form
+    ``integral of M grad(u) . grad(v)``, scaled on both sides by the inverse
+    square root of its diagonal; ``rhs`` lives in the scaled coordinates.  ``gamma``/``big_gamma`` are the extreme eigenvalues of the
     coefficient matrix, which certify the operator bounds.
     """
 
@@ -160,8 +159,8 @@ class DiffusionProblemI:
         return self.operator.dims
 
 
-def build_diffusion_I(d, basis_spec, m_matrix, rhs_spec=("rank1", None),
-                      scaling_tol: float = 0.1) -> DiffusionProblemI:
+def build_diffusion_I(d, basis_spec, m_matrix,
+                      rhs_spec=("rank1", None)) -> DiffusionProblemI:
     """Assemble the scaled diffusion operator and a right-hand side.
 
     ``basis_spec`` is ``("eigensine", n)`` for n sine modes per direction or
@@ -171,9 +170,11 @@ def build_diffusion_I(d, basis_spec, m_matrix, rhs_spec=("rank1", None),
     diffusion matrix; for the multilevel basis it must be diagonal, since
     the first-derivative coupling is defined in the sine basis only.
 
-    The operator carries the same exponential-sum scaling on both sides,
-    built from level weights ``M_ii * (pi^2 k^2)`` resp. ``M_ii * 4**level``,
-    plus certified spectral bounds derived from the coefficient extremes:
+    The operator carries the same ideal inverse-square-root scaling on both
+    sides, given by the level weights ``M_ii * (pi^2 k^2)`` resp.
+    ``M_ii * 4**level``; no exponential-sum table is built here, since each
+    application builds the ones its accuracy needs.  It also carries
+    certified spectral bounds derived from the coefficient extremes:
     the diagonally scaled operator satisfies
     ``gamma/Gamma <= A <= Gamma/gamma`` (eigen-sine, any SPD M) and
     ``1 - s <= A <= 1 + s`` with the coupling dominance gap ``s`` for the
@@ -232,11 +233,9 @@ def build_diffusion_I(d, basis_spec, m_matrix, rhs_spec=("rank1", None),
                 term[j] = deriv
                 terms.append(tuple(term))
 
-    weights = [m_matrix[i, i] * growth for i in range(d)]
-    scaling = build_scaling(weights, scaling_tol)
+    scaling = ExpSumScaling([m_matrix[i, i] * growth for i in range(d)])
     op = LowRankOperator((n,) * d, terms, scaling_left=scaling,
-                         scaling_right=scaling, symmetric=True,
-                         bounds=OperatorBounds(lo, hi))
+                         scaling_right=scaling, bounds=OperatorBounds(lo, hi))
     tree = build_balanced_tree(d)
     rhs = _build_rhs(rhs_spec, tree, (n,) * d)
     return DiffusionProblemI(d=d, basis=kind, size=size, diffusion=m_matrix,
@@ -277,12 +276,6 @@ class ParametricProblemII:
     @property
     def dims(self):
         return self.operator.dims
-
-    @property
-    def split_dims(self):
-        """Sizes of the spatial-vs-parametric matricization."""
-        nrow = self.dims[0]
-        return nrow, int(np.prod(self.dims[1:]))
 
 
 def _stiffness_1d(coeff: np.ndarray, h: float) -> np.ndarray:
@@ -404,8 +397,7 @@ def build_parametric_II(n, d, inclusion_spec, theta, p,
         raise ValueError("ellipticity violated: an extreme coefficient "
                          "combination loses positivity")
 
-    op = LowRankOperator(dims, terms, symmetric=True,
-                         bounds=OperatorBounds(lo_b, hi_b))
+    op = LowRankOperator(dims, terms, bounds=OperatorBounds(lo_b, hi_b))
     tree = build_linear_tree(d + 1)
     load = s_half @ np.full(n - 1, h)
     rhs = _build_rhs(rhs_spec, tree, dims, spatial_vector=load)
@@ -441,9 +433,10 @@ def _assemble_sparse(a: LowRankOperator) -> sp.csr_array:
 def dense_solve(problem, guard: int = DENSE_SOLVE_GUARD) -> np.ndarray:
     """Direct solution of the assembled matrix equation, shaped like dims.
 
-    Uses a dense factorization below 2000 unknowns and a sparse LU above;
-    asserts the returned solution's residual is at most ``1e-10 |f|``.
-    Exponential-sum scalings enter with their ideal diagonal, matching the
+    Uses a dense factorization below 2000 unknowns and above it a sparse LU
+    ordered for SPD matrices, which both builders' operators are; asserts the
+    returned solution's residual is at most ``1e-10 |f|``.  Exponential-sum
+    scalings enter with their ideal diagonal, matching the
     certified-application semantics of the iterative solvers.
     """
     a = problem.operator
@@ -455,37 +448,19 @@ def dense_solve(problem, guard: int = DENSE_SOLVE_GUARD) -> np.ndarray:
     mat = _assemble_sparse(a)
     if total <= 2000:
         u = np.linalg.solve(mat.toarray(), f)
-    elif a.symmetric:
-        # the symmetric minimum-degree ordering keeps the LU fill (and with
+    else:
+        # a minimum-degree ordering of A^T + A keeps the LU fill (and with
         # it the peak memory) a fraction of the default column ordering's on
         # these tensor-product sparsity patterns
         u = spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0,
                       options=dict(SymmetricMode=True)).solve(f)
-    else:
-        u = spla.splu(sp.csc_matrix(mat)).solve(f)
     resid = np.linalg.norm(mat @ u - f)
     nf = np.linalg.norm(f)
     if resid > 1e-10 * nf:
         raise ArithmeticError(f"direct solver residual {resid:.3g} exceeds "
                               f"1e-10 * |f| = {1e-10 * nf:.3g}")
     return u.reshape(a.dims)
-
-
-def spatial_parametric_singular_values(problem: ParametricProblemII,
-                                       u_dense: np.ndarray) -> np.ndarray:
-    """Singular values of the spatial-vs-parametric matricization.
-
-    ``u_dense`` must be a dense solution array in the problem's
-    preconditioned coordinates (as returned by :func:`dense_solve`), where
-    the Euclidean spatial inner product is the mean-field energy product.
-    """
-    u_dense = np.asarray(u_dense, dtype=np.float64)
-    if u_dense.shape != problem.dims:
-        raise ValueError(f"solution has shape {u_dense.shape}, expected "
-                         f"{problem.dims}")
-    nrow, ncol = problem.split_dims
-    return np.linalg.svd(u_dense.reshape(nrow, ncol), compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +487,22 @@ def _parse_rhs(cfg) -> tuple:
     raise ValueError(f"unknown rhs flavor {flavor!r}")
 
 
+def _reject_unread_keys(path, cfg, scenario: str, read) -> None:
+    unread = sorted(set(cfg.options("problem")) - set(read))
+    if unread:
+        raise ValueError(f"{path}: [problem] key(s) {', '.join(unread)} not "
+                         f"read by the {scenario} scenario")
+
+
 def load_problem(path, rhs_seed=None):
     """Build a problem from a structured text spec file.
 
     The file names the scenario plus its parameters; see the shipped files
-    under ``fixtures/`` for the two formats.  ``rhs_seed`` overrides the seed
-    of a randomized right-hand side and has no effect on any other flavor —
-    seeds control fixture randomization only, never solver behavior.
+    under ``fixtures/`` for the two formats; a ``[problem]`` key the
+    scenario does not read raises ``ValueError`` naming it.  ``rhs_seed``
+    overrides the seed of a randomized right-hand side and has no effect on
+    any other flavor — seeds control fixture randomization only, never
+    solver behavior.
     """
     cfg = configparser.ConfigParser()
     read = cfg.read(path)
@@ -532,17 +516,18 @@ def load_problem(path, rhs_seed=None):
         rhs_spec = ("random", rhs_spec[1], int(rhs_seed))
     if scenario == "diffusion":
         basis = cfg.get("problem", "basis")
-        if basis == "eigensine":
-            basis_spec = ("eigensine", cfg.getint("problem", "modes"))
-        elif basis == "multilevel":
-            basis_spec = ("multilevel", cfg.getint("problem", "max_level"))
-        else:
+        size_key = {"eigensine": "modes", "multilevel": "max_level"}.get(basis)
+        if size_key is None:
             raise ValueError(f"{path}: unknown basis {basis!r}")
+        _reject_unread_keys(path, cfg, scenario, ("scenario", "d", "basis",
+                                                  size_key, "diffusion_matrix"))
+        basis_spec = (basis, cfg.getint("problem", size_key))
         m_matrix = _parse_matrix(cfg.get("problem", "diffusion_matrix"))
-        tol = cfg.getfloat("problem", "scaling_tol", fallback=0.1)
         return build_diffusion_I(cfg.getint("problem", "d"), basis_spec,
-                                 m_matrix, rhs_spec, scaling_tol=tol)
+                                 m_matrix, rhs_spec)
     if scenario == "parametric":
+        _reject_unread_keys(path, cfg, scenario, ("scenario", "intervals", "d",
+                                                  "theta", "degree"))
         n = cfg.getint("problem", "intervals")
         d = cfg.getint("problem", "d")
         theta = cfg.getfloat("problem", "theta")

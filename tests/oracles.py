@@ -9,7 +9,9 @@ the one-sweep :func:`htsolve.hsvd.apply_cp`.  :func:`bh_exponential_sum` is a
 sinc quadrature for ``1/x`` built from scratch.
 :func:`reduction_quasi_optimality_check` runs the package's reductions on
 purpose: it checks their ranks and supports against the best approximations
-of a nearby reference.
+of a nearby reference.  :func:`inner`, :func:`identity_operator`,
+:func:`approx_dense_diag` and :func:`spatial_parametric_singular_values`
+are small references that no solve needs.
 """
 
 import itertools
@@ -36,7 +38,7 @@ from htsolve.hsvd import (
     select_support,
     truncate_to_ranks,
 )
-from htsolve.ops import DiagonalScaling, ExpSumScaling, LowRankOperator
+from htsolve.ops import DiagonalScaling, LowRankOperator, OperatorBounds
 
 
 def matricize(data: np.ndarray, modes) -> np.ndarray:
@@ -46,6 +48,42 @@ def matricize(data: np.ndarray, modes) -> np.ndarray:
     moved = np.transpose(data, modes + rest)
     n_in = int(np.prod([data.shape[i] for i in modes], initial=1))
     return moved.reshape(n_in, -1)
+
+
+def inner(a: HTensor, b: HTensor) -> float:
+    """Euclidean inner product via a single bottom-up tree contraction."""
+    if a.tree != b.tree or a.dims != b.dims:
+        raise ValueError("tensors live in different spaces")
+    tree = a.tree
+    w = {}
+    for node in tree.bottom_up():
+        if node == tree.root:
+            continue
+        if tree.is_leaf(node):
+            w[node] = a.frames[node[0]].T @ b.frames[node[0]]
+        else:
+            left, right = tree.child_pair(node)
+            ta, tb = a.transfer[node], b.transfer[node]
+            (r1, r2, k), (s1, s2, l) = ta.shape, tb.shape
+            # sum_cd w_left[a, c] w_right[b, d] tb[c, d, l], then over a, b
+            t = (w[left] @ tb.reshape(s1, s2 * l)).reshape(r1, s2, l)
+            t = np.matmul(w[right], t)
+            w[node] = ta.reshape(r1 * r2, k).T @ t.reshape(r1 * r2, l)
+    left, right = tree.child_pair(tree.root)
+    return float(np.vdot(a.root_transfer,
+                         w[left] @ b.root_transfer @ w[right].T))
+
+
+def spatial_parametric_singular_values(problem, u_dense: np.ndarray) -> np.ndarray:
+    """Singular values of the spatial-vs-parametric matricization of a dense
+    parametric solution in the problem's preconditioned coordinates (as
+    :func:`htsolve.problems.dense_solve` returns it), where the Euclidean
+    spatial inner product is the mean-field energy product."""
+    u_dense = np.asarray(u_dense, dtype=np.float64)
+    if u_dense.shape != problem.dims:
+        raise ValueError(f"solution has shape {u_dense.shape}, expected "
+                         f"{problem.dims}")
+    return np.linalg.svd(u_dense.reshape(problem.dims[0], -1), compute_uv=False)
 
 
 def dense_edge_singular_values(data: np.ndarray, tree: DimensionTree):
@@ -266,16 +304,38 @@ def _apply_diagonal(s: DiagonalScaling, v: HTensor) -> HTensor:
                    root_transfer=v.root_transfer)
 
 
-def _scaled_term(s: ExpSumScaling, j: int, v: HTensor, factors) -> HTensor:
+def identity_operator(dims) -> LowRankOperator:
+    """The identity on ``dims``, carrying its exact bounds ``(1, 1)``."""
+    return LowRankOperator(dims, [(None,) * len(tuple(dims))],
+                           bounds=OperatorBounds(1.0, 1.0))
+
+
+def mode_factors(level_weights, table, i: int) -> np.ndarray:
+    """(n_i, m) array of a table's per-index exponential factors in mode i."""
+    return np.exp(-np.outer(level_weights[i], table.exponents))
+
+
+def approx_dense_diag(level_weights, table) -> np.ndarray:
+    """The diagonal an :class:`~htsolve.ops.ExpSumTable` stores for these
+    level weights, over every index (row-major)."""
+    x = np.asarray(level_weights[0], dtype=np.float64)
+    for q in level_weights[1:]:
+        x = np.add.outer(x, q)
+    return np.exp(-np.outer(x.ravel(), table.exponents)) @ table.weights
+
+
+def _scaled_term(table, j: int, v: HTensor, factors) -> HTensor:
     frames = {i: factors[i][:, j][:, None] * v.frames[i] for i in range(v.d)}
     out = HTensor(tree=v.tree, dims=v.dims, frames=frames, transfer=v.transfer,
-                  root_transfer=float(s.weights[j]) * v.root_transfer)
+                  root_transfer=float(table.weights[j]) * v.root_transfer)
     return out
 
 
-def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTensor:
-    """Exact application of the stored ``m``-term diagonal (not the ideal one):
-    every edge rank is multiplied by exactly ``m``.
+def apply_scaling(level_weights, table, v: HTensor,
+                  max_entries: float = 2e8) -> HTensor:
+    """Exact application of the ``m``-term diagonal a table stores for these
+    level weights (not the ideal one): every edge rank is multiplied by
+    exactly ``m``.
 
     This literal form is a reference;
     :func:`htsolve.ops.apply_certified` applies the same diagonal in one
@@ -283,9 +343,10 @@ def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTe
     capped by the QR block sizes.  The size guard protects against
     accidental huge allocations.
     """
-    if s.dims != v.dims:
-        raise ValueError(f"scaling dims {s.dims} do not match tensor dims {v.dims}")
-    m = s.m
+    dims = tuple(len(q) for q in level_weights)
+    if dims != v.dims:
+        raise ValueError(f"scaling dims {dims} do not match tensor dims {v.dims}")
+    m = table.m
     biggest = max(
         (m**3 * b.shape[0] * b.shape[1] * b.shape[2] for b in v.transfer.values()),
         default=m**2 * v.root_transfer.size,
@@ -295,10 +356,10 @@ def apply_scaling(s: ExpSumScaling, v: HTensor, max_entries: float = 2e8) -> HTe
             f"exact scaling application would allocate {biggest:.3g} transfer "
             f"entries; use apply_certified instead"
         )
-    factors = [s.mode_factors(i) for i in range(v.d)]
+    factors = [mode_factors(level_weights, table, i) for i in range(v.d)]
     out = None
     for j in range(m):
-        term = _scaled_term(s, j, v, factors)
+        term = _scaled_term(table, j, v, factors)
         out = term if out is None else add(out, term)
     return out
 

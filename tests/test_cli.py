@@ -27,6 +27,11 @@ DIFFUSION_D3 = str(FIXTURES / "diffusion_d3_sine.ini")
 DIFFUSION_D2 = str(FIXTURES / "diffusion_d2_sine.ini")
 PARAMETRIC_D2 = str(FIXTURES / "parametric_d2.ini")
 PARAMETRIC_D4 = str(FIXTURES / "parametric_d4.ini")
+# [problem] keys, without the section header
+DIFFUSION_SPEC = ("scenario = diffusion\nd = 2\nbasis = eigensine\nmodes = 5\n"
+                  "diffusion_matrix =\n  1.0 0.25\n  0.25 1.0\n")
+PARAMETRIC_SPEC = ("scenario = parametric\nintervals = 16\nd = 2\n"
+                   "theta = 0.15\ndegree = 5\n")
 
 
 class TestRunSpec:
@@ -313,12 +318,13 @@ class TestInfoCommand:
         out = capsys.readouterr().out
         assert "terms      = 5" in out
         assert "order      = 5" in out
-        assert "certified=True" in out
+        assert "bounds     = [0.9, 1.1]\n" in out
 
     def test_reports_expsum_scaling(self, capsys):
+        # the ideal diagonal's range: levels 0..5 give row sums 2 .. 2 * 4**5
         assert main(["info", str(FIXTURES / "diffusion_d2_ml5.ini")]) == 0
         out = capsys.readouterr().out
-        assert "exp-sum (m=" in out
+        assert "scaling L  = exp-sum (normalized range [1, 1024])\n" in out
 
 
 # the flags each subcommand reads; every other flag is rejected
@@ -395,14 +401,23 @@ class TestExitCodes:
 
     def test_unreachable_scaling_tolerance_is_infeasible(self, tmp_path,
                                                          capsys):
-        source = (FIXTURES / "diffusion_d2_ml5.ini").read_text()
-        bad = tmp_path / "infeasible.ini"
-        bad.write_text(source.replace("scaling_tol = 0.25",
-                                      "scaling_tol = 1e-18"))
-        code = main(["solve", str(bad), "--eps", "1e-3",
+        # eps 1e-12 asks for exp-sum tables below the floating-point floor
+        code = main(["solve", DIFFUSION_D2, "--eps", "1e-12",
                      "--out", str(tmp_path)])
         assert code == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem,key", [
+        (DIFFUSION_SPEC, "scaling_tol = 0.1"),  # a table tolerance, now unread
+        (DIFFUSION_SPEC, "max_level = 3"),  # the other basis's size
+        (PARAMETRIC_SPEC, "modes = 8"),
+    ])
+    def test_unread_problem_key_is_invalid_input(self, problem, key,
+                                                  tmp_path, capsys):
+        spec = tmp_path / "stale.ini"
+        spec.write_text(f"[problem]\n{key}\n{problem}")
+        assert main(["info", str(spec)]) == 2
+        assert key.split(" =")[0] in capsys.readouterr().err
 
 
 def oracle_solve(problem, eps, out):

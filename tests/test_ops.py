@@ -1,6 +1,7 @@
 """Operator representations, scalings, and certified application vs dense oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,28 +25,33 @@ from htsolve.hsvd import (
 )
 from htsolve.ops import (
     DiagonalScaling,
+    ExpSumScaling,
     LowRankOperator,
     OperatorBounds,
     apply_certified,
     build_scaling,
-    identity_operator,
     rhs_truncate,
 )
-from htsolve.problems import _assemble_sparse
+from htsolve.problems import _assemble_sparse, load_problem
 
 from oracles import (
     apply_exact,
     apply_scaling,
+    approx_dense_diag,
     bh_exponential_sum,
+    identity_operator,
+    mode_factors,
     reference_scaling_table,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def dense_vec(h):
     return to_dense(h).ravel()
 
 
-def random_operator(dims, num_terms, rng, symmetric=False, density=1.0):
+def random_operator(dims, num_terms, rng, density=1.0):
     terms = []
     for _ in range(num_terms):
         term = []
@@ -56,11 +62,9 @@ def random_operator(dims, num_terms, rng, symmetric=False, density=1.0):
             m = rng.standard_normal((n, n))
             if density < 1.0:
                 m *= rng.random((n, n)) < density
-            if symmetric:
-                m = (m + m.T) / 2.0
             term.append(m)
         terms.append(tuple(term))
-    return LowRankOperator(dims, terms, symmetric=symmetric)
+    return LowRankOperator(dims, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +112,7 @@ class TestBuildScaling:
         q = np.pi**2 * np.arange(1, 30, dtype=float) ** 2
         s = build_scaling([q], 1e-6)
         ideal = q**-0.5
-        approx = s.approx_dense_diag()
+        approx = approx_dense_diag([q], s)
         assert np.abs(1.0 - approx / ideal).max() <= 1e-6
 
     def test_exhaustive_small_sets(self):
@@ -116,7 +120,8 @@ class TestBuildScaling:
         for tol in (0.5, 1e-2, 1e-7):
             qs = [np.sort(rng.random(7)) * 40 + 0.5, np.sort(rng.random(5)) * 9 + 1.0]
             s = build_scaling(qs, tol)
-            rel = np.abs(1.0 - s.approx_dense_diag() / s.ideal_dense_diag())
+            ideal = ExpSumScaling(qs).ideal_dense_diag()
+            rel = np.abs(1.0 - approx_dense_diag(qs, s) / ideal)
             assert rel.max() <= tol
             assert s.certified <= tol
             assert rel.max() <= s.certified + 1e-15
@@ -125,7 +130,7 @@ class TestBuildScaling:
         # tolerances are clamped to 1/2 so 1/2 <= approx/ideal <= 3/2 holds
         qs = [np.pi**2 * np.arange(1, 9, dtype=float) ** 2] * 3
         s = build_scaling(qs, 0.5)
-        ratio = s.approx_dense_diag() / s.ideal_dense_diag()
+        ratio = approx_dense_diag(qs, s) / ExpSumScaling(qs).ideal_dense_diag()
         assert ratio.min() >= 0.5 and ratio.max() <= 1.5
 
     def test_size_grows_with_accuracy_and_range(self):
@@ -294,7 +299,7 @@ class TestLowRankOperator:
 
     def test_apply_exact_rejects_expsum(self):
         dims = (3, 3)
-        s = build_scaling([np.array([1.0, 2.0, 3.0])] * 2, 0.25)
+        s = ExpSumScaling([np.array([1.0, 2.0, 3.0])] * 2)
         a = LowRankOperator(dims, [(None, None)], scaling_left=s)
         v = random_htensor(build_balanced_tree(2), dims, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="apply_certified"):
@@ -317,8 +322,8 @@ class TestApplyScaling:
     def test_exact_application(self):
         s = build_scaling(self.qs, 0.3)
         v = random_htensor(self.tree, self.dims, 2, self.rng)
-        w = apply_scaling(s, v)
-        want = s.approx_dense_diag() * dense_vec(v)
+        w = apply_scaling(self.qs, s, v)
+        want = approx_dense_diag(self.qs, s) * dense_vec(v)
         assert np.linalg.norm(dense_vec(w) - want) <= 1e-12 * np.linalg.norm(want)
         assert all(rw == s.m * rv for rw, rv in zip(w.ranks, v.ranks))
 
@@ -326,7 +331,7 @@ class TestApplyScaling:
         s = build_scaling(self.qs, 1e-10)
         v = random_htensor(self.tree, self.dims, 3, self.rng)
         with pytest.raises(ValueError, match="apply_certified"):
-            apply_scaling(s, v, max_entries=1e4)
+            apply_scaling(self.qs, s, v, max_entries=1e4)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +438,9 @@ class TestApplyCP:
         v = random_htensor(tree, dims, 2, rng)
         qs = [np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2 for n in dims]
         s = build_scaling(qs, 0.3)
-        factors = [s.mode_factors(i) for i in range(3)]
+        factors = [mode_factors(qs, s, i) for i in range(3)]
         terms = [tuple(f[:, j] for f in factors) for j in range(s.m)]
-        want = dense_vec(apply_scaling(s, v))
+        want = dense_vec(apply_scaling(qs, s, v))
         got = dense_vec(apply_cp(v, terms, s.weights))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         a = random_operator(dims, 3, rng, density=0.6)
@@ -451,7 +456,7 @@ class TestApplyCP:
         v = random_htensor(tree, dims, 3, rng)
         qs = [np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2 for n in dims]
         s = build_scaling(qs, 1e-4)
-        terms = list(zip(*(s.mode_factors(i).T for i in range(3))))
+        terms = list(zip(*(mode_factors(qs, s, i).T for i in range(3))))
         for i in range(3):
             factors = [t[i] for t in terms]
             per_term = np.hstack([hsvd_module._map_frame(f, v.frames[i])
@@ -488,18 +493,18 @@ class TestApplyCP:
 # ---------------------------------------------------------------------------
 
 
-def ideal_scaled_operator(dims, rng, tol=0.25):
+def ideal_scaled_operator(dims, rng):
     """Kronecker sum of per-mode positive diagonals, ideally scaled on both
     sides: the scaled operator is exactly the identity, so bounds are (1, 1)."""
     qs = [np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2 for n in dims]
-    s = build_scaling(qs, tol)
+    s = ExpSumScaling(qs)
     terms = []
     for i, q in enumerate(qs):
         term = [None] * len(dims)
         term[i] = np.diag(q)
         terms.append(tuple(term))
     return LowRankOperator(dims, terms, scaling_left=s, scaling_right=s,
-                           symmetric=True, bounds=OperatorBounds(1.0, 1.0))
+                           bounds=OperatorBounds(1.0, 1.0))
 
 
 @pytest.mark.parametrize("tree", [build_balanced_tree(4), build_linear_tree(4)],
@@ -542,7 +547,7 @@ class TestApplyCertified:
         ds = DiagonalScaling(tuple(rng.random(n) + 0.5 for n in self.dims))
         a = LowRankOperator(self.dims, [(np.diag(rng.random(5) + 1), None, None),
                                         (None, np.diag(rng.random(4) + 1), None)],
-                            scaling_left=ds, scaling_right=ds, symmetric=True)
+                            scaling_left=ds, scaling_right=ds)
         v = random_htensor(self.tree, self.dims, 2, rng)
         exact = apply_exact(a, v)
         w, info = apply_certified(a, v, 0.0, return_info=True)
@@ -597,6 +602,24 @@ class TestApplyCertified:
         v = random_htensor(self.tree, self.dims, 1, self.rng)
         with pytest.raises(ValueError, match="eta"):
             apply_certified(a, v, eta)
+
+    def test_one_table_shared_by_both_sides(self, monkeypatch):
+        built = []
+        real = ops_module.build_scaling
+
+        def counting(level_weights, tol):
+            built.append(real(level_weights, tol))
+            return built[-1]
+
+        monkeypatch.setattr(ops_module, "build_scaling", counting)
+        p = load_problem(FIXTURES / "diffusion_d3_sine.ini")
+        assert built == []
+        _, info = apply_certified(p.operator, p.rhs, 1e-3, return_info=True)
+        assert len(built) == 1
+        assert info["m_left"] == info["m_right"] == built[0].m
+        # a second application at the same accuracy reuses the cached table
+        apply_certified(p.operator, p.rhs, 1e-3)
+        assert len(built) == 1
 
     def test_table_sizes_respond_to_eta(self):
         a = ideal_scaled_operator(self.dims, self.rng)

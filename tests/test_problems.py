@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import htsolve.ops as ops_module
 from htsolve.hsvd import to_dense
 from htsolve.problems import (
     _assemble_sparse,
@@ -15,8 +16,9 @@ from htsolve.problems import (
     load_problem,
     multilevel_coupling,
     sine_first_derivative,
-    spatial_parametric_singular_values,
 )
+
+from oracles import spatial_parametric_singular_values
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -142,8 +144,7 @@ class TestBuildDiffusionI:
         assert ev[-1] / ev[0] <= 10.0
 
     def test_multilevel_structure(self):
-        p = build_diffusion_I(2, ("multilevel", 3), np.eye(2),
-                              scaling_tol=0.25)
+        p = build_diffusion_I(2, ("multilevel", 3), np.eye(2))
         n = 2**4 - 1
         assert p.dims == (n, n)
         stiff = p.operator.terms[0][0].toarray()
@@ -288,7 +289,7 @@ class TestResidualSandwich:
         lambda: build_diffusion_I(2, ("eigensine", 6),
                                   [[1.0, 0.3], [0.3, 1.0]]),
         lambda: build_diffusion_I(3, ("multilevel", 2), np.diag([1.0, 1.5, 2.0]),
-                                  rhs_spec=("random", 2, 7), scaling_tol=0.25),
+                                  rhs_spec=("random", 2, 7)),
         lambda: build_parametric_II(16, 2, ("disjoint", 2), 0.2, 5),
     ])
     def test_error_residual_equivalence(self, maker):
@@ -317,11 +318,24 @@ class TestProblemSpecFiles:
             assert p.operator.bounds is not None
             assert 0.0 < p.operator.bounds.lower <= p.operator.bounds.upper
 
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in FIXTURES.glob("diffusion_*.ini")))
+    def test_loading_builds_no_expsum_table(self, name, monkeypatch):
+        # tables are built only where an application asks for one; every
+        # table build, under any name, runs the sup check refused here
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exp-sum table was built")
+
+        monkeypatch.setattr(ops_module, "build_scaling", refuse)
+        monkeypatch.setattr(ops_module, "_scalar_expsum_relerr", refuse)
+        p = load_problem(FIXTURES / f"{name}.ini")
+        assert p.operator.scaling_left is p.operator.scaling_right
+
     def test_diffusion_roundtrip(self, tmp_path):
         spec = tmp_path / "p.ini"
         spec.write_text(
             "[problem]\nscenario = diffusion\nd = 2\nbasis = eigensine\n"
-            "modes = 5\nscaling_tol = 0.2\ndiffusion_matrix =\n"
+            "modes = 5\ndiffusion_matrix =\n"
             "  1.0 0.25\n  0.25 1.0\n[rhs]\nflavor = rank1\n")
         p = load_problem(spec)
         assert p.d == 2 and p.basis == "eigensine" and p.dims == (5, 5)

@@ -21,7 +21,7 @@ from htsolve.hsvd import (
     scale,
     to_dense,
 )
-from htsolve.ops import LowRankOperator, OperatorBounds, identity_operator
+from htsolve.ops import LowRankOperator, OperatorBounds
 from htsolve.problems import _assemble_sparse, dense_solve, load_problem
 from htsolve.softthresh import (
     soft_scalar,
@@ -31,7 +31,7 @@ from htsolve.softthresh import (
 )
 from htsolve.tensorfile import ORTHONORMAL_TOL
 
-from oracles import SUM_CASES, random_lowish_rank, random_sum
+from oracles import SUM_CASES, identity_operator, random_lowish_rank, random_sum
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -221,7 +221,7 @@ def kron_sum_operator(mat, d):
         term = [None] * d
         term[i] = mat
         terms.append(tuple(term))
-    return LowRankOperator((n,) * d, terms, symmetric=True)
+    return LowRankOperator((n,) * d, terms)
 
 
 def with_bounds(a, lower, upper):

@@ -20,12 +20,7 @@ from htsolve.hsvd import (
     to_dense,
     zero_htensor,
 )
-from htsolve.ops import (
-    LowRankOperator,
-    OperatorBounds,
-    apply_certified,
-    identity_operator,
-)
+from htsolve.ops import LowRankOperator, OperatorBounds, apply_certified
 from htsolve.problems import dense_solve, load_problem
 from htsolve.solver import (
     SolveConfig,
@@ -38,7 +33,7 @@ from htsolve.solver import (
 )
 from htsolve.softthresh import st_solve
 
-from oracles import reduction_quasi_optimality_check
+from oracles import identity_operator, reduction_quasi_optimality_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -155,7 +150,7 @@ class TestDefaultConfig:
         assert cfg.eps == 0.1
 
     def test_optimal_richardson_formulas(self):
-        a = LowRankOperator((4, 4), [(None, None)], symmetric=True,
+        a = LowRankOperator((4, 4), [(None, None)],
                             bounds=OperatorBounds(2.0, 8.0))
         cfg = default_config(a, uniform_rank_one((4, 4)), eps=1e-3)
         assert cfg.omega == pytest.approx(0.2, rel=1e-14)
@@ -169,7 +164,7 @@ class TestDefaultConfig:
         assert (cfg.kappa1, cfg.kappa2, cfg.kappa3) == (k1, k2, k3)
 
     def test_rejects_nonpositive_lower(self):
-        a = LowRankOperator((4, 4), [(None, None)], symmetric=True,
+        a = LowRankOperator((4, 4), [(None, None)],
                             bounds=OperatorBounds(0.0, 1.0))
         with pytest.raises(ValueError, match="lower"):
             default_config(a, uniform_rank_one((4, 4)), eps=0.1)
@@ -329,7 +324,7 @@ class TestSolveValidation:
             solve(a, f, cfg)
 
     def test_missing_bounds(self):
-        a = LowRankOperator((8, 8), [(None, None)], symmetric=True)
+        a = LowRankOperator((8, 8), [(None, None)])
         f = uniform_rank_one((8, 8))
         cfg = SolveConfig(omega=1.0, rho=0.0, eps0=1.0,
                           kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
@@ -339,7 +334,7 @@ class TestSolveValidation:
     def test_contraction_violation_diagnosed(self):
         # conspicuously wrong bounds: the operator is 2I but claims
         # spectrum [0.5, 0.6], so the scheduled contraction cannot hold
-        a = LowRankOperator((6, 6), [(2.0 * np.eye(6), None)], symmetric=True,
+        a = LowRankOperator((6, 6), [(2.0 * np.eye(6), None)],
                             bounds=OperatorBounds(0.5, 0.6))
         f = uniform_rank_one((6, 6))
         cfg = default_config(a, f, eps=1e-3)
@@ -451,8 +446,7 @@ class TestErrorCertificate:
         with pytest.raises(ValueError, match="res_eta"):
             error_certificate(problem.operator, v, problem.rhs, res_eta=0.0)
         bare = LowRankOperator(problem.operator.dims,
-                               [(None,) * len(problem.operator.dims)],
-                               symmetric=True)
+                               [(None,) * len(problem.operator.dims)])
         with pytest.raises(ValueError, match="bounds"):
             error_certificate(bare, v, problem.rhs, res_eta=1e-6)
 
