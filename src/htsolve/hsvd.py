@@ -617,14 +617,20 @@ class EdgeSpectrum:
     numerical_ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        sig = tuple(_ro(np.asarray(s, dtype=np.float64)) for s in self.sigmas)
+        # the SVD's fresh spectra are frozen in place, not copied
+        sig = tuple(_frozen(np.asarray(s, dtype=np.float64)) for s in self.sigmas)
         tails2, ranks = [], []
         for s in sig:
-            cutoff = ZERO_CUTOFF * s[0] if s.size else 0.0
-            sc = np.where(s > cutoff, s, 0.0)
-            sq = np.cumsum(sc[::-1] ** 2)[::-1]  # ascending accumulation
-            tails2.append(_ro(np.concatenate([sq, [0.0]])))
-            ranks.append(int(np.count_nonzero(sc)))
+            t = np.zeros(s.size + 1)
+            rank = 0
+            if s.size:
+                sc = np.where(s > ZERO_CUTOFF * s[0], s, 0.0)
+                # ascending accumulation, written back to front
+                np.cumsum(np.square(sc[::-1]), out=t[-2::-1])
+                rank = int(np.count_nonzero(sc))
+            t.setflags(write=False)
+            tails2.append(t)
+            ranks.append(rank)
         object.__setattr__(self, "sigmas", sig)
         object.__setattr__(self, "tails2", tuple(tails2))
         object.__setattr__(self, "numerical_ranks", tuple(ranks))

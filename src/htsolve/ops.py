@@ -10,7 +10,11 @@ optional diagonal scalings on either side.  A scaling is either
   ``q_i >= 0``, applied through certified exponential-sum tables
   (:class:`ExpSumTable`).  The operator *means* the ideal diagonal; tables
   at any accuracy are built on demand, and every application carries a
-  certificate relative to the ideal operator.
+  certificate relative to the ideal operator.  :func:`build_scaling` takes
+  its tables from the committed near-best exponential sums
+  (``expsum_tables.npz``, normalized ranges up to ``2^16``) and searches a
+  sinc quadrature only outside them; either way each table is certified by
+  the same sampled check.
 
 The separable structure is what keeps ranks predictable: the Kronecker
 middle and an ``m``-term scaling are sums of CP terms, so
@@ -30,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -193,20 +198,64 @@ def _verification_sums(qs, rng) -> np.ndarray:
     return np.unique(np.concatenate(sums))
 
 
+@functools.cache
+def _near_best_tables() -> dict[float, list]:
+    """The committed near-best tables by range ``R``: ``(sup, weights,
+    exponents)`` for increasing ``m``, in normalized coordinates (they
+    approximate ``x^(-1/2)`` on ``[1, R]``).  Read once per process."""
+    source = resources.files("htsolve").joinpath("expsum_tables.npz")
+    with source.open("rb") as fh, np.load(fh) as data:
+        ranges, sizes, sups = data["R"], data["m"], data["sup"]
+        weights, exponents = data["weights"], data["exponents"]
+    tables: dict[float, list] = {}
+    ends = np.cumsum(sizes)
+    for big_r, m, sup, end in zip(ranges, sizes, sups, ends):
+        tables.setdefault(float(big_r), []).append(
+            (float(sup), weights[end - m:end], exponents[end - m:end]))
+    return tables
+
+
+def _tabulated_candidates(big_x: float, threshold: float):
+    """Normalized ``(weights, exponents)`` of the smallest tabulated range
+    ``R >= big_x``, from the first size whose stored sup is at most
+    ``threshold`` upward; nothing when no range or size qualifies."""
+    tables = _near_best_tables()
+    ranges = [r for r in tables if r >= big_x]
+    if not ranges:
+        return
+    entries = tables[min(ranges)]
+    first = next((i for i, e in enumerate(entries) if e[0] <= threshold), None)
+    if first is None:
+        return
+    for _, w, t in entries[first:]:
+        yield w, t
+
+
 def build_scaling(level_weights, tol: float) -> ExpSumTable:
     """Smallest certified exponential-sum table for the inverse square root
     of ``sum_i q_i[lam_i]`` over every index.
 
     The requested relative tolerance must be below 1 and is clamped to 1/2;
-    the level weights are checked as :class:`ExpSumScaling` checks them.
-    The table size is found by doubling plus bisection.  A candidate passes
-    when its sup error against the ideal diagonal is at most ``0.995 delta``
-    on all extreme level combinations, 1000 seeded random rows (every row
-    when there are at most 100k), and a 4097-point log grid in the scalar
-    sum (the relative error depends on the row only through the sum, so the
-    grid check dominates both).
+    the level weights are checked as :class:`ExpSumScaling` checks them.  A
+    candidate passes when its sup error against the ideal diagonal is at most
+    ``0.995 delta`` on all extreme level combinations, 1000 seeded random
+    rows (every row when there are at most 100k), and a 4097-point log grid
+    in the scalar sum (the relative error depends on the row only through
+    the sum, so the grid check dominates both).  The check is sampled: it
+    proves nothing between its points.
 
-    Each candidate is first screened on every 16th of those points.  The sup
+    Candidates come first from the committed near-best tables
+    (``expsum_tables.npz``, written by ``tools/expsum_tables.py``: ranges
+    ``R = 2^1 .. 2^16``, up to 48 terms, sampled sups down to about 5e-16,
+    except 6e-9 at ``R = 2``; read once per process).  For the smallest tabulated ``R`` at least the
+    normalized range ``X``, the sizes are walked upward from the smallest
+    one whose stored sup is at most ``0.995 delta``, and the first that
+    passes the full check is returned; usually that is the first one.
+
+    When ``X`` exceeds every tabulated range, ``delta`` lies below every
+    stored sup, or no tabulated size passes, a uniform sinc quadrature is
+    searched instead, its size found by doubling plus bisection.  Each of
+    its candidates is first screened on every 16th check point.  The sup
     over a subset bounds the full sup from below, so a screen above the
     threshold (plus an allowance for the dot product's summation order)
     proves the candidate fails without the full check.  A candidate that
@@ -214,8 +263,8 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     per build.  Screening only skips checks whose outcome is already known,
     so the chosen size, its weights, exponents and ``certified`` sup are
     those of the unscreened search.  Raises :class:`ToleranceInfeasibleError`
-    when no table within the hard cap of 4096 terms verifies; the best sup
-    it reports is fully evaluated.
+    when no sinc table within the hard cap of 4096 terms verifies; the best
+    sup it reports is fully evaluated.
     """
     if math.isnan(tol):
         raise ValueError("relative tolerance must be a number, got nan")
@@ -236,6 +285,12 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     # small headroom: between grid points the error can exceed the sampled
     # sup by a sliver (exhaustive row sets are exact already)
     threshold = 0.995 * delta
+
+    for w, t in _tabulated_candidates(big_x, threshold):
+        w, t = w / math.sqrt(c), t / c
+        err = _scalar_expsum_relerr(w * math.sqrt(c), t * c, check_x)
+        if err <= threshold:
+            return ExpSumTable(weights=w, exponents=t, certified=err)
 
     @functools.cache
     def candidate(m: int):
@@ -410,7 +465,8 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
     and norms come from QR and SVD sweeps, with errors of order ``u sigma_1``
     for unit roundoff ``u``; no allowance is added for them.  Dense oracles
     confirm solve certificates down to ``eps = 1e-12`` on the parametric
-    fixtures; on the exp-sum fixtures the tables are infeasible from 1e-10.
+    fixtures and down to 1e-10 on the exp-sum fixtures, whose tables are
+    infeasible at 1e-12.
     """
     _check_dims(a, v)
     if not math.isfinite(eta) or eta < 0:

@@ -20,7 +20,7 @@ reference oracle for every accuracy statement about the iterative solvers.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,8 +141,8 @@ class DiffusionProblemI:
 
     ``operator`` is the Galerkin matrix of the form
     ``integral of M grad(u) . grad(v)``, scaled on both sides by the inverse
-    square root of its diagonal; ``rhs`` lives in the scaled coordinates.  ``gamma``/``big_gamma`` are the extreme eigenvalues of the
-    coefficient matrix, which certify the operator bounds.
+    square root of its diagonal; ``rhs`` lives in the scaled coordinates.
+    ``gamma`` is the smallest eigenvalue of the coefficient matrix.
     """
 
     d: int
@@ -150,7 +150,6 @@ class DiffusionProblemI:
     size: int
     diffusion: np.ndarray
     gamma: float
-    big_gamma: float
     operator: LowRankOperator
     rhs: HTensor
 
@@ -239,8 +238,7 @@ def build_diffusion_I(d, basis_spec, m_matrix,
     tree = build_balanced_tree(d)
     rhs = _build_rhs(rhs_spec, tree, (n,) * d)
     return DiffusionProblemI(d=d, basis=kind, size=size, diffusion=m_matrix,
-                             gamma=gamma, big_gamma=big_gamma, operator=op,
-                             rhs=rhs)
+                             gamma=gamma, operator=op, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +254,9 @@ class ParametricProblemII:
     piecewise-constant fields on a uniform grid of ``n`` intervals and
     parameters ``y_j`` uniform on (-1, 1), expanded in normalized Legendre
     polynomials up to degree ``p``.  The operator acts on coordinates in
-    which the mean-field stiffness block is the identity; ``spatial_transform``
-    maps physical spatial coefficients to these coordinates (it is the
-    inverse square root of the mean-field stiffness matrix), so the Euclidean
-    norm of the transformed coefficients is the mean-field energy norm.
+    which the mean-field stiffness block is the identity (spatial
+    coefficients transformed by the inverse square root of the mean-field
+    stiffness matrix), so their Euclidean norm is the mean-field energy norm.
     """
 
     n: int
@@ -267,11 +264,9 @@ class ParametricProblemII:
     theta: float
     degree: int
     inclusions: tuple
-    mean_field: np.ndarray
     fields: tuple
     operator: LowRankOperator
     rhs: HTensor
-    spatial_transform: np.ndarray = field(repr=False)
 
     @property
     def dims(self):
@@ -402,9 +397,8 @@ def build_parametric_II(n, d, inclusion_spec, theta, p,
     load = s_half @ np.full(n - 1, h)
     rhs = _build_rhs(rhs_spec, tree, dims, spatial_vector=load)
     return ParametricProblemII(n=n, d=d, theta=theta, degree=p,
-                               inclusions=triples, mean_field=mean_field,
-                               fields=tuple(fields), operator=op, rhs=rhs,
-                               spatial_transform=s_half)
+                               inclusions=triples, fields=tuple(fields),
+                               operator=op, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -474,35 +468,38 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _parse_rhs(cfg) -> tuple:
+def _reject_unread(path, cfg, section: str, read, reader: str) -> None:
+    unread = sorted(set(cfg.options(section)) - set(read))
+    if unread:
+        raise ValueError(f"{path}: [{section}] key(s) {', '.join(unread)} not "
+                         f"read by {reader}")
+
+
+def _parse_rhs(path, cfg) -> tuple:
     if not cfg.has_section("rhs"):
         return ("rank1", None)
     flavor = cfg.get("rhs", "flavor")
-    if flavor == "rank1":
-        return ("rank1", None)
+    if flavor not in ("rank1", "random", "y-independent"):
+        raise ValueError(f"unknown rhs flavor {flavor!r}")
+    keys = ("flavor", "rank", "seed") if flavor == "random" else ("flavor",)
+    _reject_unread(path, cfg, "rhs", keys, f"the {flavor} flavor")
     if flavor == "random":
         return ("random", cfg.getint("rhs", "rank"), cfg.getint("rhs", "seed"))
-    if flavor == "y-independent":
-        return ("y-independent",)
-    raise ValueError(f"unknown rhs flavor {flavor!r}")
-
-
-def _reject_unread_keys(path, cfg, scenario: str, read) -> None:
-    unread = sorted(set(cfg.options("problem")) - set(read))
-    if unread:
-        raise ValueError(f"{path}: [problem] key(s) {', '.join(unread)} not "
-                         f"read by the {scenario} scenario")
+    return ("rank1", None) if flavor == "rank1" else ("y-independent",)
 
 
 def load_problem(path, rhs_seed=None):
     """Build a problem from a structured text spec file.
 
     The file names the scenario plus its parameters; see the shipped files
-    under ``fixtures/`` for the two formats; a ``[problem]`` key the
-    scenario does not read raises ``ValueError`` naming it.  ``rhs_seed``
-    overrides the seed of a randomized right-hand side and has no effect on
-    any other flavor — seeds control fixture randomization only, never
-    solver behavior.
+    under ``fixtures/`` for the two formats.  Anything the scenario does not
+    read raises ``ValueError`` naming it: a section other than
+    ``[problem]``, ``[rhs]`` and (parametric only) ``[inclusions]``, a
+    ``[problem]`` key of another scenario or basis, and an ``[rhs]`` key the
+    flavor does not read (``rank`` and ``seed`` belong to ``random``).
+    ``rhs_seed`` overrides the seed of a randomized right-hand side and has
+    no effect on any other flavor — seeds control fixture randomization
+    only, never solver behavior.
     """
     cfg = configparser.ConfigParser()
     read = cfg.read(path)
@@ -511,7 +508,16 @@ def load_problem(path, rhs_seed=None):
     if not cfg.has_section("problem"):
         raise ValueError(f"{path}: missing [problem] section")
     scenario = cfg.get("problem", "scenario")
-    rhs_spec = _parse_rhs(cfg)
+    if scenario not in ("diffusion", "parametric"):
+        raise ValueError(f"{path}: unknown scenario {scenario!r}")
+    sections = {"problem", "rhs"} | ({"inclusions"} if scenario == "parametric"
+                                     else set())
+    unread = sorted(set(cfg.sections()) - sections)
+    if unread:
+        raise ValueError(f"{path}: section(s) "
+                         f"{', '.join(f'[{x}]' for x in unread)} not read by "
+                         f"the {scenario} scenario")
+    rhs_spec = _parse_rhs(path, cfg)
     if rhs_seed is not None and rhs_spec[0] == "random":
         rhs_spec = ("random", rhs_spec[1], int(rhs_seed))
     if scenario == "diffusion":
@@ -519,27 +525,27 @@ def load_problem(path, rhs_seed=None):
         size_key = {"eigensine": "modes", "multilevel": "max_level"}.get(basis)
         if size_key is None:
             raise ValueError(f"{path}: unknown basis {basis!r}")
-        _reject_unread_keys(path, cfg, scenario, ("scenario", "d", "basis",
-                                                  size_key, "diffusion_matrix"))
+        _reject_unread(path, cfg, "problem", ("scenario", "d", "basis",
+                                              size_key, "diffusion_matrix"),
+                       f"the {scenario} scenario")
         basis_spec = (basis, cfg.getint("problem", size_key))
         m_matrix = _parse_matrix(cfg.get("problem", "diffusion_matrix"))
         return build_diffusion_I(cfg.getint("problem", "d"), basis_spec,
                                  m_matrix, rhs_spec)
-    if scenario == "parametric":
-        _reject_unread_keys(path, cfg, scenario, ("scenario", "intervals", "d",
-                                                  "theta", "degree"))
-        n = cfg.getint("problem", "intervals")
-        d = cfg.getint("problem", "d")
-        theta = cfg.getfloat("problem", "theta")
-        p = cfg.getint("problem", "degree")
-        if cfg.has_section("inclusions"):
-            rows = []
-            for key in sorted(cfg.options("inclusions")):
-                lo, hi, amp = (float(x) for x in
-                               cfg.get("inclusions", key).split())
-                rows.append((lo, hi, amp))
-            inclusion_spec = ("explicit", rows)
-        else:
-            inclusion_spec = ("disjoint", d)
-        return build_parametric_II(n, d, inclusion_spec, theta, p, rhs_spec)
-    raise ValueError(f"{path}: unknown scenario {scenario!r}")
+    _reject_unread(path, cfg, "problem", ("scenario", "intervals", "d",
+                                          "theta", "degree"),
+                   f"the {scenario} scenario")
+    n = cfg.getint("problem", "intervals")
+    d = cfg.getint("problem", "d")
+    theta = cfg.getfloat("problem", "theta")
+    p = cfg.getint("problem", "degree")
+    if cfg.has_section("inclusions"):
+        rows = []
+        for key in sorted(cfg.options("inclusions")):
+            lo, hi, amp = (float(x) for x in
+                           cfg.get("inclusions", key).split())
+            rows.append((lo, hi, amp))
+        inclusion_spec = ("explicit", rows)
+    else:
+        inclusion_spec = ("disjoint", d)
+    return build_parametric_II(n, d, inclusion_spec, theta, p, rhs_spec)

@@ -202,19 +202,12 @@ def random_lowish_rank(tree: DimensionTree, dims, rank, rng, noise=0.0):
     return data
 
 
-def reference_scaling_table(level_weights, tol):
-    """The exponential-sum table search as first written, with no screening.
-
-    Doubling from ``m = 2`` then bisection; every candidate is fully checked
-    on the verification sums plus a 4097-point log grid, and the chosen size
-    is checked once more at the end.  Returns ``(m, weights, exponents,
-    certified)``; raises :class:`ToleranceInfeasibleError` with the same
-    message as :func:`htsolve.ops.build_scaling` when no table of at most
-    4096 terms verifies.  Inputs are assumed valid and finite.
-    """
-    from htsolve.errors import ToleranceInfeasibleError
-
-    delta = min(tol, 0.5)
+def reference_check_set(level_weights):
+    """``(c, X, x)``: the smallest row sum ``c``, the normalized range ``X``
+    and the normalized sums ``x`` (in ``[1, X]``) that an exp-sum table is
+    verified on, built as first written: every row sum when there are at
+    most 100k rows, otherwise the extreme level combinations plus 1000 seeded
+    random rows, and a 4097-point log grid."""
     qs = [np.asarray(q, dtype=np.float64) for q in level_weights]
     c = float(sum(q.min() for q in qs))
     big_x = float(sum(q.max() for q in qs)) / c
@@ -235,7 +228,34 @@ def reference_scaling_table(level_weights, tol):
             np.stack([q[i] for q, i in zip(qs, idx)]).sum(axis=0),
         ]))
     grid_x = np.exp(np.linspace(0.0, np.log(big_x), 4097)) * c
-    check_x = np.unique(np.concatenate([check_x, grid_x]))
+    return c, big_x, np.unique(np.concatenate([check_x, grid_x])) / c
+
+
+def sup_error(w, t, x):
+    """sup over ``x`` of ``|1 - sqrt(x) sum_j w_j exp(-t_j x)|``."""
+    worst = 0.0
+    for lo in range(0, len(x), 8192):
+        xc = x[lo:lo + 8192]
+        approx = np.exp(-np.outer(xc, t)) @ w
+        worst = max(worst, float(np.abs(1.0 - np.sqrt(xc) * approx).max()))
+    return worst
+
+
+def reference_scaling_table(level_weights, tol):
+    """The sinc exponential-sum table search as first written, with no
+    screening and no tabulated sums.
+
+    Doubling from ``m = 2`` then bisection; every candidate is fully checked
+    on :func:`reference_check_set`, and the chosen size is checked once more
+    at the end.  Returns ``(m, weights, exponents, certified)``; raises
+    :class:`ToleranceInfeasibleError` with the same message as
+    :func:`htsolve.ops.build_scaling` when no table of at most 4096 terms
+    verifies.  Inputs are assumed valid and finite.
+    """
+    from htsolve.errors import ToleranceInfeasibleError
+
+    delta = min(tol, 0.5)
+    c, big_x, check_x = reference_check_set(level_weights)
 
     def candidate(m):
         d4 = delta / 4.0
@@ -245,17 +265,9 @@ def reference_scaling_table(level_weights, tol):
         h = s[1] - s[0] if m > 1 else 1.0
         return h * np.exp(s / 2.0) / math.sqrt(math.pi * c), np.exp(s) / c
 
-    def sup_error(w, t, x):
-        worst = 0.0
-        for lo in range(0, len(x), 8192):
-            xc = x[lo:lo + 8192]
-            approx = np.exp(-np.outer(xc, t)) @ w
-            worst = max(worst, float(np.abs(1.0 - np.sqrt(xc) * approx).max()))
-        return worst
-
     def verified(m):
         w, t = candidate(m)
-        err = sup_error(w * math.sqrt(c), t * c, check_x / c)
+        err = sup_error(w * math.sqrt(c), t * c, check_x)
         return (err <= 0.995 * delta), err, w, t
 
     m, best_err = 2, np.inf

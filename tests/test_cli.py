@@ -420,6 +420,20 @@ class TestExitCodes:
         assert key.split(" =")[0] in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("problem,extra,named", [
+        (DIFFUSION_SPEC, "[rsh]\nflavor = rank1\n", "[rsh]"),  # misspelled
+        (PARAMETRIC_SPEC, "[rhs]\nflavor = y-independent\nrank = 5\n", "rank"),
+        (DIFFUSION_SPEC, "[inclusions]\ni0 = 0.0 1.0 0.25\n", "[inclusions]"),
+    ])
+    def test_unread_section_or_rhs_key_is_invalid_input(self, problem, extra,
+                                                        named, tmp_path,
+                                                        capsys):
+        spec = tmp_path / "stale.ini"
+        spec.write_text(f"[problem]\n{problem}{extra}")
+        assert main(["info", str(spec)]) == 2
+        assert named in capsys.readouterr().err
+
+
 def oracle_solve(problem, eps, out):
     """``solve --oracle``: exit code, printed dense error (NaN without exit
     0) and the certified upper bound (``min`` of the interval's upper end

@@ -8,8 +8,8 @@ files and says why.  The d = 2 traces cover leaves and root only; the d = 3
 ones also reach interior transfer nodes (square-root spectral sweep,
 interior projection, interior ``apply_cp`` step), and ``diffusion_d3_ml3``
 pins a multilevel exp-sum run.  ``tests/golden/st_<fixture>_eps<eps>.csv`` is
-likewise the ``st_trace.csv`` of ``htsolve st-solve``; that run builds 20
-exp-sum tables of up to 91 terms.
+likewise the ``st_trace.csv`` of ``htsolve st-solve``; that run builds 19
+exp-sum tables of up to 11 terms (from the tabulated near-best sums).
 
 Each run is a child ``python -m htsolve.cli`` process, so BLAS is pinned to
 the CLI's default single thread as in the run that wrote the golden file.

@@ -280,6 +280,36 @@ def test_spectra_tail_accessors():
     assert list(spec.tails2[0]) == [1.0 + 1e-6, 1e-6, 0.0, 0.0, 0.0]
 
 
+def spectrum_formula(s):
+    """Cleaned squared tails and numerical rank, as first written."""
+    cutoff = H.ZERO_CUTOFF * s[0] if s.size else 0.0
+    sc = np.where(s > cutoff, s, 0.0)
+    sq = np.cumsum(sc[::-1] ** 2)[::-1]
+    return np.concatenate([sq, [0.0]]), int(np.count_nonzero(sc))
+
+
+def _random_spectrum(seed):
+    rng = np.random.default_rng(seed)
+    s = np.sort(10.0 ** rng.uniform(-18, 2, size=rng.integers(1, 40)))[::-1]
+    return s.copy()
+
+
+@pytest.mark.parametrize("sigma", [_random_spectrum(k) for k in range(6)] + [
+    np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1e-15, 1e-15]),  # ties, also below cutoff
+    np.array([5.0]),
+    np.zeros(4),
+    np.zeros(0),
+], ids=[f"random{k}" for k in range(6)] + ["tied", "single", "zero", "empty"])
+def test_edge_spectrum_matches_formula_and_freezes_in_place(sigma):
+    want_tails, want_rank = spectrum_formula(sigma.copy())
+    spec = H.EdgeSpectrum(edges=effective_edges(build_balanced_tree(2)),
+                          sigmas=(sigma,))
+    assert spec.tails2[0].tobytes() == want_tails.tobytes()
+    assert spec.numerical_ranks == (want_rank,)
+    assert spec.sigmas[0] is sigma  # frozen, not copied
+    assert not sigma.flags.writeable and not spec.tails2[0].flags.writeable
+
+
 # -- zero root rank ------------------------------------------------------------
 
 

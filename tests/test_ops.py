@@ -1,5 +1,7 @@
 """Operator representations, scalings, and certified application vs dense oracles."""
 
+import importlib.resources
+import importlib.util
 import math
 from pathlib import Path
 
@@ -41,7 +43,9 @@ from oracles import (
     bh_exponential_sum,
     identity_operator,
     mode_factors,
+    reference_check_set,
     reference_scaling_table,
+    sup_error,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -199,21 +203,118 @@ SCALING_CASES = [
     (6, (60, 60, 60), False),
     (7, (120, 100, 80), True),
 ]
+SCALING_TOLS = (0.5, 1e-2, 1e-4, 1e-7, 1e-10)
+EXPSUM_FIXTURES = ("diffusion_d2_sine", "diffusion_d3_sine", "diffusion_d2_ml5",
+                   "diffusion_d3_ml3", "diffusion_d3_ml4")
+
+
+def scaling_case(seed, sizes, subsets):
+    rng = np.random.default_rng(seed)
+    qs = [np.sort(rng.random(n)) * 10.0 ** rng.uniform(0, 4) + rng.uniform(0.05, 2)
+          for n in sizes]
+    if subsets:
+        qs = [q[np.sort(rng.choice(n, size=max(1, n // 2), replace=False))]
+              for q, n in zip(qs, sizes)]
+    return qs
+
+
+def widest_tabulated_range() -> float:
+    return max(ops_module._near_best_tables())
+
+
+class TestNearBestTables:
+    """The committed table file and the tables ``build_scaling`` takes from
+    it."""
+
+    def test_file_is_package_data(self):
+        root = Path(__file__).resolve().parent.parent
+        source = importlib.resources.files("htsolve").joinpath("expsum_tables.npz")
+        assert source.is_file()
+        # a non-editable install copies the file only if it is package data
+        config = (root / "pyproject.toml").read_text()
+        assert ('[tool.setuptools.package-data]\nhtsolve = ["expsum_tables.npz"]'
+                in config)
+
+    def test_entries_reproduce_stored_sups(self):
+        source = importlib.resources.files("htsolve").joinpath("expsum_tables.npz")
+        with source.open("rb") as fh, np.load(fh) as npz:
+            data = {k: npz[k] for k in npz.files}
+        ranges, sizes, sups = data["R"], data["m"], data["sup"]
+        assert set(ranges) == {2.0**k for k in range(1, 17)}
+        assert len(data["weights"]) == len(data["exponents"]) == sizes.sum()
+        ends = np.cumsum(sizes)
+        for big_r, m, sup, end in zip(ranges, sizes, sups, ends):
+            w, t = data["weights"][end - m:end], data["exponents"][end - m:end]
+            assert (w > 0).all() and (np.diff(t) > 0).all() and t[0] > 0
+            x = np.geomspace(1.0, big_r, 16385)
+            got = ops_module._scalar_expsum_relerr(w, t, x)
+            assert got == pytest.approx(sup, rel=1e-9, abs=1e-17), (big_r, m)
+        for big_r in set(ranges):
+            row = ranges == big_r
+            assert list(sizes[row]) == list(range(1, row.sum() + 1))
+            assert (np.diff(sups[row]) < 0).all()
+
+    def test_generator_check_mode_matches_file(self):
+        path = Path(__file__).resolve().parent.parent / "tools" / "expsum_tables.py"
+        spec = importlib.util.spec_from_file_location("expsum_tables", path)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        assert generator.check() == 0
+
+    @pytest.mark.parametrize(
+        "name,qs", [(f"case{c[0]}", scaling_case(*c)) for c in SCALING_CASES]
+        + [(name, load_problem(FIXTURES / f"{name}.ini")
+            .operator.scaling_left.level_weights) for name in EXPSUM_FIXTURES])
+    def test_certified_and_no_larger_than_sinc(self, name, qs):
+        c, big_x, check_x = reference_check_set(qs)
+        exhaustive = int(np.prod([len(q) for q in qs])) <= 100_000
+        ideal = ExpSumScaling(qs).ideal_dense_diag() if exhaustive else None
+        for tol in SCALING_TOLS:
+            s = build_scaling(qs, tol)
+            assert sup_error(s.weights * math.sqrt(c), s.exponents * c,
+                             check_x) <= 0.995 * min(tol, 0.5), tol
+            assert s.m <= reference_scaling_table(qs, tol)[0], tol
+            if exhaustive:
+                rel = np.abs(1.0 - approx_dense_diag(qs, s) / ideal)
+                assert rel.max() <= s.certified + 1e-15, tol
+
+    def test_one_full_check_when_tabulated(self, monkeypatch):
+        seen = []
+        real = ops_module._scalar_expsum_relerr
+
+        def counting(weights, exponents, x):
+            seen.append(len(weights))
+            return real(weights, exponents, x)
+
+        monkeypatch.setattr(ops_module, "_scalar_expsum_relerr", counting)
+        qs = [np.pi**2 * np.arange(1, 9, dtype=float) ** 2] * 2
+        s = build_scaling(qs, 2.0**-20)
+        assert seen == [s.m]
+
+    def test_failing_tables_fall_back_to_sinc(self, monkeypatch):
+        # a stored sup that the full check refutes: the walk passes no entry
+        # and the sinc search decides, bit for bit
+        bogus = {64.0: [(1e-30, np.array([1.0]), np.array([1.0]))]}
+        monkeypatch.setattr(ops_module, "_near_best_tables", lambda: bogus)
+        qs = [np.pi**2 * np.arange(1, 9, dtype=float) ** 2] * 2
+        m, w, t, certified = reference_scaling_table(qs, 1e-6)
+        s = build_scaling(qs, 1e-6)
+        assert s.m == m and s.certified == certified
+        assert np.array_equal(s.weights, w) and np.array_equal(s.exponents, t)
 
 
 class TestScalingTablesMatchReference:
-    """Screening and one full check per size select the same tables, bit for
-    bit, as the unscreened doubling + bisection of ``oracles``."""
+    """Outside the tabulated ranges, screening and one full check per size
+    select the same sinc tables, bit for bit, as the unscreened doubling +
+    bisection of ``oracles``."""
 
     @pytest.mark.parametrize("seed,sizes,subsets", SCALING_CASES)
     def test_bitwise_equal_tables(self, seed, sizes, subsets):
-        rng = np.random.default_rng(seed)
-        qs = [np.sort(rng.random(n)) * 10.0 ** rng.uniform(0, 4) + rng.uniform(0.05, 2)
-              for n in sizes]
-        if subsets:
-            qs = [q[np.sort(rng.choice(n, size=max(1, n // 2), replace=False))]
-                  for q, n in zip(qs, sizes)]
-        for tol in (0.5, 1e-2, 1e-4, 1e-7, 1e-10):
+        # the largest level of each mode grows 1e6-fold, so the normalized
+        # range lies beyond every tabulated one
+        qs = [np.append(q[:-1], q[-1] * 1e6) for q in scaling_case(seed, sizes, subsets)]
+        assert ExpSumScaling(qs).row_sum_range[1] > widest_tabulated_range()
+        for tol in SCALING_TOLS:
             m, w, t, certified = reference_scaling_table(qs, tol)
             s = build_scaling(qs, tol)
             assert s.m == m, tol
@@ -229,7 +330,8 @@ class TestScalingTablesMatchReference:
             return real(weights, exponents, x)
 
         monkeypatch.setattr(ops_module, "_scalar_expsum_relerr", counting)
-        qs = [np.pi**2 * np.arange(1, 33, dtype=float) ** 2] * 2
+        qs = [np.pi**2 * np.arange(1, 300, dtype=float) ** 2] * 2
+        assert ExpSumScaling(qs).row_sum_range[1] > widest_tabulated_range()
         s = build_scaling(qs, 1e-6)
         full_size = max(n for _, n in seen)
         full = [m for m, n in seen if n == full_size]

@@ -1,5 +1,6 @@
 """Problem builders: Galerkin oracles, ellipticity, rank law, dense solve."""
 
+import configparser
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,18 @@ class TestProblemSpecFiles:
             "[rhs]\nflavor = y-independent\n")
         p = load_problem(spec)
         assert p.inclusions == ((0, 8, 0.25),)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.ini")))
+    def test_random_rhs_files_load(self, name, tmp_path):
+        # the fixture with a seeded random right-hand side, as the benchmark
+        # writes its inputs
+        cfg = configparser.ConfigParser()
+        cfg.read(FIXTURES / f"{name}.ini")
+        cfg["rhs"] = {"flavor": "random", "rank": "2", "seed": "7"}
+        spec = tmp_path / "p.ini"
+        with open(spec, "w") as fh:
+            cfg.write(fh)
+        assert max(load_problem(spec).rhs.ranks) == 2
 
     def test_bad_files(self, tmp_path):
         missing = tmp_path / "nope.ini"

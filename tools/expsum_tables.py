@@ -1,0 +1,310 @@
+"""Near-best exponential sums for x^(-1/2): writes ``src/htsolve/expsum_tables.npz``.
+
+Usage, from the repository root::
+
+    python3 tools/expsum_tables.py            # refit every table, rewrite the file
+    python3 tools/expsum_tables.py --check    # refit R = 16, m <= 6 and compare
+
+For each range ``R = 2^k`` (``k = 1 .. 16``) and ``m = 1, 2, ...`` terms the
+generator fits ``S(x) = sum_j w_j exp(-t_j x)`` with free weights and
+exponents so that the relative error ``|1 - sqrt(x) S(x)|`` is close to its
+smallest possible sup over ``[1, R]`` (Braess & Hackbusch, "Approximation of
+1/x by exponential sums in [1, inf)", IMA J. Numer. Anal. 2005; "On the
+efficient computation of high-dimensional integrals and the approximation
+by exponential sums", 2009).  ``m`` grows until the sampled sup stops
+improving (near 5e-16, the rounding floor of the evaluation) or reaches 64.
+
+Each fit works on ``p = (log t, log w)``:
+
+1. an initial guess by continuation, from the fits at ``(R, m-1)`` and
+   ``(R, m-2)`` (each exponent and weight, counted from the smallest
+   exponent, moves on as it moved from ``m-2`` to ``m-1``; one term is added
+   above the largest exponent) and from the fit at ``(2R, m)``;
+2. a Levenberg-Marquardt least-squares fit on 1000 log-spaced points, whose
+   error already changes sign about ``2m`` times;
+3. a Remez exchange on a 20001-point log grid: damped Newton steps make the
+   error equioscillate on ``2m + 1`` reference points, which then move to
+   the extrema of the new error.
+
+The first start whose exchange converges, or whose sup is at most
+``GOOD_GAIN`` times that of ``m - 1`` terms, is taken, else the best one;
+the fit at ``(2R, m)``, which is also a fit on ``[1, R]``, replaces it where
+its sup on ``[1, R]`` is smaller.  A term is added while it shrinks the sup
+by at least the factor ``MIN_GAIN``.  The stored sup is ``htsolve.ops._scalar_expsum_relerr`` (the function
+that certifies tables at run time) over ``SAMPLES`` log-spaced points of
+``[1, R]``.  It is a sampled figure, not a proof: ``ops.build_scaling``
+certifies every table it returns on its own check set.
+
+The file holds, per entry (sorted by ``R``, then ``m``), ``R``, ``m`` and
+``sup``; ``weights`` and ``exponents`` hold every entry's ``m`` values one
+after another, with exponents increasing within an entry.  The full run took
+668 s (449 tables, up to 48 terms) on one core of a 2-core x86 machine
+(Python 3.11, numpy 2.4, scipy 1.17); ``--check`` takes a few seconds.  At
+``R = 2`` no fit with more than 4 terms improved on 6e-9, so below that the
+run-time search falls back to sinc tables there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+from scipy.optimize import least_squares
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from htsolve.ops import _scalar_expsum_relerr  # noqa: E402
+
+OUT = ROOT / "src" / "htsolve" / "expsum_tables.npz"
+RANGES = [2.0**k for k in range(1, 17)]
+MAX_TERMS = 64
+SAMPLES = 16385
+FIT_POINTS = 1000
+REMEZ_GRID = 20001
+# a new term must shrink the sup by at least this factor to be kept; a fit
+# that shrinks it by GOOD_GAIN ends the search over starting guesses
+MIN_GAIN = 0.9
+GOOD_GAIN = 0.6
+
+
+def _split(p):
+    m = len(p) // 2
+    return np.exp(p[:m]), np.exp(p[m:])
+
+
+def _terms(p, x):
+    m = len(p) // 2
+    t = np.exp(p[:m])
+    return np.exp(p[m:][None, :] - np.outer(x, t)), t
+
+
+def _error(p, x):
+    """sqrt(x) S(x) - 1 (the negative of the certified relative error)."""
+    e, _ = _terms(p, x)
+    return np.sqrt(x) * e.sum(axis=1) - 1.0
+
+
+def _jacobian(p, x):
+    e, t = _terms(p, x)
+    sx = np.sqrt(x)
+    return np.hstack([-(sx * x)[:, None] * e * t[None, :], sx[:, None] * e])
+
+
+def _least_squares(p, big_r):
+    x = np.geomspace(1.0, big_r, FIT_POINTS)
+    fit = least_squares(lambda q: _error(q, x), p, jac=lambda q: _jacobian(q, x),
+                        method="lm", x_scale="jac", xtol=1e-15, ftol=1e-15,
+                        gtol=1e-15, max_nfev=3000)
+    return fit.x
+
+
+def _equioscillate(p, xref, signs, level):
+    """Damped Newton steps on ``error(x_i) = signs_i * E``, ``2m + 1`` equations
+    in ``(p, E)``; stops when a step no longer reduces the residual."""
+    q = np.append(p, level)
+
+    def residual(q):
+        return _error(q[:-1], xref) - signs * q[-1]
+
+    f = residual(q)
+    nf = np.linalg.norm(f)
+    for _ in range(30):
+        jac = np.hstack([_jacobian(q[:-1], xref), -signs[:, None]])
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0
+        dq = np.linalg.lstsq(jac / scale, -f, rcond=None)[0] / scale
+        lam = 1.0
+        while lam > 1e-4:
+            qn = q + lam * dq
+            fn = residual(qn)
+            nfn = np.linalg.norm(fn)
+            if np.isfinite(nfn) and nfn < nf:
+                break
+            lam /= 2.0
+        else:
+            break
+        q, f, nf = qn, fn, nfn
+        if lam == 1.0 and np.abs(dq).max() < 1e-13:
+            break
+    return q[:-1]
+
+
+def _remez(p, big_r, iterations=30):
+    """Remez exchange from ``p``; returns the parameters of the smallest grid
+    sup seen, that sup, and whether the exchange converged (the sup within
+    1e-3 of the smallest reference error)."""
+    m = len(p) // 2
+    grid = np.geomspace(1.0, big_r, REMEZ_GRID)
+    best, best_sup = p, np.abs(_error(p, grid)).max()
+    if not np.isfinite(best_sup):
+        best_sup = np.inf
+    for _ in range(iterations):
+        e = _error(p, grid)
+        if not np.isfinite(e).all():
+            break
+        cuts = np.flatnonzero(np.sign(e[1:]) != np.sign(e[:-1])) + 1
+        idx = np.array([seg[np.argmax(np.abs(e[seg]))]
+                        for seg in np.split(np.arange(len(grid)), cuts)])
+        if len(idx) < 2 * m + 1:
+            break
+        while len(idx) > 2 * m + 1:  # drop the smaller end extremum
+            idx = idx[1:] if abs(e[idx[0]]) < abs(e[idx[-1]]) else idx[:-1]
+        sup = np.abs(e).max()
+        if sup < best_sup:
+            best, best_sup = p, sup
+        if sup - np.abs(e[idx]).min() <= 1e-3 * sup:
+            return best, best_sup, True
+        p = _equioscillate(p, grid[idx], np.sign(e[idx]),
+                           np.abs(e[idx]).mean())
+    return best, best_sup, False
+
+
+def _sorted(p):
+    m = len(p) // 2
+    order = np.argsort(p[:m])
+    return p[:m][order], p[m:][order]
+
+
+def _grow(p1, p2):
+    """Initial guess for ``m`` terms from the fits with ``m - 1`` (``p1``) and
+    ``m - 2`` (``p2``, may be None) terms."""
+    a1, b1 = _sorted(p1)
+    if len(a1) == 1:
+        return np.array([a1[0] - 0.5, a1[0] + 0.5, b1[0] - 0.7, b1[0] - 0.7])
+    if p2 is None or len(a1) < 3:
+        # spread the m - 1 terms over m positions, half a step beyond each end
+        u, v = np.arange(len(a1)), np.arange(len(a1) + 1) - 0.5
+        an, bn = np.interp(v, u, a1), np.interp(v, u, b1)
+        an[0], an[-1] = a1[0] - (a1[1] - a1[0]) / 2, a1[-1] + (a1[-1] - a1[-2]) / 2
+        bn[0], bn[-1] = b1[0] - (b1[1] - b1[0]) / 2, b1[-1] + (b1[-1] - b1[-2]) / 2
+        return np.concatenate([an, bn])
+    a2, b2 = _sorted(p2)
+    k = len(a2)
+    da, db = a1[:k] - a2, b1[:k] - b2
+    da = np.append(da, 2 * da[-1] - da[-2])
+    db = np.append(db, 2 * db[-1] - db[-2])
+    an, bn = a1 + da, b1 + db
+    g1, g2 = a1[-1] - a1[-2], a2[-1] - a2[-2]
+    an = np.append(an, an[-1] + max(2 * g1 - g2, 0.3 * g1))
+    bn = np.append(bn, 2 * b1[-1] - b2[-1])
+    return np.concatenate([an, bn])
+
+
+def _first_term(big_r):
+    """One term: the best of a few starting exponents."""
+    starts = [np.array([a, -0.2]) for a in np.linspace(-np.log(big_r) - 1, 1, 5)]
+    return _fit(starts, big_r)
+
+
+def _fit(starts, big_r, good=0.0):
+    """The first fit from ``starts`` that converged or reached a grid sup of
+    at most ``good``, else the one with the smallest grid sup (None if every
+    start failed)."""
+    best, best_sup = None, np.inf
+    for p0 in starts:
+        try:
+            p, sup, converged = _remez(_least_squares(p0, big_r), big_r)
+        except (np.linalg.LinAlgError, ValueError):
+            continue
+        if converged or sup <= good:
+            return p, sup
+        if sup < best_sup:
+            best, best_sup = p, sup
+    return best, best_sup
+
+
+def _table(p):
+    """``(weights, exponents)`` of ``p``, by increasing exponent."""
+    t, w = _split(p)
+    order = np.argsort(t)
+    return w[order], t[order]
+
+
+def sampled_sup(weights, exponents, big_r) -> float:
+    """The stored figure: the run-time check's sup over SAMPLES points."""
+    return _scalar_expsum_relerr(weights, exponents,
+                                 np.geomspace(1.0, big_r, SAMPLES))
+
+
+def fit_range(big_r, max_terms=MAX_TERMS, wider=None, log=print):
+    """Fits for ``m = 1, 2, ...`` on ``[1, big_r]``; ``wider`` maps m to the
+    fit on ``[1, 2 big_r]``.  Returns ``{m: (p, sup)}``."""
+    fits, prev = {}, [None, None]
+    for m in range(1, max_terms + 1):
+        if m == 1:
+            p, _ = _first_term(big_r)
+        else:
+            starts = [_grow(prev[-1], prev[-2])]
+            if wider and m in wider:
+                starts.append(wider[m][0])
+            if m >= 3:
+                starts.append(_grow(prev[-1], None))
+            p, _ = _fit(starts, big_r, good=GOOD_GAIN * fits[m - 1][1])
+        # a fit on [1, 2R] is also one on [1, R]: keep whichever is better
+        if wider and m in wider:
+            candidates = [q for q in (p, wider[m][0]) if q is not None]
+        else:
+            candidates = [] if p is None else [p]
+        if not candidates:
+            break
+        sups = [sampled_sup(*_table(q), big_r) for q in candidates]
+        p, sup = candidates[int(np.argmin(sups))], min(sups)
+        if m > 1 and not sup < MIN_GAIN * fits[m - 1][1]:
+            break
+        order = np.argsort(p[:m])
+        fits[m] = (p[np.r_[order, order + m]], sup)
+        prev = [prev[-1], fits[m][0]]
+        log(f"R = {big_r:g}, m = {m}: sup {sup:.3e}")
+    return fits
+
+
+def write(path=OUT):
+    start = time.perf_counter()
+    rows, wider = [], None
+    for big_r in reversed(RANGES):
+        wider = fit_range(big_r, wider=wider)
+        rows.extend((big_r, m, p, sup) for m, (p, sup) in wider.items())
+    rows.sort(key=lambda r: (r[0], r[1]))
+    weights, exps = zip(*(_table(p) for _, _, p, _ in rows))
+    np.savez(path,
+             R=np.array([r[0] for r in rows]),
+             m=np.array([r[1] for r in rows], dtype=np.int64),
+             sup=np.array([r[3] for r in rows]),
+             weights=np.concatenate(weights),
+             exponents=np.concatenate(exps))
+    print(f"wrote {len(rows)} tables to {path} in "
+          f"{time.perf_counter() - start:.0f} s")
+
+
+def check(path=OUT, big_r=16.0, max_terms=6) -> int:
+    """Refit ``[1, big_r]`` up to ``max_terms`` terms; every sup must match the
+    stored one to 1e-3 relative.  Returns the exit code."""
+    with np.load(path) as data:
+        stored = {int(m): float(s) for r, m, s in
+                  zip(data["R"], data["m"], data["sup"]) if r == big_r}
+    bad = 0
+    for m, (_, sup) in fit_range(big_r, max_terms, log=lambda s: None).items():
+        ok = m in stored and abs(sup - stored[m]) <= 1e-3 * stored[m]
+        bad += not ok
+        print(f"R = {big_r:g}, m = {m}: refit {sup:.6e}, stored "
+              f"{stored.get(m, float('nan')):.6e} {'ok' if ok else 'MISMATCH'}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help="refit R = 16, m <= 6 and compare with the stored sups")
+    args = ap.parse_args(argv)
+    if args.check:
+        return check()
+    write()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
