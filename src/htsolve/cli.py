@@ -361,8 +361,6 @@ def _fit_slope(x, y) -> float:
 
 
 def _cmd_bench(spec: RunSpec) -> int:
-    import numpy as np
-
     from htsolve.hsvd import contractions
     from htsolve.solver import solve
 
@@ -371,7 +369,7 @@ def _cmd_bench(spec: RunSpec) -> int:
     for eps in _BENCH_EPS:
         cfg = _solver_config(problem, spec, eps)
         u, report = solve(problem.operator, problem.rhs, cfg)
-        supports = [int(np.count_nonzero(p > 0.0)) for p in contractions(u).pis]
+        supports = contractions(u).supports
         rows.append({
             "eps": eps,
             "abs_ln_eps": abs(math.log(eps)),

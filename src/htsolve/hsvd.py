@@ -470,7 +470,7 @@ def _orthogonal_form(h: HTensor) -> HTensor:
 
 
 def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
-              weights=None) -> HTensor:
+              weights=None, groups=None) -> HTensor:
     """Orthogonal form of ``sum_j w_j T_j`` for ``m`` tensors ``T_j`` that
     share their transfer tensors and root transfer ``root``.
 
@@ -485,16 +485,25 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
     leaves the root transfer diagonal with the root-edge singular values on
     it.
 
-    Nothing is truncated, so the result equals the sum up to roundoff.  A
-    leaf rank is at most ``min(n_i, m r_i)``, an interior rank at most
-    ``min(q_left q_right, m r_node)`` for the children's new ranks ``q``, and
+    ``groups`` (from :func:`_term_groups`, ``None`` when no terms coincide)
+    maps each non-root node to its terms' group labels and one
+    representative term per group.  Terms of one group are the same tensor
+    below the node, so a node factors one block per group: ``leaves[i]``
+    then stacks the representatives only, an interior node takes each
+    child's R block of its representatives, and the root core gives every
+    term its group's block (``R[:, labels]``).
+
+    Nothing is truncated, so the result equals the sum up to roundoff.  With
+    ``g`` the number of groups at a node (``m`` without grouping), a leaf
+    rank is at most ``min(n_i, g r_i)``, an interior rank at most
+    ``min(q_left q_right, g r_node)`` for the children's new ranks ``q``, and
     the root rank is the smaller root child rank (see :func:`_stored_ranks`).
     A zero root rank yields the canonical zero tensor.
     """
     m = 1 if weights is None else len(weights)
     frames: dict[int, np.ndarray] = {}
     out: dict[Node, np.ndarray] = {}
-    rfac: dict[Node, np.ndarray] = {}  # (q, m, r): R factor, one block per term
+    rfac: dict[Node, np.ndarray] = {}  # (q, g, r): R factor, one block per group
     for node in tree.bottom_up():
         if node == tree.root:
             continue
@@ -504,14 +513,21 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
         else:
             left, right = tree.child_pair(node)
             rl, rr = rfac[left], rfac[right]
+            if groups is not None:
+                reps = groups[node][1]
+                rl = rl[:, groups[left][0][reps]]
+                rr = rr[:, groups[right][0][reps]]
             q, r = np.linalg.qr(_stacked_block(rl, rr, transfer[node]))
             out[node] = q.reshape(rl.shape[0], rr.shape[0], q.shape[1])
-        rfac[node] = r.reshape(r.shape[0], m, r.shape[1] // m)
+        g = m if groups is None else len(groups[node][1])
+        rfac[node] = r.reshape(r.shape[0], g, r.shape[1] // g)
 
     left, right = tree.child_pair(tree.root)
     rl, rr = rfac[left], rfac[right]
     if rl.shape[0] == 0 or rr.shape[0] == 0:
         return zero_htensor(tree, dims)
+    if groups is not None:
+        rl, rr = rl[:, groups[left][0]], rr[:, groups[right][0]]
     # core = sum_j w_j R_L[:, j] B R_R[:, j]^T as one matrix product
     lb = (rl.reshape(-1, rl.shape[2]) @ root).reshape(rl.shape[0], m, -1)
     if weights is not None:
@@ -568,6 +584,42 @@ def _leaf_stack(factors, u: np.ndarray) -> np.ndarray:
     return np.hstack([_map_frame(f, u) for f in factors])
 
 
+def _term_groups(tree: DimensionTree, terms):
+    """The terms grouped by their factors on each non-root node's modes, for
+    :func:`_qr_sweep`; ``None`` when every leaf's factors are pairwise
+    distinct (then so is every node's, and nothing groups).
+
+    Two terms share a group at a node when, mode by mode, their factors
+    there are the same object (every ``None`` is the same identity); a
+    parent's group is thus a pair of child groups.  ``groups[node]`` is
+    ``(labels, reps)``: term ``j``'s group ``labels[j]``, groups numbered by
+    first occurrence, and ``reps[k]`` the first term of group ``k``.
+    """
+    m = len(terms)
+    if all(len(set(map(id, factors))) == m for factors in zip(*terms)):
+        return None
+    labels: dict[Node, list[int]] = {}
+    groups = {}
+    for node in tree.bottom_up():
+        if node == tree.root:
+            continue
+        if tree.is_leaf(node):
+            keys = [id(t[node[0]]) for t in terms]
+        else:
+            left, right = tree.child_pair(node)
+            keys = list(zip(labels[left], labels[right]))
+        index: dict = {}
+        reps = []
+        for j, key in enumerate(keys):
+            if key not in index:
+                index[key] = len(reps)
+                reps.append(j)
+        labels[node] = [index[key] for key in keys]
+        groups[node] = (np.array(labels[node], dtype=np.intp),
+                        np.array(reps, dtype=np.intp))
+    return groups
+
+
 def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     """Exact ``sum_j w_j (M_j1 x ... x M_jd) h`` in orthogonal form.
 
@@ -577,7 +629,16 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     ``[M_1i U_i ... M_mi U_i]`` (:func:`_leaf_stack`) and the unchanged
     transfer tensors go through one :func:`_qr_sweep`, which never forms the
     sum's block-diagonal transfers and truncates nothing, so the result
-    equals the sum up to roundoff.  Its ranks are within each node's own
+    equals the sum up to roundoff.
+
+    Terms whose factors on a node's modes are the same objects (``None``
+    being the identity) are the same tensor below that node, so the sweep
+    factors them once there (:func:`_term_groups`): a leaf stacks only its
+    distinct factors, and an interior node one block per distinct
+    restricted term.  With ``g`` distinct restricted terms at a node
+    (``g = m`` where all differ), its rank is at most
+    ``min(q_left q_right, g r_node)`` for the children's new ranks ``q``
+    (``min(n_i, g r_i)`` at a leaf).  The ranks are within each node's own
     matricization size but, below the root children, may exceed the size of
     its complement (like any exact sum, see :class:`HTensor`); a
     recompression removes such excess.
@@ -590,9 +651,13 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
-    leaves = {i: _leaf_stack([t[i] for t in terms], h.frames[i])
-              for i in range(h.d)}
-    return _qr_sweep(h.tree, h.dims, leaves, h.transfer, h.root_transfer, w)
+    groups = _term_groups(h.tree, terms)
+    leaves = {}
+    for i in range(h.d):
+        picked = terms if groups is None else [terms[j] for j in groups[(i,)][1]]
+        leaves[i] = _leaf_stack([t[i] for t in picked], h.frames[i])
+    return _qr_sweep(h.tree, h.dims, leaves, h.transfer, h.root_transfer, w,
+                     groups)
 
 
 # -- spectra and hard truncation ----------------------------------------------
@@ -970,6 +1035,17 @@ class ContractionSet:
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.pis[i]
+
+    @property
+    def supports(self) -> tuple[int, ...]:
+        """Per mode, the number of slices of numerically nonzero mass.
+
+        As for singular values in :class:`EdgeSpectrum`, a value at or below
+        ``ZERO_CUTOFF`` times the largest scale counts as zero; here that
+        scale is ``norm(pis[i])``, the tensor's norm for every mode.
+        """
+        return tuple(int(np.count_nonzero(p > ZERO_CUTOFF * np.linalg.norm(p)))
+                     for p in self.pis)
 
 
 def contractions(h: HTensor) -> ContractionSet:

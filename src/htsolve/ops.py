@@ -19,7 +19,10 @@ optional diagonal scalings on either side.  A scaling is either
 The separable structure is what keeps ranks predictable: the Kronecker
 middle and an ``m``-term scaling are sums of CP terms, so
 :func:`~htsolve.hsvd.apply_cp` applies each of them exactly in one
-orthogonalizing sweep whose ranks are capped by the QR block sizes.
+orthogonalizing sweep whose ranks are capped by the QR block sizes.  A
+node's block has one column block per distinct term restricted to the
+node's modes: a Kronecker term is the identity away from its own modes, so
+terms that coincide on a subtree are factored once there.
 
 :func:`apply_certified` is the one way to apply an operator: given a
 tolerance ``eta`` it sizes the scaling tables from the operator's certified

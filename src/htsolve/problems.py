@@ -142,14 +142,12 @@ class DiffusionProblemI:
     ``operator`` is the Galerkin matrix of the form
     ``integral of M grad(u) . grad(v)``, scaled on both sides by the inverse
     square root of its diagonal; ``rhs`` lives in the scaled coordinates.
-    ``gamma`` is the smallest eigenvalue of the coefficient matrix.
     """
 
     d: int
     basis: str
     size: int
     diffusion: np.ndarray
-    gamma: float
     operator: LowRankOperator
     rhs: HTensor
 
@@ -238,7 +236,7 @@ def build_diffusion_I(d, basis_spec, m_matrix,
     tree = build_balanced_tree(d)
     rhs = _build_rhs(rhs_spec, tree, (n,) * d)
     return DiffusionProblemI(d=d, basis=kind, size=size, diffusion=m_matrix,
-                             gamma=gamma, operator=op, rhs=rhs)
+                             operator=op, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -412,9 +412,7 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
                 "j": j,
                 "eta": float(eta),
                 "ranks": tuple(int(x) for x in w.ranks),
-                "supports": tuple(
-                    int(np.count_nonzero(p > 0.0)) for p in contractions(w).pis
-                ),
+                "supports": contractions(w).supports,
                 "res_lo": float(res_lo),
                 "res_hi": float(res_hi),
             })
@@ -431,9 +429,7 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
             "k": k,
             "bound": 2.0 ** (-k) * cfg.eps0,
             "ranks": tuple(int(x) for x in u.ranks),
-            "supports": tuple(
-                int(np.count_nonzero(p > 0.0)) for p in contractions(u).pis
-            ),
+            "supports": contractions(u).supports,
             "wall": time.perf_counter() - tick,
         })
 

@@ -490,8 +490,23 @@ def assert_orthonormal(h):
         assert np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() <= 1e-12
 
 
+def dense_apply(terms, weights, x):
+    """``sum_j w_j (M_j1 x ... x M_jd) x`` on a dense array, one mode
+    product at a time."""
+    total = np.zeros_like(x)
+    for w, term in zip(weights, terms):
+        y = x
+        for i, f in enumerate(term):
+            f = dense_factor(f, x.shape[i])
+            y = np.moveaxis(np.tensordot(f, y, axes=(1, i)), 0, i)
+        total += w * y
+    return total
+
+
 CP_TREES = [build_balanced_tree(2), build_balanced_tree(3), build_balanced_tree(4),
             build_linear_tree(2), build_linear_tree(3), build_linear_tree(4)]
+GROUPING_TREES = [build_balanced_tree(d) for d in (3, 4, 5)] + [
+    build_linear_tree(d) for d in (3, 4, 5)]
 
 
 class TestApplyCP:
@@ -574,6 +589,66 @@ class TestApplyCP:
                    for n in want.transfer)
         assert np.array_equal(got.root_transfer, want.root_transfer)
 
+    @pytest.mark.parametrize("tree", GROUPING_TREES,
+                             ids=lambda t: f"d{t.d}-{len(t.children[t.root][0])}")
+    def test_shared_factors_factored_once(self, tree):
+        # mode i draws from {None, a matrix A_i, a diagonal D_i}: terms that
+        # coincide below a node are one block there, so its rank is at most
+        # g_node * r_node
+        rng = np.random.default_rng(40 + tree.d)
+        dims = tuple(int(n) for n in rng.integers(5, 7, size=tree.d))
+        v = random_htensor(tree, dims, 2, rng)
+        pool = [(None, rng.standard_normal((n, n)), rng.random(n) + 0.5)
+                for n in dims]
+        terms = [tuple(pool[i][int(k)] for i, k in
+                       enumerate(rng.integers(0, 3, size=tree.d)))
+                 for _ in range(6)]
+        weights = rng.standard_normal(6)
+        w = apply_cp(v, terms, weights)
+        want = dense_apply(terms, weights, to_dense(v))
+        assert np.linalg.norm(to_dense(w) - want) <= 1e-12 * np.linalg.norm(want)
+        assert_orthonormal(w)
+        for node, r_out, r_in in zip(v.edge_list, w.ranks, v.ranks):
+            g = len({tuple(id(t[i]) for i in node) for t in terms})
+            assert r_out <= g * r_in, node
+
+    def test_repeated_term_is_one_term_with_summed_weight(self):
+        rng = np.random.default_rng(41)
+        tree, dims = build_linear_tree(4), (4, 5, 3, 4)
+        v = random_htensor(tree, dims, 2, rng)
+        t = mixed_terms(dims, 1, rng)[0]
+        twice = apply_cp(v, [t, t], [0.3, 1.1])
+        once = apply_cp(v, [t], [1.4])
+        assert twice.ranks == once.ranks
+        want = to_dense(once)
+        assert np.linalg.norm(to_dense(twice) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_parametric_blocks_have_one_column_block_per_distinct_term(
+            self, monkeypatch):
+        # parametric d = 4 on the linear tree (0, (1, (2, (3, 4)))): the
+        # identity term and the terms of parameters 1, 2 agree on modes 3, 4,
+        # and those of parameters 0, 1 on modes 2, 3, 4
+        problem = load_problem(FIXTURES / "parametric_d4.ini")
+        tree = problem.rhs.tree
+        k = 3
+        v = random_htensor(tree, problem.dims, k, np.random.default_rng(42))
+        shapes = []
+        qr = hsvd_module.np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(hsvd_module.np.linalg, "qr", recording_qr)
+        apply_cp(v, problem.operator.terms)
+        # the sweep factors every non-root node once, bottom-up
+        nodes = [n for n in tree.bottom_up() if n != tree.root]
+        assert len(shapes) == len(nodes)
+        block = dict(zip(nodes, shapes))
+        assert len(problem.operator.terms) == 5
+        assert block[(3, 4)][1] <= 3 * k
+        assert block[(2, 3, 4)][1] <= 4 * k
+
     def test_zero_tensor(self):
         tree, dims = build_balanced_tree(3), (3, 4, 3)
         w = apply_cp(zero_htensor(tree, dims), [(np.ones(3), None, None)])
@@ -654,7 +729,11 @@ class TestApplyCertified:
         exact = apply_exact(a, v)
         w, info = apply_certified(a, v, 0.0, return_info=True)
         assert info["scaling_error"] == 0.0
-        assert info["pre_ranks"] == exact.ranks
+        # edges (0, 1), (0,), (1,) of the rank-2 input: both terms are the
+        # identity on mode 2, so the root edge keeps rank 2 where the
+        # per-term sum has 4; modes 0 and 1 each see two distinct factors
+        assert exact.ranks == (4, 4, 4)
+        assert info["pre_ranks"] == (2, 4, 4)
         err = np.linalg.norm(dense_vec(w) - dense_vec(exact))
         assert err <= 1e-12 * norm(exact)
         # positive budget: final error within eta/2
