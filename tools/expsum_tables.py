@@ -3,23 +3,31 @@
 Usage, from the repository root::
 
     python3 tools/expsum_tables.py            # refit every table, rewrite the file
-    python3 tools/expsum_tables.py --check    # refit R = 16, m <= 6 and compare
+    python3 tools/expsum_tables.py --check    # refit R = 16, 2^17 (m <= 6), compare
 
-For each range ``R = 2^k`` (``k = 1 .. 16``) and ``m = 1, 2, ...`` terms the
+For each range ``R = 2^k`` (``k = 1 .. 32``) and ``m = 1, 2, ...`` terms the
 generator fits ``S(x) = sum_j w_j exp(-t_j x)`` with free weights and
 exponents so that the relative error ``|1 - sqrt(x) S(x)|`` is close to its
 smallest possible sup over ``[1, R]`` (Braess & Hackbusch, "Approximation of
 1/x by exponential sums in [1, inf)", IMA J. Numer. Anal. 2005; "On the
 efficient computation of high-dimensional integrals and the approximation
 by exponential sums", 2009).  ``m`` grows until the sampled sup stops
-improving (near 5e-16, the rounding floor of the evaluation) or reaches 64.
+improving (near 5e-16, the rounding floor of the evaluation) or reaches
+``MAX_TERMS`` (``MAX_WIDE_TERMS`` above ``2^16``).
+
+Two passes cover the ranges.  The downward pass fits ``R = 2^16`` from
+scratch, then each ``R = 2^15 .. 2`` continuing from the fits at ``2R``.
+The upward pass fits each ``R = 2^17 .. 2^32`` continuing from the fits at
+``R/2``, starting from the ``2^16`` tables as stored; from scratch, fits on
+ranges this wide gain too little per term at small ``m`` and stop early.
 
 Each fit works on ``p = (log t, log w)``:
 
 1. an initial guess by continuation, from the fits at ``(R, m-1)`` and
    ``(R, m-2)`` (each exponent and weight, counted from the smallest
    exponent, moves on as it moved from ``m-2`` to ``m-1``; one term is added
-   above the largest exponent) and from the fit at ``(2R, m)``;
+   above the largest exponent) and from the fit at ``(2R, m)`` going
+   downward or ``(R/2, m)`` going upward;
 2. a Levenberg-Marquardt least-squares fit on 1000 log-spaced points, whose
    error already changes sign about ``2m`` times;
 3. a Remez exchange on a 20001-point log grid: damped Newton steps make the
@@ -27,21 +35,30 @@ Each fit works on ``p = (log t, log w)``:
    the extrema of the new error.
 
 The first start whose exchange converges, or whose sup is at most
-``GOOD_GAIN`` times that of ``m - 1`` terms, is taken, else the best one;
-the fit at ``(2R, m)``, which is also a fit on ``[1, R]``, replaces it where
-its sup on ``[1, R]`` is smaller.  A term is added while it shrinks the sup
-by at least the factor ``MIN_GAIN``.  The stored sup is ``htsolve.ops._scalar_expsum_relerr`` (the function
-that certifies tables at run time) over ``SAMPLES`` log-spaced points of
-``[1, R]``.  It is a sampled figure, not a proof: ``ops.build_scaling``
-certifies every table it returns on its own check set.
+``GOOD_GAIN`` times that of ``m - 1`` terms (``MIN_GAIN`` going upward,
+where the best sup shrinks by less than ``GOOD_GAIN`` per term), is taken,
+else the best one; going downward, the fit at ``(2R, m)``, which is also a
+fit on ``[1, R]``, replaces it where its sup on ``[1, R]`` is smaller.  A
+term is added while it shrinks the sup by at least the factor ``MIN_GAIN``;
+going upward, a size the range ``R/2`` has is added while it shrinks the sup
+at all.  The stored sup is ``htsolve.ops._scalar_expsum_relerr`` (the
+function that certifies tables at run time) over ``SAMPLES`` log-spaced
+points of ``[1, R]``.  It is a sampled figure, not a proof:
+``ops.build_scaling`` certifies every table it returns on its own check set.
 
 The file holds, per entry (sorted by ``R``, then ``m``), ``R``, ``m`` and
 ``sup``; ``weights`` and ``exponents`` hold every entry's ``m`` values one
-after another, with exponents increasing within an entry.  The full run took
-668 s (449 tables, up to 48 terms) on one core of a 2-core x86 machine
-(Python 3.11, numpy 2.4, scipy 1.17); ``--check`` takes a few seconds.  At
-``R = 2`` no fit with more than 4 terms improved on 6e-9, so below that the
-run-time search falls back to sinc tables there.
+after another, with exponents increasing within an entry.  On one core of a
+2-core x86 machine (Python 3.11, numpy 2.4, scipy 1.17) the downward pass
+took 668 s (449 tables, up to 48 terms).  The upward pass (1113 tables, up
+to 88 terms, sups down to 4.4e-16 .. 1.8e-15) took 21 minutes with its
+ranges pipelined over both cores, each range in its own process fed the
+``(R/2, m)`` fits as they were written (``write`` runs it in one process);
+``--check`` takes a few seconds.  Rerun on another machine, the fits agree
+with the file to about 1e-3 in the sup (the ``--check`` criterion), not bit
+for bit: least squares and ``lstsq`` round differently with other LAPACK
+kernels.  At ``R = 2`` no fit with more than 4 terms improved on 6e-9;
+below that a request for ``X <= 2`` is served from ``R = 4``.
 """
 
 from __future__ import annotations
@@ -61,7 +78,9 @@ from htsolve.ops import _scalar_expsum_relerr  # noqa: E402
 
 OUT = ROOT / "src" / "htsolve" / "expsum_tables.npz"
 RANGES = [2.0**k for k in range(1, 17)]
+WIDE_RANGES = [2.0**k for k in range(17, 33)]
 MAX_TERMS = 64
+MAX_WIDE_TERMS = 100
 SAMPLES = 16385
 FIT_POINTS = 1000
 REMEZ_GRID = 20001
@@ -230,9 +249,11 @@ def sampled_sup(weights, exponents, big_r) -> float:
                                  np.geomspace(1.0, big_r, SAMPLES))
 
 
-def fit_range(big_r, max_terms=MAX_TERMS, wider=None, log=print):
+def fit_range(big_r, max_terms=MAX_TERMS, wider=None, narrower=None,
+              log=print):
     """Fits for ``m = 1, 2, ...`` on ``[1, big_r]``; ``wider`` maps m to the
-    fit on ``[1, 2 big_r]``.  Returns ``{m: (p, sup)}``."""
+    fit on ``[1, 2 big_r]``, ``narrower`` to the fit on ``[1, big_r / 2]``.
+    Returns ``{m: (p, sup)}``."""
     fits, prev = {}, [None, None]
     for m in range(1, max_terms + 1):
         if m == 1:
@@ -241,9 +262,14 @@ def fit_range(big_r, max_terms=MAX_TERMS, wider=None, log=print):
             starts = [_grow(prev[-1], prev[-2])]
             if wider and m in wider:
                 starts.append(wider[m][0])
+            if narrower and m in narrower:
+                starts.append(narrower[m][0])
             if m >= 3:
                 starts.append(_grow(prev[-1], None))
-            p, _ = _fit(starts, big_r, good=GOOD_GAIN * fits[m - 1][1])
+            # on the wide ranges fitted upward the sup shrinks by less than
+            # GOOD_GAIN per term: take the first start that gains MIN_GAIN
+            good = MIN_GAIN if narrower else GOOD_GAIN
+            p, _ = _fit(starts, big_r, good=good * fits[m - 1][1])
         # a fit on [1, 2R] is also one on [1, R]: keep whichever is better
         if wider and m in wider:
             candidates = [q for q in (p, wider[m][0]) if q is not None]
@@ -253,7 +279,10 @@ def fit_range(big_r, max_terms=MAX_TERMS, wider=None, log=print):
             break
         sups = [sampled_sup(*_table(q), big_r) for q in candidates]
         p, sup = candidates[int(np.argmin(sups))], min(sups)
-        if m > 1 and not sup < MIN_GAIN * fits[m - 1][1]:
+        # a size the narrower range has is kept while the sup shrinks at all:
+        # on a wide range the first terms each gain little
+        gain = 1.0 if narrower and m in narrower else MIN_GAIN
+        if m > 1 and not sup < gain * fits[m - 1][1]:
             break
         order = np.argsort(p[:m])
         fits[m] = (p[np.r_[order, order + m]], sup)
@@ -262,12 +291,33 @@ def fit_range(big_r, max_terms=MAX_TERMS, wider=None, log=print):
     return fits
 
 
+def _as_fits(rows):
+    """``{m: (p, sup)}`` of the stored ``(weights, exponents, sup)`` rows."""
+    return {len(w): (np.concatenate([np.log(t), np.log(w)]), sup)
+            for w, t, sup in rows}
+
+
+def stored_fits(path, big_r):
+    """The fits of range ``big_r`` as stored in ``path``."""
+    with np.load(path) as data:
+        w, t, ends = data["weights"], data["exponents"], np.cumsum(data["m"])
+        return _as_fits((w[end - m:end], t[end - m:end], s) for r, m, s, end
+                        in zip(data["R"], data["m"], data["sup"], ends)
+                        if r == big_r)
+
+
 def write(path=OUT):
     start = time.perf_counter()
     rows, wider = [], None
     for big_r in reversed(RANGES):
         wider = fit_range(big_r, wider=wider)
         rows.extend((big_r, m, p, sup) for m, (p, sup) in wider.items())
+    # the upward pass starts from the R = 2^16 tables as they are stored
+    narrower = _as_fits((*_table(p), sup) for big_r, _, p, sup in rows
+                        if big_r == RANGES[-1])
+    for big_r in WIDE_RANGES:
+        narrower = fit_range(big_r, MAX_WIDE_TERMS, narrower=narrower)
+        rows.extend((big_r, m, p, sup) for m, (p, sup) in narrower.items())
     rows.sort(key=lambda r: (r[0], r[1]))
     weights, exps = zip(*(_table(p) for _, _, p, _ in rows))
     np.savez(path,
@@ -280,25 +330,37 @@ def write(path=OUT):
           f"{time.perf_counter() - start:.0f} s")
 
 
-def check(path=OUT, big_r=16.0, max_terms=6) -> int:
-    """Refit ``[1, big_r]`` up to ``max_terms`` terms; every sup must match the
-    stored one to 1e-3 relative.  Returns the exit code."""
-    with np.load(path) as data:
-        stored = {int(m): float(s) for r, m, s in
-                  zip(data["R"], data["m"], data["sup"]) if r == big_r}
+def _compare(fits, stored, big_r) -> int:
+    """Print each refit sup against the stored one (1e-3 relative); returns
+    the number of mismatches."""
     bad = 0
-    for m, (_, sup) in fit_range(big_r, max_terms, log=lambda s: None).items():
-        ok = m in stored and abs(sup - stored[m]) <= 1e-3 * stored[m]
+    for m, (_, sup) in fits.items():
+        ok = m in stored and abs(sup - stored[m][1]) <= 1e-3 * stored[m][1]
         bad += not ok
+        want = stored[m][1] if m in stored else float("nan")
         print(f"R = {big_r:g}, m = {m}: refit {sup:.6e}, stored "
-              f"{stored.get(m, float('nan')):.6e} {'ok' if ok else 'MISMATCH'}")
+              f"{want:.6e} {'ok' if ok else 'MISMATCH'}")
+    return bad
+
+
+def check(path=OUT, max_terms=6) -> int:
+    """Refit ``[1, 16]`` from scratch and ``[1, 2^17]`` upward from the stored
+    ``2^16`` fits, each up to ``max_terms`` terms; every sup must match the
+    stored one to 1e-3 relative.  Returns the exit code."""
+    quiet = lambda s: None  # noqa: E731
+    bad = _compare(fit_range(16.0, max_terms, log=quiet),
+                   stored_fits(path, 16.0), 16.0)
+    wide = WIDE_RANGES[0]
+    bad += _compare(fit_range(wide, max_terms, narrower=stored_fits(path, RANGES[-1]),
+                              log=quiet), stored_fits(path, wide), wide)
     return 1 if bad else 0
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--check", action="store_true",
-                    help="refit R = 16, m <= 6 and compare with the stored sups")
+                    help="refit R = 16 and R = 2^17, m <= 6, and compare with "
+                         "the stored sups")
     args = ap.parse_args(argv)
     if args.check:
         return check()
