@@ -133,7 +133,9 @@ _FLAGS = (
     ("--kappa2", _SOLVERS, dict(type=float, default=None)),
     ("--kappa3", _SOLVERS, dict(type=float, default=None)),
     ("--beta1", _SOLVERS,
-     dict(type=float, default=None, help="inner recompression multiplier")),
+     dict(type=float, default=None,
+          help="inner recompression multiplier (default 0.25; 0 leaves "
+               "the inner step untruncated)")),
     ("--beta2", _SOLVERS,
      dict(type=float, default=None, help="inner coarsening multiplier")),
     ("--threads", _COMMANDS,

@@ -705,11 +705,6 @@ class EdgeSpectrum:
         t = self.tails2[e]
         return float(np.sqrt(t[min(int(r), len(t) - 1)]))
 
-    def total_tail(self, ranks) -> float:
-        """Certified error of truncating every edge ``e`` to ``ranks[e]``."""
-        return float(np.sqrt(sum(self.tail(e, r) ** 2
-                                 for e, r in enumerate(ranks))))
-
 
 def edge_spectra(h: HTensor) -> EdgeSpectrum:
     """Exact edge singular values, computed without densification.

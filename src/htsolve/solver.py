@@ -89,8 +89,11 @@ class SolveConfig:
     kappa1..kappa3
             outer reduction constants, each in (0, 1), summing to at most 1.
     beta1, beta2
-            inner recompression / coarsening multipliers (beta1 may be 0,
-            beta2 must be positive).
+            inner recompression / coarsening multipliers: each inner step
+            ends with ``coarsen(recompress(w - omega r, beta1 eta),
+            beta2 eta)``, and both enter the drift ``omega + beta1 + beta2``
+            of :func:`inner_repetitions`.  beta1 may be 0 (the step then
+            trims only numerical zeros); beta2 must be positive.
     alpha   free parameter behind the kappa defaults.
     eps     target error bound.
     """
@@ -144,10 +147,19 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
     ``[lower, upper]``: ``omega = 2/(upper+lower)`` and
     ``rho = (upper-lower)/(upper+lower)``, and ``eps0 = norm(f)/lower``
     (the representation norm is exact).  The kappa
-    constants follow :func:`kappa_defaults` for the operator's order; the
-    inner reduction keeps only the coarsening step (``beta1 = 0``,
-    ``beta2 = kappa1/4``).  Raises ``ValueError`` when the operator carries
-    no bounds.
+    constants follow :func:`kappa_defaults` for the operator's order.
+
+    The inner step is ``w <- coarsen(recompress(w - omega r, beta1 eta),
+    beta2 eta)`` with ``beta1 = 1/4`` and ``beta2 = kappa1/4``: a quarter of
+    each step's tolerance goes to a rank truncation, so inner iterates stay
+    near the ranks the accuracy needs instead of growing by the residual's
+    rank every step.  The guarantee is kept because
+    :func:`inner_repetitions` and the :class:`ContractionViolationError`
+    check in :func:`solve` both count the drift ``omega + beta1 + beta2``:
+    the scheduled bound ``rho^j (1 + drift j) level`` still holds, and the
+    a posteriori :func:`error_certificate` of the final iterate is the same
+    kind of bound as before.  ``beta1 = 0`` restores the untruncated inner
+    step.  Raises ``ValueError`` when the operator carries no bounds.
     """
     if a.bounds is None:
         raise ValueError("default_config needs operator bounds, and the "
@@ -165,7 +177,7 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
         kappa1=kappa1,
         kappa2=kappa2,
         kappa3=kappa3,
-        beta1=0.0,
+        beta1=0.25,
         beta2=kappa1 / 4.0,
         alpha=alpha,
         eps=eps,
@@ -225,9 +237,12 @@ class SolveReport:
     """Trace and certificates of one :func:`solve` run.
 
     ``steps`` holds one record per inner step (outer index ``k``, inner index
-    ``j``, tolerance ``eta``, the iterate's edge ranks and per-mode support
-    sizes, the certified residual interval and the wall time of the whole
-    step, its recompress/coarsen reduction included); ``outer_steps``
+    ``j``, tolerance ``eta``, the incoming iterate's edge ranks and per-mode
+    support sizes, the certified residual interval, the largest edge rank
+    of ``w - omega r`` before the inner ``recompress`` (``pre_rank``) and
+    after the ``coarsen`` (``kept_rank``), and the wall time of the whole
+    step, its recompress/coarsen reduction included); ``max_pre_rank`` is
+    the largest ``pre_rank`` of the run; ``outer_steps``
     one record per completed outer reduction.  ``schedule_bound`` is the
     guaranteed error bound ``2^{-K} eps0`` at exit, ``residual_interval`` the
     a posteriori two-sided error certificate, and ``final_error_bound`` the
@@ -246,6 +261,7 @@ class SolveReport:
     final_error_bound: float = 0.0
     diagnostics: dict = field(default_factory=dict)
     total_time: float = 0.0
+    max_pre_rank: int = 0
 
     def __post_init__(self):
         if (not math.isfinite(self.final_error_bound)
@@ -289,6 +305,7 @@ class SolveReport:
             "final_error_bound": self.final_error_bound,
             "diagnostics": self.diagnostics,
             "total_time": self.total_time,
+            "max_pre_rank": self.max_pre_rank,
         })
 
 
@@ -417,7 +434,9 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
                 "res_hi": float(res_hi),
             })
             w = add(w, scale(-cfg.omega, r))
+            steps[-1]["pre_rank"] = max(w.ranks, default=0)
             w = coarsen(recompress(w, cfg.beta1 * eta), cfg.beta2 * eta)
+            steps[-1]["kept_rank"] = max(w.ranks, default=0)
             steps[-1]["wall"] = time.perf_counter() - tick
         tick = time.perf_counter()
         u = coarsen(
@@ -457,6 +476,7 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
                            else err_hi),
         diagnostics=_diagnostics(u),
         total_time=time.perf_counter() - started,
+        max_pre_rank=max((s["pre_rank"] for s in steps), default=0),
     )
     return u, report
 

@@ -486,11 +486,18 @@ def bh_exponential_sum(r: int) -> ExpSumInverse:
 # ---------------------------------------------------------------------------
 
 
+def total_tail(spectrum, ranks) -> float:
+    """Certified error of truncating every edge ``e`` of an
+    :class:`~htsolve.hsvd.EdgeSpectrum` to ``ranks[e]``."""
+    return float(np.sqrt(sum(spectrum.tail(e, r) ** 2
+                             for e, r in enumerate(ranks))))
+
+
 def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
     """Hard truncation to a fixed edge-rank vector.
 
     The error is at most the total singular-value tail at ``ranks`` (see
-    :meth:`EdgeSpectrum.total_tail`).  The target vector must be entrywise at
+    :func:`total_tail`).  The target vector must be entrywise at
     most ``h.ranks`` and respect the child-product bound.  The result is
     orthogonalized.
     """
@@ -510,7 +517,7 @@ def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
     ho = orthogonalize(h)
     spectrum, vectors = _projection_data(ho)
     return _truncation_plan(ho, vectors, ranks,
-                            spectrum.total_tail(ranks)).execute()
+                            total_tail(spectrum, ranks)).execute()
 
 
 def _prefix_ranks(spectrum, budget: float) -> list[int]:

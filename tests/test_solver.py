@@ -1,5 +1,6 @@
 """Adaptive Richardson solver: schedules, certificates, quasi-optimality."""
 
+import dataclasses
 import json
 import math
 import time
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htsolve.solver as solver_module
 from htsolve.errors import ContractionViolationError
@@ -145,7 +148,7 @@ class TestDefaultConfig:
         assert cfg.omega == 1.0
         assert cfg.rho == 0.0
         assert cfg.eps0 == pytest.approx(norm(f), rel=1e-14)
-        assert cfg.beta1 == 0.0
+        assert cfg.beta1 == 0.25
         assert cfg.beta2 == pytest.approx(cfg.kappa1 / 4.0, rel=1e-14)
         assert cfg.eps == 0.1
 
@@ -280,7 +283,7 @@ class TestSolveDiffusion:
         problem, u_dense = diffusion_d2
         cfg = default_config(problem.operator, problem.rhs, eps=1e-2)
         u, report = solve(problem.operator, problem.rhs, cfg)
-        assert cfg.beta1 == 0.0
+        assert cfg.beta1 == 0.25
         assert len(report.steps) == report.outer_iterations * report.inner_per_outer
         for s in report.steps:
             want = cfg.rho ** (s["j"] + 1) * (2.0 ** (-s["k"]) * cfg.eps0)
@@ -555,3 +558,40 @@ def test_step_wall_covers_inner_reductions(monkeypatch):
     _, report = solve(a, f, cfg)
     assert len(report.steps) > 1
     assert all(s["wall"] >= 0.005 for s in report.steps)
+
+
+class TestInnerRecompression:
+    def test_records_ranks_around_the_inner_reduction(self, diffusion_d2):
+        problem, _ = diffusion_d2
+        cfg = default_config(problem.operator, problem.rhs, eps=1e-2)
+        _, report = solve(problem.operator, problem.rhs, cfg)
+        for s, nxt in zip(report.steps, report.steps[1:]):
+            assert s["kept_rank"] <= s["pre_rank"]
+            if nxt["j"] > 0:  # the next step starts from this step's result
+                assert max(nxt["ranks"]) == s["kept_rank"]
+        assert report.max_pre_rank == max(s["pre_rank"] for s in report.steps)
+        assert report.to_json_dict()["max_pre_rank"] == report.max_pre_rank
+
+    def test_default_bounds_inner_ranks_on_parametric_d3(self):
+        # the untruncated inner step grows w - omega r to rank 29 here; a
+        # quarter of eta spent on recompression keeps it at about half that
+        problem = load_problem(FIXTURES / "parametric_d3.ini")
+        cfg = default_config(problem.operator, problem.rhs, eps=1e-4)
+        _, truncated = solve(problem.operator, problem.rhs, cfg)
+        _, untruncated = solve(problem.operator, problem.rhs,
+                               dataclasses.replace(cfg, beta1=0.0))
+        assert truncated.max_pre_rank < untruncated.max_pre_rank
+        assert len(truncated.steps) == len(untruncated.steps)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(beta1=st.floats(min_value=0.0, max_value=2.0))
+def test_any_beta1_certifies_parametric_d2(parametric_d2, beta1):
+    problem, u_dense = parametric_d2
+    cfg = dataclasses.replace(
+        default_config(problem.operator, problem.rhs, eps=1e-4), beta1=beta1)
+    u, report = solve(problem.operator, problem.rhs, cfg)
+    err = np.linalg.norm(to_dense(u) - u_dense)
+    assert len(report.steps) == report.outer_iterations * inner_repetitions(cfg)
+    assert report.final_error_bound <= cfg.eps
+    assert report.residual_interval[0] <= err <= report.final_error_bound
