@@ -6,9 +6,9 @@ Usage, from the repository root::
     python3 tools/bench_file.py --out BENCH_16.json --parent ../parent
 
 For every workload in ``BENCHMARK.json`` the script runs the checkout's own
-``perfbench/run.py`` as a child process: ``--trace 0`` three times, keeping
-the run with the smallest median ``solve_s``, then ``--trace 1`` once for the
-per-layer figures.  With ``--parent DIR`` it does the same for a second
+``perfbench/run.py`` as a child process, with seed 1 and the benchmark's own
+``run_seconds``: ``--trace 0`` three times, keeping the run with the smallest
+median ``solve_s``, then ``--trace 1`` once for the per-layer figures.  With ``--parent DIR`` it does the same for a second
 checkout (for example a ``git clone`` of the parent commit), alternating the
 two run by run, so the file holds parent and change side by side.
 
@@ -21,7 +21,10 @@ fixture file describes, built as ``ROADMAP.md`` describes them:
   with M tridiagonal (1 on the diagonal, 0.2 beside it).
 
 Each records the wall time of ``default_config`` plus ``solve``, the final
-and the peak inner ranks and the certified bound.  Everything runs with BLAS
+rank, the peak inner rank and the certified bound.  The peak inner rank is
+the largest rank of an iterate entering an inner step (``steps[*]["ranks"]``
+of the report), which every checkout records, so parent and change measure
+the same thing.  Everything runs with BLAS
 pinned to one thread.  The file also records the ``src/`` line counts, the
 numpy and scipy versions, the CPU model and the git HEAD of each checkout.
 """
@@ -38,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
+SEED = 1
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -63,8 +67,7 @@ print(json.dumps({
     "eps": eps,
     "wall_s": wall,
     "final_max_rank": max(u.ranks, default=0),
-    "peak_inner_rank": max(max(s["ranks"] + (s.get("kept_rank", 0),))
-                           for s in steps),
+    "peak_inner_rank": max(max(s["ranks"], default=0) for s in steps),
     "max_pre_rank": getattr(report, "max_pre_rank", None),
     "inner_steps": len(steps),
     "outer_iterations": report.outer_iterations,
@@ -89,10 +92,9 @@ def last_json(cmd, cwd: Path, env: dict) -> dict:
     return json.loads(run.stdout.strip().splitlines()[-1])
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> dict:
+def perfbench(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     return last_json([sys.executable, "perfbench/run.py", "--workload", workload,
-                      "--seed", str(seed), "--seconds", str(seconds),
+                      "--seed", str(SEED), "--seconds", str(seconds),
                       "--trace", str(trace)], checkout, child_env(checkout))
 
 
@@ -130,12 +132,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     p.add_argument("--parent", type=Path, help="a checkout to run side by side")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float,
-                   help="run length (default: BENCHMARK.json run_seconds)")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
@@ -147,13 +146,13 @@ def main(argv=None) -> int:
         for rep in range(REPEATS):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for side in order:
-                runs[side].append(perfbench(sides[side], name, args.seed, seconds, 0))
+                runs[side].append(perfbench(sides[side], name, seconds, 0))
                 print(f"{name} {side} trace 0: solve_s "
                       f"{values(runs[side][-1])['solve_s']:.4g}", flush=True)
         workloads[name] = {}
         for side, checkout in sides.items():
             best = min(runs[side], key=lambda r: values(r)["solve_s"])
-            traced = perfbench(checkout, name, args.seed, seconds, 1)
+            traced = perfbench(checkout, name, seconds, 1)
             workloads[name][side] = {
                 "end_to_end": values(best),
                 "solve_s_runs": [values(r)["solve_s"] for r in runs[side]],
@@ -172,7 +171,7 @@ def main(argv=None) -> int:
             print(f"{name} {side}: {extra[name][side]['wall_s']:.3g} s", flush=True)
 
     out = {
-        "benchmark": {"command": spec["command"], "seed": args.seed,
+        "benchmark": {"command": spec["command"], "seed": SEED,
                       "seconds": seconds, "trace0_repeats": REPEATS,
                       "kept": "the trace-0 run with the smallest solve_s"},
         "machine": machine(),
