@@ -322,27 +322,26 @@ def _load_tensor_any(path):
 
 
 def _cmd_compress(spec: RunSpec) -> int:
-    from htsolve.hsvd import norm, plan_recompression
+    from htsolve.hsvd import _truncate, norm
     from htsolve.tensorfile import save_htensor
 
     h = _load_tensor_any(spec.problem)
     eta = float(spec.eps)
-    plan = plan_recompression(h, eta)
-    g = plan.execute()
+    g, bound = _truncate(h, eta)
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     save_htensor(g, out / "compressed.ht")
     payload = {
         "input": str(spec.problem),
         "eta": eta,
-        "certificate": plan.bound,
-        "planned_ranks": list(plan.ranks),
+        "certificate": bound,
+        "planned_ranks": list(g.ranks),
         "input_norm": float(norm(h)),
         "input_ranks": [int(r) for r in h.ranks],
         "output_ranks": [int(r) for r in g.ranks],
     }
     _write_json(out / "compress.json", payload)
-    print(f"compress: eta={eta:g} certified error <= {plan.bound:.6g}")
+    print(f"compress: eta={eta:g} certified error <= {bound:.6g}")
     print(f"ranks {tuple(h.ranks)} -> {tuple(g.ranks)}")
     print(f"wrote {out / 'compressed.ht'} and {out / 'compress.json'}")
     return 0

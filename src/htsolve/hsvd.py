@@ -7,19 +7,19 @@ single square *root transfer* matrix coupling the two root children.  Stored
 ranks are per effective edge (see :mod:`htsolve.htree`).
 
 The format supports exact arithmetic (addition concatenates ranks, scalar
-multiplication touches the root transfer only) and accuracy-controlled
-reduction, each planned once and carried out from its plan, so a
-certificate always comes from the data that chose the result:
+multiplication touches the root transfer only) and two accuracy-controlled
+reductions, one function each, whose certificate comes from the same data
+that chose the result:
 
-* :func:`recompress` - hard rank truncation based on the hierarchical SVD,
-  ``plan_recompression(h, eta).execute()``.  Truncating edge ``e`` to
-  rank ``r_e`` changes the tensor by at most ``sqrt(sum_e tail_e(r_e)^2)``
-  (tails of the :class:`EdgeSpectrum`), quasi-optimally among all tensors
-  of the same ranks up to ``sqrt(2d - 3)``.
-* :func:`coarsen` - support reduction based on mode-frame contractions,
-  carrying out :func:`plan_coarsening`.  Dropping index slices whose
-  combined contraction mass is ``s_N`` changes the tensor by at most
-  ``s_N``, quasi-optimally up to ``sqrt(d)``.
+* :func:`recompress` - hard rank truncation based on the hierarchical SVD.
+  Truncating edge ``e`` to rank ``r_e`` changes the tensor by at most
+  ``sqrt(sum_e tail_e(r_e)^2)`` (tails of the :class:`EdgeSpectrum`),
+  quasi-optimally among all tensors of the same ranks up to
+  ``sqrt(2d - 3)``.
+* :func:`coarsen` - support reduction based on mode-frame contractions
+  (:func:`select_support`).  Dropping index slices whose combined
+  contraction mass is ``s_N`` changes the tensor by at most ``s_N``,
+  quasi-optimally up to ``sqrt(d)``.
 
 Everything is plain float64 numpy and all reductions are deterministic,
 including tie-breaking.  The tree sweeps contract with fixed reshapes and
@@ -59,11 +59,8 @@ __all__ = [
     "apply_cp",
     "edge_spectra",
     "recompress",
-    "plan_recompression",
-    "TruncationPlan",
     "contractions",
     "coarsen",
-    "plan_coarsening",
     "select_support",
     "restrict_support",
     "as_quasinorm",
@@ -709,7 +706,7 @@ class EdgeSpectrum:
 def edge_spectra(h: HTensor) -> EdgeSpectrum:
     """Exact edge singular values, computed without densification.
 
-    This is the spectrum every truncation plans with (see
+    This is the spectrum every truncation chooses its ranks from (see
     :func:`_projection_data`), so ranks chosen from it are the ranks the
     truncation realizes.
     """
@@ -909,71 +906,39 @@ def _stored_ranks(tree: DimensionTree, edge_ranks) -> tuple[int, ...]:
     return tuple(node_ranks[n] for n in effective_edges(tree))
 
 
-@dataclass(frozen=True, eq=False)
-class TruncationPlan:
-    """A planned hard truncation and what carrying it out needs.
-
-    ``ranks`` are the stored edge ranks of :meth:`execute`'s result and
-    ``bound`` certifies ``norm(h - execute()) <= bound``.  The plan keeps the
-    orthogonal form and the truncation bases whose spectrum chose the ranks,
-    so the certificate belongs to that spectrum and executing repeats no
-    spectral work.
-    """
-
-    ranks: tuple[int, ...]
-    bound: float
-    _ho: HTensor = field(repr=False)
-    # None when nothing is cut and the plan keeps ``_ho`` as it is
-    _vectors: dict[Node, np.ndarray] | None = field(repr=False)
-    _target: tuple[int, ...] = field(repr=False)  # requested edge ranks
-
-    def execute(self) -> HTensor:
-        """The truncated tensor, orthogonalized."""
-        if self._vectors is None:
-            return self._ho
-        node_ranks = _node_rank_map(self._ho.tree, self._target)
-        return _project(self._ho, self._vectors, node_ranks)
-
-
-def _truncation_plan(ho: HTensor, vectors, target, bound: float) -> TruncationPlan:
-    """Plan the projection of ``ho`` onto its leading ``target`` directions
-    (capped at the ranks ``ho`` has)."""
-    have = ho.ranks
-    target = tuple(min(int(t), r) for t, r in zip(target, have))
-    keep = target == have
-    ranks = have if keep else _stored_ranks(ho.tree, target)
-    return TruncationPlan(ranks=ranks, bound=float(bound), _ho=ho,
-                          _vectors=None if keep else vectors, _target=target)
-
-
-def plan_recompression(h: HTensor, eta: float) -> TruncationPlan:
-    """The certified hard truncation that :func:`recompress` carries out.
+def _truncate(h: HTensor, eta: float) -> tuple[HTensor, float]:
+    """:func:`recompress`'s result and its certified error bound.
 
     Ranks come from :func:`_choose_ranks` on the edge spectrum and the bound
-    is their total tail.  ``eta >= norm(h)`` plans the canonical zero tensor,
-    with bound ``norm(h)``, its true error.
+    is their total tail; the truncation bases come from the same
+    :func:`_projection_data`, so the bound belongs to the spectrum that chose
+    the ranks.  The result's stored ranks are :func:`_stored_ranks` of the
+    chosen ones.  When no rank is cut the orthogonal form itself is returned.
+    ``eta >= norm(h)`` yields the canonical zero tensor with bound
+    ``norm(h)``, its true error.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     nh = norm(h)
     if nh == 0.0 or (eta > 0 and eta >= nh):
-        zero = zero_htensor(h.tree, h.dims)
-        return _truncation_plan(zero, None, zero.ranks, nh)
+        return zero_htensor(h.tree, h.dims), nh
     ho = orthogonalize(h)
     spectrum, vectors = _projection_data(ho)
     ranks, bound = _choose_ranks(spectrum, eta)
-    return _truncation_plan(ho, vectors, ranks, bound)
+    if tuple(ranks) == ho.ranks:
+        return ho, bound
+    return _project(ho, vectors, _node_rank_map(ho.tree, ranks)), bound
 
 
 def recompress(h: HTensor, eta: float) -> HTensor:
     """Certified hard truncation: ``norm(h - recompress(h, eta)) <= eta``.
 
-    Carries out :func:`plan_recompression`; the result is orthogonalized.
-    ``eta >= norm(h)`` yields the canonical zero tensor (its true error is
-    exactly ``norm(h)``); ``eta = 0`` trims exactly the numerically-zero
-    singular values, changing the tensor only at roundoff level.
+    The result is orthogonalized (see :func:`_truncate`).  ``eta >= norm(h)``
+    yields the canonical zero tensor (its true error is exactly
+    ``norm(h)``); ``eta = 0`` trims exactly the numerically-zero singular
+    values, changing the tensor only at roundoff level.
     """
-    return plan_recompression(h, eta).execute()
+    return _truncate(h, eta)[0]
 
 
 # -- contractions and coarsening ----------------------------------------------
@@ -1050,30 +1015,20 @@ def select_support(pis, eta: float):
     return sets, n_keep, float(np.sqrt(suffix2[n_keep]))
 
 
-def plan_coarsening(h: HTensor, eta: float):
-    """Support sets, kept count ``N`` and discarded mass for :func:`coarsen`.
-
-    Delegates to :func:`select_support` on the tensor's contraction values;
-    ``eta >= norm(h)`` plans the empty support with certificate ``norm(h)``,
-    the true error of dropping everything.
-    """
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    nh = norm(h)
-    if eta > 0 and eta >= nh:
-        return tuple(() for _ in range(h.d)), 0, nh
-    return select_support(contractions(h).pis, eta)
-
-
 def coarsen(h: HTensor, eta: float) -> HTensor:
     """Certified support reduction: ``norm(h - coarsen(h, eta)) <= eta``.
 
-    Carries out :func:`plan_coarsening`.  An empty planned support (always
-    the case for ``eta >= norm(h)``) yields the canonical zero tensor.  With
-    ``eta = 0`` only index slices of exactly zero contraction mass are
-    removed, so the tensor is unchanged.
+    Keeps the support :func:`select_support` picks from the tensor's
+    contraction values; the discarded mass it returns is the certificate.
+    ``eta >= norm(h)`` or an empty support yields the canonical zero tensor
+    (the true error of dropping everything is ``norm(h)``), and a support
+    that drops nothing returns ``h`` itself.  With ``eta = 0`` only index
+    slices of exactly zero contraction mass are removed, so the tensor is
+    unchanged.
     """
-    sets, n_keep, _ = plan_coarsening(h, eta)
+    if eta > 0 and eta >= norm(h):
+        return zero_htensor(h.tree, h.dims)
+    sets, n_keep, _ = select_support(contractions(h).pis, eta)
     if n_keep == 0:
         return zero_htensor(h.tree, h.dims)
     if all(len(s) == n for s, n in zip(sets, h.dims)):

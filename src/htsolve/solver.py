@@ -69,8 +69,8 @@ def kappa_defaults(d: int, alpha: float = 1.0) -> tuple[float, float, float]:
     """
     if d < 2:
         raise ValueError(f"order must be at least 2, got d={d}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     edge = math.sqrt(2 * d - 3)
     mode = math.sqrt(d)
     kappa1 = 1.0 / (1.0 + (1.0 + alpha) * (edge + mode + edge * mode))
@@ -94,7 +94,6 @@ class SolveConfig:
             beta2 eta)``, and both enter the drift ``omega + beta1 + beta2``
             of :func:`inner_repetitions`.  beta1 may be 0 (the step then
             trims only numerical zeros); beta2 must be positive.
-    alpha   free parameter behind the kappa defaults.
     eps     target error bound.
     """
 
@@ -106,11 +105,10 @@ class SolveConfig:
     kappa3: float
     beta1: float = 0.0
     beta2: float = 0.01
-    alpha: float = 1.0
     eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("omega", "eps0", "beta1", "beta2", "alpha"):
+        for name in ("omega", "eps0", "beta1", "beta2"):
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val}")
@@ -133,8 +131,6 @@ class SolveConfig:
             raise ValueError(f"beta1 must be nonnegative, got {self.beta1}")
         if self.beta2 <= 0:
             raise ValueError(f"beta2 must be positive, got {self.beta2}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not math.isfinite(self.eps) or self.eps <= 0:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
@@ -179,7 +175,6 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
         kappa3=kappa3,
         beta1=0.25,
         beta2=kappa1 / 4.0,
-        alpha=alpha,
         eps=eps,
     )
 
@@ -292,21 +287,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         """Full report as a JSON-serializable dict (NaN mapped to null)."""
-        return _jsonify({
-            "eps0": self.eps0,
-            "eps": self.eps,
-            "inner_per_outer": self.inner_per_outer,
-            "outer_iterations": self.outer_iterations,
-            "config": self.config,
-            "steps": self.steps,
-            "outer_steps": self.outer_steps,
-            "schedule_bound": self.schedule_bound,
-            "residual_interval": self.residual_interval,
-            "final_error_bound": self.final_error_bound,
-            "diagnostics": self.diagnostics,
-            "total_time": self.total_time,
-            "max_pre_rank": self.max_pre_rank,
-        })
+        return _jsonify(asdict(self))
 
 
 def _fit_decay_rate(s: np.ndarray) -> float:

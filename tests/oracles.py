@@ -10,7 +10,8 @@ sinc quadrature for ``1/x`` built from scratch.
 :func:`reduction_quasi_optimality_check` runs the package's reductions on
 purpose: it checks their ranks and supports against the best approximations
 of a nearby reference, truncating at fixed ranks with
-:func:`truncate_to_ranks`, which runs hsvd's own truncation plan.
+:func:`truncate_to_ranks`, which runs hsvd's own projection onto the
+leading edge singular vectors.
 :func:`inner`, :func:`identity_operator`, :func:`approx_dense_diag` and
 :func:`spatial_parametric_singular_values` are small references that no
 solve needs.
@@ -30,9 +31,10 @@ from htsolve.htree import (
 )
 from htsolve.hsvd import (
     HTensor,
+    _node_rank_map,
+    _project,
     _projection_data,
     _stored_ranks,
-    _truncation_plan,
     add,
     contractions,
     edge_spectra,
@@ -515,9 +517,8 @@ def truncate_to_ranks(h: HTensor, ranks) -> HTensor:
         raise ValueError(f"target ranks {tuple(ranks)} exceed a child product "
                          "r_left * r_right")
     ho = orthogonalize(h)
-    spectrum, vectors = _projection_data(ho)
-    return _truncation_plan(ho, vectors, ranks,
-                            total_tail(spectrum, ranks)).execute()
+    vectors = _projection_data(ho)[1]
+    return _project(ho, vectors, _node_rank_map(h.tree, ranks))
 
 
 def _prefix_ranks(spectrum, budget: float) -> list[int]:

@@ -97,7 +97,8 @@ def test_01_fixed_rank_truncation_quasi_optimal():
 
 
 def test_02_recompression_certificates_hold():
-    # recompress(h, eta): true error <= eta and <= its own tail certificate
+    # recompress(h, eta) = _truncate(h, eta)[0]: true error <= eta and <=
+    # the tail certificate _truncate returns with it
     rng = np.random.default_rng(202)
     start = time.perf_counter()
     worst_gap = -np.inf
@@ -109,10 +110,7 @@ def test_02_recompression_certificates_hold():
                                   noise=float(rng.uniform(0.0, 0.5)))
         h = H.from_dense(data, tree)
         eta = float(rng.uniform(0.02, 1.2)) * H.norm(h)
-        plan = H.plan_recompression(h, eta)
-        ranks, tail = plan.ranks, plan.bound
-        hr = H.recompress(h, eta)
-        assert hr.ranks == ranks
+        hr, tail = H._truncate(h, eta)
         err = float(np.linalg.norm(H.to_dense(hr) - data))
         assert err <= eta, (trial, err, eta)
         assert err <= tail + 1e-12, (trial, err, tail)
@@ -161,7 +159,7 @@ def test_04_coarsening_certificate_and_quasi_optimality():
         data = _decaying_random(tree, dims, rng)
         h = H.from_dense(data, tree)
         eta = float(rng.uniform(0.05, 0.8)) * H.norm(h)
-        sets, n_keep, disc = H.plan_coarsening(h, eta)
+        sets, n_keep, disc = H.select_support(H.contractions(h).pis, eta)
         err = float(np.linalg.norm(H.to_dense(H.coarsen(h, eta)) - data))
         merged = np.sort(np.concatenate(dense_contractions(data)))[::-1]
         s_n = float(np.sqrt((merged[n_keep:] ** 2).sum()))

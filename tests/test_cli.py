@@ -380,6 +380,13 @@ class TestExitCodes:
         assert main(["st-solve", DIFFUSION_D2, "--eps", eps]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_bad_alpha_is_invalid_input(self, alpha, capsys):
+        # kappa_defaults is the only check of --alpha
+        assert main(["solve", DIFFUSION_D2, "--eps", "1e-2",
+                     "--alpha", alpha]) == 2
+        assert "alpha must be positive" in capsys.readouterr().err
+
     def test_unknown_flag_is_invalid_input(self, capsys):
         assert main(["solve", DIFFUSION_D3, "--eps", "1e-3", "--bogus"]) == 2
         capsys.readouterr()

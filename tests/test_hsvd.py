@@ -360,18 +360,22 @@ def test_plan_execute_realizes_plan(tree):
     dense = H.to_dense(h)
     for frac in (0.0, 0.05, 0.3, 1.0):
         eta = frac * H.norm(h)
-        plan = H.plan_recompression(h, eta)
-        out = plan.execute()
+        out, bound = H._truncate(h, eta)
         assert out.orthogonal
-        assert out.ranks == plan.ranks
+        if eta < H.norm(h):
+            # the result stores the ranks the spectrum chose, and the bound
+            # is their tail
+            chosen, tail = H._choose_ranks(H.edge_spectra(h), eta)
+            assert out.ranks == H._stored_ranks(tree, chosen)
+            assert bound == tail
         err = np.linalg.norm(H.to_dense(out) - dense)
-        assert err <= plan.bound + 1e-12 * np.linalg.norm(dense)
-        assert plan.bound <= eta + 1e-12
+        assert err <= bound + 1e-12 * np.linalg.norm(dense)
+        assert bound <= eta + 1e-12
         again = H.recompress(h, eta)
         assert again.ranks == out.ranks
         assert np.array_equal(again.root_transfer, out.root_transfer)
-    assert plan.ranks == (0,) * len(plan.ranks)
-    assert plan.bound == H.norm(h)
+    assert out.ranks == (0,) * len(out.ranks)
+    assert bound == H.norm(h)
 
 
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
@@ -382,10 +386,8 @@ def test_recompress_certified(tree):
         data = random_lowish_rank(tree, dims, 3, rng, noise=0.3)
         h = H.from_dense(data, tree)
         eta = float(rng.uniform(0.01, 0.99)) * H.norm(h)
-        plan = H.plan_recompression(h, eta)
-        ranks, bound = plan.ranks, plan.bound
-        hr = H.recompress(h, eta)
-        assert hr.ranks == ranks
+        hr, bound = H._truncate(h, eta)
+        ranks = hr.ranks
         err = np.linalg.norm(H.to_dense(hr) - data)
         assert err <= eta
         assert err <= bound + 1e-12
@@ -402,12 +404,25 @@ def test_recompress_max_rank_minimal(tree):
     h = H.from_dense(data, tree)
     spec = H.edge_spectra(h)
     eta = 0.4 * H.norm(h)
-    ranks = H.plan_recompression(h, eta).ranks
+    ranks = H.recompress(h, eta).ranks
     m = max(ranks)
     if m > 0:
         # no vector with smaller maximal rank can be certified
         smaller = [min(m - 1, len(s)) for s in spec.sigmas]
         assert total_tail(spec, smaller) > eta * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+def test_lossless_reductions_return_their_input(tree):
+    # the memo of a tensor is reused only if these are the same objects: a
+    # recompression that cuts no rank returns the orthogonal form itself,
+    # and a coarsening that drops no slice returns its input
+    rng = np.random.default_rng(230 + tree.d)
+    h = H.random_htensor(tree, rand_dims(tree, rng, 3, 6), 2, rng)
+    assert H.recompress(h, 0.0) is H.orthogonalize(h)
+    assert H.coarsen(h, 0.0) is h
+    ho = H.orthogonalize(h)
+    assert H.coarsen(ho, 0.0) is ho
 
 
 def test_recompress_known_spectrum():
@@ -554,7 +569,7 @@ def test_coarsen_certified(tree):
             data = data * w.reshape([-1 if j == i else 1 for j in range(tree.d)])
         h = H.from_dense(data, tree)
         eta = float(rng.uniform(0.05, 0.8)) * H.norm(h)
-        sets, n_keep, disc = H.plan_coarsening(h, eta)
+        sets, n_keep, disc = H.select_support(H.contractions(h).pis, eta)
         hc = H.coarsen(h, eta)
         err = np.linalg.norm(H.to_dense(hc) - data)
         assert err <= eta
@@ -577,7 +592,7 @@ def test_coarsen_trivial_cases():
     assert H.norm(z) == 0.0 and z.ranks == (0, 0, 0)
     kept = H.coarsen(h, 0.0)
     assert np.linalg.norm(H.to_dense(kept) - data) <= 1e-12 * np.linalg.norm(data)
-    sets, _, disc = H.plan_coarsening(h, 0.0)
+    sets, _, disc = H.select_support(H.contractions(h).pis, 0.0)
     assert disc == 0.0
     assert sets[1] == (0, 2)  # the zero slice may be dropped at eta = 0
 
@@ -704,10 +719,9 @@ def test_repeated_plans_execute_bitwise_equal(tree):
     nh = H.norm(h)
     etas = [0.3 * nh, 0.05 * nh, 0.3 * nh, 0.0, 0.05 * nh]
     for eta in etas:
-        plan = H.plan_recompression(h, eta)
-        got = plan.execute()
-        assert_bitwise_equal(got, plan.execute())
-        assert_bitwise_equal(got, H.plan_recompression(copy_of(h), eta).execute())
+        got = H.recompress(h, eta)
+        assert_bitwise_equal(got, H.recompress(h, eta))
+        assert_bitwise_equal(got, H.recompress(copy_of(h), eta))
 
 
 # -- fixed GEMM contractions against einsum ----------------------------------

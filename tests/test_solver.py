@@ -88,6 +88,9 @@ class TestKappaDefaults:
             kappa_defaults(1)
         with pytest.raises(ValueError, match="alpha"):
             kappa_defaults(3, alpha=0.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                kappa_defaults(3, alpha=alpha)
 
 
 class TestSolveConfig:
@@ -95,7 +98,7 @@ class TestSolveConfig:
         k1, k2, k3 = kappa_defaults(2)
         fields = dict(omega=0.5, rho=0.5, eps0=1.0,
                       kappa1=k1, kappa2=k2, kappa3=k3,
-                      beta1=0.0, beta2=0.01, alpha=1.0, eps=1e-4)
+                      beta1=0.0, beta2=0.01, eps=1e-4)
         fields.update(overrides)
         return SolveConfig(**fields)
 
@@ -118,7 +121,6 @@ class TestSolveConfig:
         ("kappa3", -0.2, "kappa3"),
         ("beta1", -1e-3, "beta1"),
         ("beta2", 0.0, "beta2"),
-        ("alpha", 0.0, "alpha"),
         ("eps", 0.0, "eps"),
     ])
     def test_range_validation(self, field, value, match):
@@ -131,7 +133,7 @@ class TestSolveConfig:
             self.valid(eps=eps)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["omega", "eps0", "beta1", "beta2", "alpha"])
+    @pytest.mark.parametrize("field", ["omega", "eps0", "beta1", "beta2"])
     def test_rejects_non_finite_fields(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             self.valid(**{field: value})
@@ -184,7 +186,7 @@ class TestInnerRepetitions:
         # j=4: 2^-4 * 5.4 = 0.3375 > 0.25; j=5: 2^-5 * 6.5 = 0.203 <= 0.25
         cfg = SolveConfig(omega=1.0, rho=0.5, eps0=1.0,
                           kappa1=0.5, kappa2=0.2, kappa3=0.2,
-                          beta1=0.0, beta2=0.1, alpha=1.0, eps=0.1)
+                          beta1=0.0, beta2=0.1, eps=0.1)
         assert inner_repetitions(cfg) == 5
 
     def test_monotone_in_rho(self):
