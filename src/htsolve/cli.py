@@ -335,7 +335,6 @@ def _cmd_compress(spec: RunSpec) -> int:
         "input": str(spec.problem),
         "eta": eta,
         "certificate": bound,
-        "planned_ranks": list(g.ranks),
         "input_norm": float(norm(h)),
         "input_ranks": [int(r) for r in h.ranks],
         "output_ranks": [int(r) for r in g.ranks],

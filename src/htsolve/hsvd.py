@@ -915,9 +915,10 @@ def _truncate(h: HTensor, eta: float) -> tuple[HTensor, float]:
     the ranks.  The result's stored ranks are :func:`_stored_ranks` of the
     chosen ones.  When no rank is cut the orthogonal form itself is returned.
     ``eta >= norm(h)`` yields the canonical zero tensor with bound
-    ``norm(h)``, its true error.
+    ``norm(h)``, its true error.  A negative or NaN ``eta`` raises
+    ``ValueError``; ``eta = inf`` is valid.
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     nh = norm(h)
     if nh == 0.0 or (eta > 0 and eta >= nh):
@@ -1001,7 +1002,7 @@ def select_support(pis, eta: float):
     index), with ``N`` minimal such that the combined discarded mass ``s_N``
     is at most ``eta``.  Returns ``(sets, N, s_N)``.
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     pis = [np.asarray(p, dtype=np.float64) for p in pis]
     entries = [(p[k], i, k) for i, p in enumerate(pis) for k in range(len(p))]
@@ -1024,7 +1025,8 @@ def coarsen(h: HTensor, eta: float) -> HTensor:
     (the true error of dropping everything is ``norm(h)``), and a support
     that drops nothing returns ``h`` itself.  With ``eta = 0`` only index
     slices of exactly zero contraction mass are removed, so the tensor is
-    unchanged.
+    unchanged.  A negative or NaN ``eta`` raises ``ValueError`` (from
+    :func:`select_support`).
     """
     if eta > 0 and eta >= norm(h):
         return zero_htensor(h.tree, h.dims)

@@ -458,7 +458,7 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
 def rhs_truncate(f: HTensor, eta: float) -> HTensor:
     """Right-hand-side reduction: recompress at ``eta/2`` then coarsen at
     ``eta/2``; total error at most ``eta``."""
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta > 0 and eta >= norm(f):
         return zero_htensor(f.tree, f.dims)

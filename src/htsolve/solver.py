@@ -4,10 +4,11 @@ The driver :func:`solve` runs a damped Richardson iteration whose every
 ingredient — operator application, right-hand-side reduction, rank
 truncation, support coarsening — carries an explicit error budget on a
 geometric schedule.  The outer loop halves a certified error bound
-``2^{-k} * eps0`` until it falls below the target; each outer pass runs a
-fixed number of inner steps whose tolerances shrink with the contraction
-factor, followed by a rank/support reduction sized so the halved bound still
-holds.  The returned report traces every tolerance, rank, support size and
+``2^{-k} * eps0`` until it falls below the target; each outer pass runs at
+most :func:`inner_repetitions` inner steps whose tolerances shrink with the
+contraction factor, leaving early once a step's certified residual proves
+what the outer reduction needs, followed by a rank/support reduction sized
+so the halved bound still holds.  The returned report traces every tolerance, rank, support size and
 certified residual interval, and the final iterate comes with a two-sided
 a posteriori error certificate.
 
@@ -92,8 +93,9 @@ class SolveConfig:
             inner recompression / coarsening multipliers: each inner step
             ends with ``coarsen(recompress(w - omega r, beta1 eta),
             beta2 eta)``, and both enter the drift ``omega + beta1 + beta2``
-            of :func:`inner_repetitions`.  beta1 may be 0 (the step then
-            trims only numerical zeros); beta2 must be positive.
+            of :func:`inner_repetitions` and of :func:`solve`'s early
+            exit.  beta1 may be 0 (the step then trims only numerical
+            zeros); beta2 must be positive.
     eps     target error bound.
     """
 
@@ -180,13 +182,14 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
 
 
 def inner_repetitions(cfg: SolveConfig) -> int:
-    """Number of inner Richardson steps per outer pass.
+    """Largest number of inner Richardson steps per outer pass.
 
     The smallest ``j`` with ``rho^j (1 + (omega+beta1+beta2) j) <= kappa1/2``:
     after that many perturbed steps the inner error has contracted to a
     ``kappa1/2`` fraction of the incoming outer bound, leaving the remaining
     kappa budget for the outer rank and support reduction.  Always at least 1
-    since the target is below 1.
+    since the target is below 1.  :func:`solve` runs at most this many steps
+    per pass, and exactly this many in its last pass.
     """
     target = cfg.kappa1 / 2.0
     drift = cfg.omega + cfg.beta1 + cfg.beta2
@@ -238,7 +241,11 @@ class SolveReport:
     after the ``coarsen`` (``kept_rank``), and the wall time of the whole
     step, its recompress/coarsen reduction included); ``max_pre_rank`` is
     the largest ``pre_rank`` of the run; ``outer_steps``
-    one record per completed outer reduction.  ``schedule_bound`` is the
+    one record per completed outer reduction, with the number of inner
+    steps its pass ran (``inner_steps``, at most ``inner_per_outer``) and the
+    certified bound on the pass's last iterate that allowed the reduction
+    (``inner_exit_bound``: the early-exit bound of :func:`solve`, or the
+    scheduled ``rho^J (1 + drift J) 2^{-k} eps0`` after a full pass).  ``schedule_bound`` is the
     guaranteed error bound ``2^{-K} eps0`` at exit, ``residual_interval`` the
     a posteriori two-sided error certificate, and ``final_error_bound`` the
     smaller of the two upper bounds — never above the requested ``eps``.
@@ -347,8 +354,8 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
     """Adaptive Richardson iteration with certified error control.
 
     Starting from zero, as long as the certified bound ``2^{-k} eps0``
-    exceeds the target ``eps``, one outer pass runs ``inner_repetitions(cfg)``
-    perturbed Richardson steps
+    exceeds the target ``eps``, one outer pass runs at most
+    ``J = inner_repetitions(cfg)`` perturbed Richardson steps
 
         eta = rho^{j+1} 2^{-k} eps0
         r   = apply_certified(a, w; eta/2) - rhs_truncate(f; eta/2)
@@ -359,6 +366,26 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
     ``kappa3 2^{-(k+1)} eps0``, which halves the certified bound.  The loop
     runs exactly ``ceil(log2(eps0/eps))`` outer passes (none when
     ``eps >= eps0``, returning the zero tensor).
+
+    The outer reduction's kappa analysis needs only
+    ``norm(w - u) <= kappa1 2^{-k} eps0 / 2`` for the pass's last iterate
+    ``w``.  After ``J`` steps the scheduled bound
+    ``rho^J (1 + drift J) 2^{-k} eps0`` with ``drift = omega + beta1 + beta2``
+    gives it.  A pass may also end earlier, with the iterate ``w_{j+1}`` of
+    step ``j``, on a certified bound:
+
+    * the step's residual interval has upper end ``res_hi``, and
+      ``A >= lower``, so ``norm(w_j - u) <= res_hi / lower``;
+    * the step's perturbations are at most ``omega eta`` (the residual),
+      ``beta1 eta`` (the recompression) and ``beta2 eta`` (the coarsening);
+    * so, with ``norm(I - omega A) <= rho`` as for the schedule,
+      ``norm(w_{j+1} - u) <= rho res_hi / lower + drift eta``.
+
+    The pass ends after step ``j`` when that bound is at most
+    ``kappa1 2^{-k} eps0 / 2``.  Then the schedule ``2^{-k} eps0``, the
+    :class:`ContractionViolationError` check and the final certificate keep
+    their kind.  The last pass (``2^{-(k+1)} eps0 <= eps``) always runs all
+    ``J`` steps, since the returned certificate is read from its iterate.
 
     Every inner residual carries a certified interval; if its lower end
     contradicts the scheduled bound — which can only happen when the assumed
@@ -375,7 +402,7 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
     if a.bounds is None:
         raise ValueError("solve needs operator bounds, and the operator "
                          "carries none")
-    upper = float(a.bounds.upper)
+    lower, upper = float(a.bounds.lower), float(a.bounds.upper)
     started = time.perf_counter()
     reps = inner_repetitions(cfg)
     drift = cfg.omega + cfg.beta1 + cfg.beta2
@@ -386,6 +413,9 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
     k = 0
     while 2.0 ** (-k) * cfg.eps0 > cfg.eps:
         level = 2.0 ** (-k) * cfg.eps0
+        # the last pass keeps all its steps: the certificate is read from it
+        may_exit = 2.0 ** (-(k + 1)) * cfg.eps0 > cfg.eps
+        exit_bound = cfg.rho**reps * (1.0 + drift * reps) * level
         w = u
         for j in range(reps):
             tick = time.perf_counter()
@@ -419,6 +449,12 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
             w = coarsen(recompress(w, cfg.beta1 * eta), cfg.beta2 * eta)
             steps[-1]["kept_rank"] = max(w.ranks, default=0)
             steps[-1]["wall"] = time.perf_counter() - tick
+            # certified bound on the new iterate's error (see the docstring)
+            step_bound = cfg.rho * res_hi / lower + drift * eta
+            if (may_exit and j + 1 < reps
+                    and step_bound <= cfg.kappa1 * level / 2.0):
+                exit_bound = step_bound
+                break
         tick = time.perf_counter()
         u = coarsen(
             recompress(w, cfg.kappa2 * level / 2.0),
@@ -430,6 +466,8 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
             "bound": 2.0 ** (-k) * cfg.eps0,
             "ranks": tuple(int(x) for x in u.ranks),
             "supports": contractions(u).supports,
+            "inner_steps": j + 1,
+            "inner_exit_bound": float(exit_bound),
             "wall": time.perf_counter() - tick,
         })
 

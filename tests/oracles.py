@@ -14,7 +14,8 @@ of a nearby reference, truncating at fixed ranks with
 leading edge singular vectors.
 :func:`inner`, :func:`identity_operator`, :func:`approx_dense_diag` and
 :func:`spatial_parametric_singular_values` are small references that no
-solve needs.
+solve needs.  :func:`check_inner_passes` re-derives, from a solve report's
+recorded residuals, where each outer pass had to end.
 """
 
 import itertools
@@ -481,6 +482,56 @@ def bh_exponential_sum(r: int) -> ExpSumInverse:
     nodes, weights = table(a)
     return ExpSumInverse(r=r, step=h, offset=a, nodes=nodes, weights=weights,
                          cert_error=err, c_cal=err * math.exp(math.pi * math.sqrt(r)))
+
+
+# ---------------------------------------------------------------------------
+# inner passes of solve
+# ---------------------------------------------------------------------------
+
+
+def check_inner_passes(report, cfg, lower: float) -> list[int]:
+    """Check the inner-step pattern of a :func:`htsolve.solver.solve` report
+    and return the step count of each pass.
+
+    Every pass runs from 1 to ``J = report.inner_per_outer`` steps and the
+    last pass exactly ``J``.  A pass other than the last ends after the
+    first step whose new iterate has the certified error bound
+    ``rho res_hi / lower + drift eta`` (``drift = omega + beta1 + beta2``,
+    from the step's recorded residual interval and tolerance) at most
+    ``kappa1 level / 2``, with ``level = 2^-k eps0``, and runs all ``J``
+    steps when no step before the last one reaches it.  Each pass records
+    its step count and exit bound: that early-exit bound or the scheduled
+    ``rho^J (1 + drift J) level``.
+    """
+    reps = report.inner_per_outer
+    drift = cfg.omega + cfg.beta1 + cfg.beta2
+
+    def exit_bound(step):
+        return cfg.rho * step["res_hi"] / lower + drift * step["eta"]
+
+    counts = [o["inner_steps"] for o in report.outer_steps]
+    assert sum(counts) == len(report.steps)
+    assert all(1 <= c <= reps for c in counts), counts
+    assert not counts or counts[-1] == reps, counts
+    start = 0
+    for k, (outer, count) in enumerate(zip(report.outer_steps, counts)):
+        steps = report.steps[start:start + count]
+        start += count
+        assert [(s["k"], s["j"]) for s in steps] == [(k, j) for j in range(count)]
+        target = cfg.kappa1 * 2.0 ** (-k) * cfg.eps0 / 2.0
+        last = k == len(counts) - 1
+        exits = [not last and exit_bound(s) <= target
+                 for s in steps[:reps - 1]]
+        assert not any(exits[:count - 1]), (k, exits)
+        if count < reps:
+            assert exits[count - 1], (k, count)
+            assert outer["inner_exit_bound"] == exit_bound(steps[-1])
+        else:
+            assert math.isclose(
+                outer["inner_exit_bound"],
+                cfg.rho**reps * (1.0 + drift * reps) * 2.0 ** (-k) * cfg.eps0,
+                rel_tol=1e-12)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from htsolve.problems import (
     multilevel_coupling,
 )
 from htsolve.softthresh import soft_threshold, st_solve
+import htsolve.solver as solver_module
 from htsolve.solver import default_config, inner_repetitions, solve
 
 from oracles import (
@@ -34,6 +35,7 @@ from oracles import (
     best_support_error,
     best_tucker_error,
     bh_exponential_sum,
+    check_inner_passes,
     dense_contractions,
     random_lowish_rank,
     spatial_parametric_singular_values,
@@ -409,8 +411,9 @@ def _random_instance(rng, trial):
 
 def test_13_default_inner_recompression_certified():
     # the default inner step truncates at beta1 eta: the certified interval
-    # still brackets the dense error, every outer pass runs the scheduled
-    # inner count, and the inner ranks peak no higher than untruncated.  The
+    # still brackets the dense error, every outer pass keeps the inner-step
+    # pattern of solve's early exit, and the inner ranks peak no higher than
+    # untruncated.  The
     # two runs follow different iterates, so neither run's peak bounds the
     # other's on one instance: each instance may exceed its beta1 = 0 peak by
     # one rank (a direction kept near the truncation threshold), and the sum
@@ -430,7 +433,8 @@ def test_13_default_inner_recompression_certified():
         lo, hi = report.residual_interval
         assert lo <= err <= hi, (trial, lo, err, hi)
         assert err <= report.final_error_bound <= eps, (trial, err, eps)
-        assert len(report.steps) == report.outer_iterations * inner_repetitions(cfg)
+        assert report.inner_per_outer == inner_repetitions(cfg)
+        check_inner_passes(report, cfg, float(p.operator.bounds.lower))
         _, plain = solve(p.operator, p.rhs, dataclasses.replace(cfg, beta1=0.0))
         peaks[:, trial] = (max(s["kept_rank"] for s in report.steps),
                            report.max_pre_rank)
@@ -446,3 +450,56 @@ def test_13_default_inner_recompression_certified():
           f"12/12 random d<=4 instances, summed peak kept/pre ranks "
           f"{peaks.sum(axis=1).tolist()} against {plain_peaks.sum(axis=1).tolist()} "
           f"with beta1 = 0 (smallest bound/error {lowest:.2f}, {elapsed:.1f}s)")
+
+
+def test_14_inner_early_exit_certified(monkeypatch):
+    # an outer pass may end before its scheduled inner count, on the bound
+    # rho res_hi / lower + drift eta of the step's new iterate.  The iterate
+    # handed to each outer reduction (captured at solve's recompress calls:
+    # one per inner step, then the outer one) must have dense error within
+    # its recorded exit bound, which is at most kappa1 level / 2, and the
+    # final interval must bracket the dense error
+    calls = []
+    plain = solver_module.recompress
+
+    def recording(h, eta):
+        calls.append((h, eta))
+        return plain(h, eta)
+
+    monkeypatch.setattr(solver_module, "recompress", recording)
+    rng = np.random.default_rng(1414)
+    start = time.perf_counter()
+    early = passes = 0
+    worst = 0.0
+    for trial in range(9):
+        p = _random_instance(rng, trial)
+        ref = dense_solve(p)
+        eps = float(10.0 ** rng.uniform(-4, -2))
+        cfg = default_config(p.operator, p.rhs, eps=eps)
+        calls.clear()
+        u, report = solve(p.operator, p.rhs, cfg)
+        counts = check_inner_passes(report, cfg, float(p.operator.bounds.lower))
+        assert len(calls) == sum(counts) + len(counts)
+        at = 0
+        for k, (count, outer) in enumerate(zip(counts, report.outer_steps)):
+            w, eta = calls[at + count]
+            at += count + 1
+            level = 2.0 ** (-k) * cfg.eps0
+            assert eta == cfg.kappa2 * level / 2.0
+            err = float(np.linalg.norm(H.to_dense(w) - ref))
+            assert err <= outer["inner_exit_bound"], (trial, k, err, outer)
+            assert outer["inner_exit_bound"] <= cfg.kappa1 * level / 2.0 * (1 + 1e-12)
+            worst = max(worst, err / outer["inner_exit_bound"])
+            early += count < report.inner_per_outer
+            passes += 1
+        err = float(np.linalg.norm(H.to_dense(u) - ref))
+        lo, hi = report.residual_interval
+        assert lo <= err <= hi, (trial, lo, err, hi)
+        assert err <= report.final_error_bound <= eps, (trial, err, eps)
+    assert early > 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0
+    print(f"criterion 14 PASS — {early} of {passes} outer passes on 9 random "
+          f"d<=4 instances ended early; every pass's iterate within its exit "
+          f"bound (largest error/bound {worst:.3f}), final intervals bracket "
+          f"the dense error ({elapsed:.1f}s)")

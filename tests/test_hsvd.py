@@ -597,6 +597,25 @@ def test_coarsen_trivial_cases():
     assert sets[1] == (0, 2)  # the zero slice may be dropped at eta = 0
 
 
+@pytest.mark.parametrize("reduce", [
+    H.recompress,
+    lambda h, eta: H._truncate(h, eta)[0],
+    H.coarsen,
+    lambda h, eta: H.select_support(H.contractions(h).pis, eta),
+], ids=["recompress", "_truncate", "coarsen", "select_support"])
+def test_reductions_reject_nan_tolerance(reduce):
+    # NaN passes an ``eta < 0`` check, and the rank or support choice then
+    # keeps nothing: a zero tensor with a bogus bound.  inf stays valid
+    rng = np.random.default_rng(17)
+    h = H.from_dense(rng.standard_normal((4, 4, 4)), build_balanced_tree(3))
+    with pytest.raises(ValueError, match="nan"):
+        reduce(h, float("nan"))
+    reduce(h, float("inf"))
+    zero, bound = H._truncate(h, float("inf"))
+    assert H.norm(zero) == 0.0 and bound == pytest.approx(H.norm(h))
+    assert H.norm(H.coarsen(h, float("inf"))) == 0.0
+
+
 def test_restrict_support_exact():
     rng = np.random.default_rng(18)
     tree = build_linear_tree(3)

@@ -857,3 +857,10 @@ class TestRhsTruncate:
         assert np.linalg.norm(dense_vec(f) - dense_vec(g)) <= 1e-12 * norm(f)
         with pytest.raises(ValueError):
             rhs_truncate(f, -1.0)
+
+    def test_rejects_nan_tolerance(self):
+        rng = np.random.default_rng(7)
+        f = random_htensor(build_balanced_tree(2), (5, 5), 2, rng)
+        with pytest.raises(ValueError, match="nan"):
+            rhs_truncate(f, math.nan)
+        assert norm(rhs_truncate(f, math.inf)) == 0.0

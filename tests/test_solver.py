@@ -36,7 +36,11 @@ from htsolve.solver import (
 )
 from htsolve.softthresh import st_solve
 
-from oracles import identity_operator, reduction_quasi_optimality_check
+from oracles import (
+    check_inner_passes,
+    identity_operator,
+    reduction_quasi_optimality_check,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,6 +72,11 @@ def diffusion_d2():
 def parametric_d2():
     problem = load_problem(FIXTURES / "parametric_d2.ini")
     return problem, dense_solve(problem)
+
+
+@pytest.fixture(scope="module")
+def parametric_d3():
+    return load_problem(FIXTURES / "parametric_d3.ini")
 
 
 class TestKappaDefaults:
@@ -286,7 +295,8 @@ class TestSolveDiffusion:
         cfg = default_config(problem.operator, problem.rhs, eps=1e-2)
         u, report = solve(problem.operator, problem.rhs, cfg)
         assert cfg.beta1 == 0.25
-        assert len(report.steps) == report.outer_iterations * report.inner_per_outer
+        lower = float(problem.operator.bounds.lower)
+        assert len(check_inner_passes(report, cfg, lower)) == report.outer_iterations
         for s in report.steps:
             want = cfg.rho ** (s["j"] + 1) * (2.0 ** (-s["k"]) * cfg.eps0)
             assert s["eta"] == pytest.approx(want, rel=1e-13)
@@ -594,6 +604,44 @@ def test_any_beta1_certifies_parametric_d2(parametric_d2, beta1):
         default_config(problem.operator, problem.rhs, eps=1e-4), beta1=beta1)
     u, report = solve(problem.operator, problem.rhs, cfg)
     err = np.linalg.norm(to_dense(u) - u_dense)
-    assert len(report.steps) == report.outer_iterations * inner_repetitions(cfg)
+    assert report.inner_per_outer == inner_repetitions(cfg)
+    check_inner_passes(report, cfg, float(problem.operator.bounds.lower))
     assert report.final_error_bound <= cfg.eps
     assert report.residual_interval[0] <= err <= report.final_error_bound
+
+
+class TestInnerExit:
+    def test_passes_end_early_on_parametric_d3(self, parametric_d3):
+        # rho = 0.1 here: the certified residual proves the outer target
+        # after 2 of the 3 scheduled steps in every pass but the last
+        problem = parametric_d3
+        cfg = default_config(problem.operator, problem.rhs, eps=1e-4)
+        _, report = solve(problem.operator, problem.rhs, cfg)
+        counts = check_inner_passes(report, cfg, float(problem.operator.bounds.lower))
+        reps = inner_repetitions(cfg)
+        assert reps == 3 and counts == [2] * (len(counts) - 1) + [3]
+        target = [cfg.kappa1 * o["bound"] for o in report.outer_steps]
+        assert all(o["inner_exit_bound"] <= t * (1.0 + 1e-12)
+                   for o, t in zip(report.outer_steps, target))
+
+    def test_report_records_each_pass(self, diffusion_d2):
+        problem, _ = diffusion_d2
+        cfg = default_config(problem.operator, problem.rhs, eps=1e-2)
+        _, report = solve(problem.operator, problem.rhs, cfg)
+        payload = report.to_json_dict()
+        for got, want in zip(payload["outer_steps"], report.outer_steps):
+            assert got["inner_steps"] == want["inner_steps"]
+            assert got["inner_exit_bound"] == want["inner_exit_bound"]
+        assert report.csv_rows()[0] == ["k", "j", "eta", "res_lo", "res_hi",
+                                        "max_rank", "total_support"]
+        assert len(report.csv_rows()) == len(report.steps) + 1
+
+    def test_single_pass_runs_every_step(self, parametric_d3):
+        # the last pass keeps its scheduled length: a one-pass solve never
+        # exits early, whatever its residuals prove
+        problem = parametric_d3
+        cfg0 = default_config(problem.operator, problem.rhs, eps=1.0)
+        cfg = default_config(problem.operator, problem.rhs, eps=0.6 * cfg0.eps0)
+        _, report = solve(problem.operator, problem.rhs, cfg)
+        assert report.outer_iterations == 1
+        assert [o["inner_steps"] for o in report.outer_steps] == [inner_repetitions(cfg)]
