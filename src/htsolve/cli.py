@@ -244,7 +244,8 @@ def _cmd_solve(spec: RunSpec) -> int:
     _write_csv(out / "trace.csv", report.csv_rows())
     lo, hi = report.residual_interval
     print(f"solve: eps={cfg.eps:g} outer_iterations={report.outer_iterations} "
-          f"inner_per_outer={report.inner_per_outer}")
+          f"inner_per_outer={report.inner_per_outer} "
+          f"inner_steps={len(report.steps)}")
     print(f"certified error interval = [{lo:.6g}, {hi:.6g}]")
     print(f"final certified bound    = {report.final_error_bound:.6g}")
     if spec.oracle:

@@ -8,9 +8,9 @@ geometric schedule.  The outer loop halves a certified error bound
 most :func:`inner_repetitions` inner steps whose tolerances shrink with the
 contraction factor, leaving early once a step's certified residual proves
 what the outer reduction needs, followed by a rank/support reduction sized
-so the halved bound still holds.  The returned report traces every tolerance, rank, support size and
-certified residual interval, and the final iterate comes with a two-sided
-a posteriori error certificate.
+so the halved bound still holds.  The returned report traces every
+tolerance, rank, support size and certified residual interval, and the
+final iterate comes with a two-sided a posteriori error certificate.
 
 :func:`default_config` derives the step size, contraction factor and
 reduction constants from certified operator bounds.
@@ -245,10 +245,11 @@ class SolveReport:
     steps its pass ran (``inner_steps``, at most ``inner_per_outer``) and the
     certified bound on the pass's last iterate that allowed the reduction
     (``inner_exit_bound``: the early-exit bound of :func:`solve`, or the
-    scheduled ``rho^J (1 + drift J) 2^{-k} eps0`` after a full pass).  ``schedule_bound`` is the
-    guaranteed error bound ``2^{-K} eps0`` at exit, ``residual_interval`` the
-    a posteriori two-sided error certificate, and ``final_error_bound`` the
-    smaller of the two upper bounds — never above the requested ``eps``.
+    scheduled ``rho^J (1 + drift J) 2^{-k} eps0`` after a full pass).
+    ``schedule_bound`` is the guaranteed error bound ``2^{-K} eps0`` at
+    exit, ``residual_interval`` the a posteriori two-sided error
+    certificate, and ``final_error_bound`` the smaller of the two upper
+    bounds — never above the requested ``eps``.
     """
 
     eps0: float

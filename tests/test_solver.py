@@ -644,4 +644,4 @@ class TestInnerExit:
         cfg = default_config(problem.operator, problem.rhs, eps=0.6 * cfg0.eps0)
         _, report = solve(problem.operator, problem.rhs, cfg)
         assert report.outer_iterations == 1
-        assert [o["inner_steps"] for o in report.outer_steps] == [inner_repetitions(cfg)]
+        assert report.outer_steps[0]["inner_steps"] == inner_repetitions(cfg)
