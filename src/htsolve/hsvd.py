@@ -21,11 +21,13 @@ that chose the result:
   contraction mass is ``s_N`` changes the tensor by at most ``s_N``,
   quasi-optimally up to ``sqrt(d)``.
 
-Everything is plain float64 numpy and all reductions are deterministic,
-including tie-breaking.  The tree sweeps contract with fixed reshapes and
-matrix products (``@``, batched ``np.matmul``) on blocks that are mostly a
-few dozen rows, where per-call overhead outweighs the flops; ``np.einsum`` is
-left to the dense conversions.  Instances are immutable: arrays are stored
+Everything is float64 and all reductions are deterministic, including
+tie-breaking.  The tree sweeps contract with fixed reshapes and matrix
+products (``@``, batched ``np.matmul``) on blocks that are mostly a few dozen
+rows, where per-call overhead outweighs the flops; ``np.einsum`` is left to
+the dense conversions.  For the same reason every QR and SVD goes through
+:func:`_qr` and :func:`_svd`, which call ``scipy.linalg.lapack`` directly and
+return bitwise what ``np.linalg.qr`` and ``np.linalg.svd`` would.  Instances are immutable: arrays are stored
 read-only and the fields cannot be reassigned.  Public construction copies
 and validates its input; the results this module computes itself are built
 trusted (see :meth:`HTensor._trusted`).  Each instance memoizes what is derived
@@ -38,8 +40,11 @@ would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from htsolve.htree import DimensionTree, EdgeList, Node, effective_edges
 
@@ -86,14 +91,90 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _svd(a: np.ndarray):
-    """SVD with a divide-and-conquer -> QR-iteration fallback."""
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
-        import scipy.linalg
+@lru_cache(maxsize=1024)
+def _qr_layout(m: int, n: int):
+    """Optimal dgeqrf and dorgqr workspaces of an ``m x n`` QR with
+    ``min(m, n) > 0``, and the read-only mask of R's strict lower triangle."""
+    k = min(m, n)
+    geqrf = int(lapack.dgeqrf_lwork(m, n)[0])
+    orgqr = int(lapack.dorgqr(np.zeros((m, k)), np.zeros(k), lwork=-1)[1][0])
+    below = np.tri(k, n, -1, dtype=bool)
+    below.setflags(write=False)
+    return geqrf, orgqr, below
 
-        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+
+@lru_cache(maxsize=1024)
+def _gesdd_lwork(m: int, n: int) -> int:
+    """Optimal dgesdd workspace of an ``m x n`` thin SVD, ``min(m, n) > 0``."""
+    return int(lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)[0])
+
+
+def _qr(a: np.ndarray, mode: str = "reduced"):
+    """``np.linalg.qr(a, mode)`` for a 2-d float64 ``a`` and ``mode`` in
+    ``("reduced", "r")``: ``(Q, R)``, or ``R`` alone for ``"r"``, which runs
+    dgeqrf only.  Q is ``m x k`` and R is ``k x n`` for ``k = min(m, n)``.
+
+    This and :func:`_svd` are the only way this module factors a matrix.
+    They make the LAPACK calls numpy makes, on the same Fortran-ordered copy
+    of the input, but skip numpy's per-call wrapper, which costs more than
+    LAPACK on the few-dozen-row blocks of the tree sweeps.  The results are
+    bitwise numpy's when both BLAS libraries run one thread, as
+    ``htsolve --threads 1`` pins them (with more threads, numpy's and scipy's
+    OpenBLAS builds may split blocks over 128 rows differently).  Two details
+    keep the bits:
+
+    * Q and R (U and V^T in :func:`_svd`) are returned as new C-contiguous
+      arrays, as numpy returns them.  LAPACK hands back Fortran order, and a
+      later ``@`` or ``np.matmul`` on a Fortran operand takes another GEMM
+      path whose result differs in the last bits.
+    * The workspace is LAPACK's optimal one, as numpy's is.  numpy queries it
+      on every call; it depends on the shape only, so it is queried once per
+      shape here.  With a smaller workspace, blocks with ``min(m, n) > 128``
+      take the unblocked path and round differently.
+
+    Raises ``np.linalg.LinAlgError`` if LAPACK reports an illegal argument.
+    """
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0:
+        r = np.zeros((0, n))
+        return r if mode == "r" else (np.zeros((m, 0)), r)
+    geqrf, orgqr, below = _qr_layout(m, n)
+    qr, tau, _, info = lapack.dgeqrf(a, lwork=geqrf)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
+    # always a copy: dorgqr overwrites qr in place, even where qr[:k] is
+    # already contiguous (one row, or one column)
+    r = np.array(qr[:k], order="C")
+    r[below] = 0.0
+    if mode == "r":
+        return r
+    q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=orgqr, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dorgqr failed with info = {info}")
+    return np.ascontiguousarray(q), r
+
+
+def _svd(a: np.ndarray):
+    """``np.linalg.svd(a, full_matrices=False)`` for a 2-d float64 ``a``:
+    ``(U, s, V^T)`` from divide and conquer (dgesdd), with U and V^T
+    C-contiguous; bitwise numpy's under the conditions of :func:`_qr`.
+
+    ``info`` is checked.  dgesdd reports a NaN entry by ``info = -4`` and an
+    all-zero spectrum, which, used, would certify a NaN tensor.  On any
+    ``info != 0`` (that, or no convergence) the SVD falls back to QR
+    iteration (``gesvd``), as it did when numpy raised: gesvd raises
+    ``ValueError`` on non-finite input, so a failed dgesdd never returns a
+    spectrum.
+    """
+    m, n = a.shape
+    if min(m, n) == 0:
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((0, n))
+    u, s, vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=0,
+                                   lwork=_gesdd_lwork(m, n))
+    if info != 0:
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
 @dataclass(frozen=True)
@@ -503,7 +584,7 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
         if node == tree.root:
             continue
         if tree.is_leaf(node):
-            q, r = np.linalg.qr(leaves[node[0]])
+            q, r = _qr(leaves[node[0]])
             frames[node[0]] = q
         else:
             left, right = tree.child_pair(node)
@@ -512,7 +593,7 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
                 reps = groups[node][1]
                 rl = rl[:, groups[left][0][reps]]
                 rr = rr[:, groups[right][0][reps]]
-            q, r = np.linalg.qr(_stacked_block(rl, rr, transfer[node]))
+            q, r = _qr(_stacked_block(rl, rr, transfer[node]))
             out[node] = q.reshape(rl.shape[0], rr.shape[0], q.shape[1])
         g = m if groups is None else len(groups[node][1])
         rfac[node] = r.reshape(r.shape[0], g, r.shape[1] // g)
@@ -737,7 +818,7 @@ def _factor_sweep(ho: HTensor) -> dict[Node, np.ndarray]:
     for node in tree.nodes[1:]:  # preorder after the root: parents come first
         f = factors[node]
         if f.shape[1] > f.shape[0]:
-            f = factors[node] = np.linalg.qr(f.T, mode="r").T
+            f = factors[node] = _qr(f.T, mode="r").T
         if tree.is_leaf(node):
             continue
         t = _last_axis_product(ho.transfer[node], f)

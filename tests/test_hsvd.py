@@ -1,12 +1,19 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import htsolve.hsvd as H
 from htsolve.htree import build_balanced_tree, build_linear_tree, effective_edges
+from htsolve.problems import load_problem
+from htsolve.solver import default_config, solve
 from htsolve.softthresh import soft_threshold
 from htsolve.tensorfile import ORTHONORMAL_TOL, load_htensor, save_htensor
 
@@ -859,3 +866,115 @@ def test_internal_results_frozen_and_valid(d, linear, rank, seed):
         H.HTensor(tree=r.tree, dims=r.dims, frames=r.frames,
                   transfer=r.transfer, root_transfer=r.root_transfer,
                   orthogonal=r.orthogonal)
+
+
+# -- LAPACK kernels -----------------------------------------------------------
+
+KERNEL_SHAPES = [(5, 9), (9, 5), (6, 6), (1, 1), (1, 4), (4, 1), (0, 3), (3, 0),
+                 (0, 0)]
+
+# Blocks with min(m, n) > 128 take LAPACK's blocked paths only when the
+# workspace is large enough.  numpy's and scipy's OpenBLAS builds agree there
+# bit for bit on one BLAS thread, so the check runs in a child process pinned
+# to one thread, as the CLI pins itself.
+LARGE_KERNEL_CHECK = """
+import numpy as np
+from htsolve.hsvd import _qr, _svd
+rng = np.random.default_rng(7)
+for shape in [(300, 300), (900, 160), (160, 700)]:
+    a = rng.standard_normal(shape)
+    for x in (a, np.asfortranarray(a)):
+        got = (*_qr(x), _qr(x, mode="r"), *_svd(x))
+        want = (*np.linalg.qr(x), np.linalg.qr(x, mode="r"),
+                *np.linalg.svd(x, full_matrices=False))
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and g.flags.c_contiguous, shape
+            assert g.tobytes() == w.tobytes(), shape
+"""
+
+
+def assert_kernels_match_numpy(a):
+    got = (*H._qr(a), H._qr(a, mode="r"), *H._svd(a))
+    want = (*np.linalg.qr(a), np.linalg.qr(a, mode="r"),
+            *np.linalg.svd(a, full_matrices=False))
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert g.dtype == np.float64 and g.flags.c_contiguous
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+@pytest.mark.parametrize("order", ["C", "F", "transposed"])
+def test_kernels_bitwise_equal_numpy(shape, order):
+    rng = np.random.default_rng(sum(shape))
+    if order == "transposed":  # the ``f.T`` of ``_factor_sweep``
+        a = rng.standard_normal(shape[::-1]).T
+    else:
+        a = np.array(rng.standard_normal(shape), order=order)
+    before = a.copy()
+    assert_kernels_match_numpy(a)
+    assert np.array_equal(a, before)
+    q, r = H._qr(a)
+    assert not np.shares_memory(q, r)
+
+
+def test_kernels_bitwise_equal_numpy_on_blocked_paths():
+    src = str(Path(H.__file__).resolve().parents[1])
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", LARGE_KERNEL_CHECK],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""  # LAPACK prints illegal workspaces to stderr
+
+
+def test_svd_of_nan_block_raises():
+    a = np.random.default_rng(8).standard_normal((4, 6))
+    a[1, 2] = np.nan
+    # dgesdd reports the NaN by info = -4 and an all-zero spectrum; the
+    # gesvd fallback refuses non-finite input
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        H._svd(a)
+
+
+def test_svd_falls_back_to_gesvd_when_dgesdd_fails(monkeypatch):
+    a = np.random.default_rng(9).standard_normal((7, 4))
+    dgesdd = H.lapack.dgesdd
+
+    def failing_dgesdd(*args, **kwargs):
+        u, s, vt, _ = dgesdd(*args, **kwargs)
+        return u, s, vt, 1  # as on no convergence
+
+    monkeypatch.setattr(H.lapack, "dgesdd", failing_dgesdd)
+    u, s, vt = H._svd(a)
+    want = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+    for g, w in zip((u, s, vt), want, strict=True):
+        assert g.flags.c_contiguous and np.array_equal(g, w)
+    assert np.allclose(u.T @ u, np.eye(4), atol=1e-14)
+    assert np.allclose(vt @ vt.T, np.eye(4), atol=1e-14)
+    assert np.allclose((u * s) @ vt, a, rtol=0, atol=1e-13)
+
+
+def test_solve_reaches_lapack_only_through_the_kernels(monkeypatch):
+    problem = load_problem(Path(__file__).resolve().parent.parent
+                           / "fixtures" / "parametric_d2.ini")
+    calls = {"_qr": 0, "_svd": 0}
+
+    def counted(name):
+        kernel = getattr(H, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hsvd called numpy's LAPACK wrapper")
+
+    for name in calls:
+        monkeypatch.setattr(H, name, counted(name))
+    monkeypatch.setattr(H.np.linalg, "qr", forbidden)
+    monkeypatch.setattr(H.np.linalg, "svd", forbidden)
+    cfg = default_config(problem.operator, problem.rhs, eps=1e-4)
+    solve(problem.operator, problem.rhs, cfg)
+    assert calls["_qr"] > 0 and calls["_svd"] > 0

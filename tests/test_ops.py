@@ -644,13 +644,13 @@ class TestApplyCP:
         k = 3
         v = random_htensor(tree, problem.dims, k, np.random.default_rng(42))
         shapes = []
-        qr = hsvd_module.np.linalg.qr
+        qr = hsvd_module._qr
 
         def recording_qr(a, *args, **kwargs):
             shapes.append(a.shape)
             return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(hsvd_module.np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(hsvd_module, "_qr", recording_qr)
         apply_cp(v, problem.operator.terms)
         # the sweep factors every non-root node once, bottom-up
         nodes = [n for n in tree.bottom_up() if n != tree.root]
