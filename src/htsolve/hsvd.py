@@ -27,14 +27,14 @@ products (``@``, batched ``np.matmul``) on blocks that are mostly a few dozen
 rows, where per-call overhead outweighs the flops; ``np.einsum`` is left to
 the dense conversions.  For the same reason every QR and SVD goes through
 :func:`_qr` and :func:`_svd`, which call ``scipy.linalg.lapack`` directly and
-return bitwise what ``np.linalg.qr`` and ``np.linalg.svd`` would.  Instances are immutable: arrays are stored
-read-only and the fields cannot be reassigned.  Public construction copies
-and validates its input; the results this module computes itself are built
-trusted (see :meth:`HTensor._trusted`).  Each instance memoizes what is derived
-from it (its orthogonal form, that form's spectrum, truncation bases and
-contractions) the first time it is asked for; since the data cannot change, a
-memo never goes stale, and reading it returns bitwise what computing again
-would.
+return bitwise what ``np.linalg.qr`` and ``np.linalg.svd`` would.  Instances
+are immutable: arrays are stored read-only and the fields cannot be
+reassigned.  Public construction copies and validates its input; the results
+this module computes itself are built trusted (see :meth:`HTensor._trusted`).
+Each instance memoizes what is derived from it (its orthogonal form, that
+form's spectrum, truncation bases and contractions) the first time it is
+asked for; since the data cannot change, a memo never goes stale, and reading
+it returns bitwise what computing again would.
 """
 
 from __future__ import annotations
@@ -161,11 +161,10 @@ def _svd(a: np.ndarray):
     C-contiguous; bitwise numpy's under the conditions of :func:`_qr`.
 
     ``info`` is checked.  dgesdd reports a NaN entry by ``info = -4`` and an
-    all-zero spectrum, which, used, would certify a NaN tensor.  On any
-    ``info != 0`` (that, or no convergence) the SVD falls back to QR
-    iteration (``gesvd``), as it did when numpy raised: gesvd raises
-    ``ValueError`` on non-finite input, so a failed dgesdd never returns a
-    spectrum.
+    all-zero spectrum; taken at face value, that would certify a NaN tensor.
+    On any ``info != 0`` (that, or no convergence) the SVD falls back to QR
+    iteration (``gesvd``), which raises ``ValueError`` on non-finite input,
+    so a failed dgesdd never returns a spectrum.
     """
     m, n = a.shape
     if min(m, n) == 0:

@@ -920,8 +920,9 @@ def test_kernels_bitwise_equal_numpy(shape, order):
 
 def test_kernels_bitwise_equal_numpy_on_blocked_paths():
     src = str(Path(H.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": path}
     run = subprocess.run([sys.executable, "-c", LARGE_KERNEL_CHECK],
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
