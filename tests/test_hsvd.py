@@ -879,17 +879,12 @@ KERNEL_SHAPES = [(5, 9), (9, 5), (6, 6), (1, 1), (1, 4), (4, 1), (0, 3), (3, 0),
 # to one thread, as the CLI pins itself.
 LARGE_KERNEL_CHECK = """
 import numpy as np
-from htsolve.hsvd import _qr, _svd
+from test_hsvd import assert_kernels_match_numpy
 rng = np.random.default_rng(7)
 for shape in [(300, 300), (900, 160), (160, 700)]:
     a = rng.standard_normal(shape)
-    for x in (a, np.asfortranarray(a)):
-        got = (*_qr(x), _qr(x, mode="r"), *_svd(x))
-        want = (*np.linalg.qr(x), np.linalg.qr(x, mode="r"),
-                *np.linalg.svd(x, full_matrices=False))
-        for g, w in zip(got, want, strict=True):
-            assert g.shape == w.shape and g.flags.c_contiguous, shape
-            assert g.tobytes() == w.tobytes(), shape
+    assert_kernels_match_numpy(a)
+    assert_kernels_match_numpy(np.asfortranarray(a))
 """
 
 
@@ -920,7 +915,8 @@ def test_kernels_bitwise_equal_numpy(shape, order):
 
 def test_kernels_bitwise_equal_numpy_on_blocked_paths():
     src = str(Path(H.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    here = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": path}
     run = subprocess.run([sys.executable, "-c", LARGE_KERNEL_CHECK],
