@@ -109,8 +109,11 @@ class ExpSumScaling:
     """The ideal diagonal ``(sum_i q_i[lam_i])^(-1/2)`` over every index.
 
     The level weights ``q_i`` must be nonempty 1-d, finite and nonnegative,
-    with a positive smallest row sum.  :func:`apply_certified` caches here
-    the tables it builds, keyed by their quantized tolerance.
+    with a positive smallest row sum.  What depends on them alone is computed
+    once and kept here: the normalized check set :func:`build_scaling`
+    certifies on, the full-check sup of each tabulated entry it has checked
+    (keyed by ``(R, index)``), and the tables :func:`apply_certified` builds
+    with their per-mode factors (keyed by quantized tolerance).
     """
 
     level_weights: tuple[np.ndarray, ...]
@@ -127,6 +130,7 @@ class ExpSumScaling:
             raise ValueError("the smallest row sum must be positive")
         object.__setattr__(self, "level_weights", qs)
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_sups", {})
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -137,6 +141,15 @@ class ExpSumScaling:
         """Smallest row sum ``c`` and normalized range ``X`` (largest / c)."""
         c = float(sum(q.min() for q in self.level_weights))
         return c, float(sum(q.max() for q in self.level_weights)) / c
+
+    @functools.cached_property
+    def _check_x(self) -> np.ndarray:
+        """Verification row sums plus a 4097-point log grid, normalized."""
+        c, big_x = self.row_sum_range
+        check_x = _verification_sums(self.level_weights,
+                                     np.random.default_rng(0x5CA1E))
+        grid_x = np.exp(np.linspace(0.0, np.log(big_x), 4097)) * c
+        return np.unique(np.concatenate([check_x, grid_x])) / c
 
     def ideal_dense_diag(self) -> np.ndarray:
         x = self.level_weights[0]
@@ -218,14 +231,16 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     """Smallest certified exponential-sum table for the inverse square root
     of ``sum_i q_i[lam_i]`` over every index.
 
-    The requested relative tolerance must be below 1 and is clamped to 1/2;
-    the level weights are checked as :class:`ExpSumScaling` checks them.  A
-    candidate passes when its sup error against the ideal diagonal is at most
-    ``0.995 delta`` on all extreme level combinations, 1000 seeded random
-    rows (every row when there are at most 100k), and a 4097-point log grid
-    in the scalar sum (the relative error depends on the row only through
-    the sum, so the grid check dominates both).  The check is sampled: it
-    proves nothing between its points.
+    The requested relative tolerance must be below 1 and is clamped to 1/2.
+    ``level_weights`` is an :class:`ExpSumScaling`, whose check set and
+    full-check sups are then reused across calls, or raw weights, checked as
+    :class:`ExpSumScaling` checks them (a fresh scaling, so nothing is
+    reused).  A candidate passes when its sup error against the ideal
+    diagonal is at most ``0.995 delta`` on all extreme level combinations,
+    1000 seeded random rows (every row when there are at most 100k), and a
+    4097-point log grid in the scalar sum (the relative error depends on the
+    row only through the sum, so the grid check dominates both).  The check
+    is sampled: it proves nothing between its points.
 
     The candidates are the committed near-best tables
     (``expsum_tables.npz``, written by ``tools/expsum_tables.py``: ranges
@@ -234,9 +249,12 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     least the normalized range ``X`` are walked from the smallest up, and
     within each the sizes whose stored sup is at most ``0.995 delta`` from
     the smallest up; the first that passes the full check is returned, which
-    is usually the first one.  Raises :class:`ToleranceInfeasibleError` when
-    none passes, naming the full-check sup of the table with the smallest
-    stored sup for ``R >= X``, or when ``X`` exceeds every tabulated range.
+    is usually the first one.  The check set is built once per scaling and
+    each entry fully checked at most once, so tables and their ``certified``
+    sups are bitwise those of a fresh scaling.  Raises
+    :class:`ToleranceInfeasibleError` when none passes, naming the
+    full-check sup of the table with the smallest stored sup for ``R >= X``,
+    or when ``X`` exceeds every tabulated range.
     """
     if math.isnan(tol):
         raise ValueError("relative tolerance must be a number, got nan")
@@ -245,39 +263,40 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     if tol <= 0.0:
         raise ValueError(f"relative tolerance must be positive, got {tol}")
     delta = min(tol, 0.5)
-    scaling = ExpSumScaling(level_weights)
-    level_weights = scaling.level_weights
+    scaling = (level_weights if isinstance(level_weights, ExpSumScaling)
+               else ExpSumScaling(level_weights))
     c, big_x = scaling.row_sum_range
-
-    rng = np.random.default_rng(0x5CA1E)
-    check_x = _verification_sums(level_weights, rng)
-    grid_x = np.exp(np.linspace(0.0, np.log(big_x), 4097)) * c
-    check_x = np.unique(np.concatenate([check_x, grid_x])) / c  # normalized
-    # small headroom: between grid points the error can exceed the sampled
-    # sup by a sliver (exhaustive row sets are exact already)
-    threshold = 0.995 * delta
-
     tables = _near_best_tables()
-    for big_r in sorted(r for r in tables if r >= big_x):
-        for sup, w, t in tables[big_r]:
-            if sup > threshold:
-                continue
-            w, t = w / math.sqrt(c), t / c
-            err = _scalar_expsum_relerr(w * math.sqrt(c), t * c, check_x)
-            if err <= threshold:
-                return ExpSumTable(weights=w, exponents=t, certified=err)
-
     widest = max(tables)
     if big_x > widest:
         raise ToleranceInfeasibleError(
             f"normalized range [1, {big_x:.3g}] exceeds the widest tabulated "
             f"exponential-sum range [1, {widest:.3g}]"
         )
-    _, w, t = min((e for r, entries in tables.items() if r >= big_x
-                   for e in entries), key=lambda e: e[0])
+
+    def full_check(big_r, k):  # once per scaling and entry
+        if (big_r, k) not in scaling._sups:
+            _, w, t = tables[big_r][k]
+            scaling._sups[big_r, k] = _scalar_expsum_relerr(
+                w / math.sqrt(c) * math.sqrt(c), t / c * c, scaling._check_x)
+        return scaling._sups[big_r, k]
+
+    # small headroom: between grid points the error can exceed the sampled
+    # sup by a sliver (exhaustive row sets are exact already)
+    threshold = 0.995 * delta
+    for big_r in sorted(r for r in tables if r >= big_x):
+        for k, (sup, w, t) in enumerate(tables[big_r]):
+            if sup > threshold:
+                continue
+            if full_check(big_r, k) <= threshold:
+                return ExpSumTable(weights=w / math.sqrt(c), exponents=t / c,
+                                   certified=full_check(big_r, k))
+
+    best = min(((r, k) for r, entries in tables.items() if r >= big_x
+                for k in range(len(entries))), key=lambda e: tables[e[0]][e[1]][0])
     raise ToleranceInfeasibleError(
         f"no tabulated exponential sum reaches relative tolerance {delta:g} "
-        f"(best achieved: {_scalar_expsum_relerr(w, t, check_x):.3g}; "
+        f"(best achieved: {full_check(*best):.3g}; "
         f"normalized range [1, {big_x:.3g}], tabulated up to {widest:.3g})"
     )
 
@@ -367,13 +386,16 @@ def _check_dims(a: LowRankOperator, v: HTensor):
         raise ValueError(f"operator dims {a.dims} do not match tensor dims {v.dims}")
 
 
-def _expsum_table(s: ExpSumScaling, beta: float) -> ExpSumTable:
-    """The table for ``s`` at accuracy ``beta``, built on first use and
-    cached on ``s``; tolerances are quantized down to powers of two so that
-    nearby requests share a table."""
+def _expsum_table(s: ExpSumScaling, beta: float) -> tuple[ExpSumTable, list]:
+    """The table for ``s`` at accuracy ``beta`` and its CP terms, built on
+    first use and cached on ``s``; tolerances are quantized down to powers
+    of two so that nearby requests share a table."""
     quant = 2.0 ** math.floor(math.log2(beta))
     if quant not in s._tables:
-        s._tables[quant] = build_scaling(s.level_weights, quant)
+        table = build_scaling(s, quant)
+        # term j takes exp(-t_j q_i) in every mode i
+        s._tables[quant] = table, list(zip(*(
+            np.exp(-np.outer(q, table.exponents)).T for q in s.level_weights)))
     return s._tables[quant]
 
 
@@ -382,10 +404,7 @@ def _apply_side(s, v: HTensor, beta: float) -> tuple[HTensor, int]:
     the number of exp-sum terms used (0 for an exact diagonal)."""
     if isinstance(s, DiagonalScaling):
         return apply_cp(v, [s.vectors]), 0
-    table = _expsum_table(s, beta)
-    # term j takes exp(-t_j q_i) in every mode i
-    terms = list(zip(*(np.exp(-np.outer(q, table.exponents)).T
-                       for q in s.level_weights)))
+    table, terms = _expsum_table(s, beta)
     return apply_cp(v, terms, table.weights), table.m
 
 
@@ -440,6 +459,9 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
         # table error [beta_L + beta_R (1 + beta_L)] * upper * ||v||
         # <= beta (2 + beta) * upper * ||v|| <= 2.5 beta upper ||v|| <= eta/4
         beta = min(0.5, (eta / 4.0) / (2.5 * upper * nv))
+        if beta == 0.0:
+            raise ToleranceInfeasibleError(
+                f"eta = {eta:g} underflows the table accuracy to 0")
         info["beta"] = beta
         info["scaling_error"] = beta * (2.0 + beta) * upper * nv
 

@@ -339,6 +339,52 @@ class TestNearBestTables:
         s = build_scaling(qs, 2.0**-20)
         assert seen == [s.m]
 
+    # 2^-51 .. 2^-54 lie below every fixture's floor, so the sweep also
+    # meets infeasible requests
+    SWEEP_TOLS = [2.0**-int(k) for k in
+                  np.random.default_rng(21).permutation(np.arange(1, 55))]
+
+    @staticmethod
+    def outcome(level_weights, tol):
+        try:
+            t = build_scaling(level_weights, tol)
+        except ToleranceInfeasibleError as exc:
+            return str(exc)
+        return t.weights.tobytes(), t.exponents.tobytes(), t.certified
+
+    @pytest.mark.parametrize("name", EXPSUM_FIXTURES)
+    def test_one_scaling_serves_every_tolerance(self, name):
+        # a scaling's memo changes no bit of any table or error message
+        s = load_problem(FIXTURES / f"{name}.ini").operator.scaling_left
+        shared = [self.outcome(s, tol) for tol in self.SWEEP_TOLS]
+        fresh = [self.outcome(s.level_weights, tol) for tol in self.SWEEP_TOLS]
+        assert shared == fresh
+        assert any(isinstance(o, str) for o in shared)
+        assert sum(isinstance(o, tuple) for o in shared) >= 50
+
+    @pytest.mark.parametrize("name", EXPSUM_FIXTURES)
+    def test_each_entry_checked_once_per_scaling(self, name, monkeypatch):
+        check_sets, checked = [], []
+        real_sums, real_relerr = (ops_module._verification_sums,
+                                  ops_module._scalar_expsum_relerr)
+
+        def counting_sums(qs, rng):
+            check_sets.append(len(qs))
+            return real_sums(qs, rng)
+
+        def counting_relerr(weights, exponents, x):
+            checked.append(weights.tobytes() + exponents.tobytes())
+            return real_relerr(weights, exponents, x)
+
+        monkeypatch.setattr(ops_module, "_verification_sums", counting_sums)
+        monkeypatch.setattr(ops_module, "_scalar_expsum_relerr",
+                            counting_relerr)
+        s = load_problem(FIXTURES / f"{name}.ini").operator.scaling_left
+        for tol in self.SWEEP_TOLS:
+            self.outcome(s, tol)
+        assert len(check_sets) == 1
+        assert len(checked) == len(set(checked)) > 0
+
     def test_refuted_table_raises(self, monkeypatch):
         # a stored sup that the full check refutes: no entry passes, and the
         # error names the refuted table's full-check sup
@@ -780,6 +826,13 @@ class TestApplyCertified:
         v = random_htensor(self.tree, self.dims, 1, self.rng)
         with pytest.raises(ToleranceInfeasibleError):
             apply_certified(a, v, 0.0)
+
+    @pytest.mark.parametrize("eta", [5e-324, 1e-300])
+    def test_tiny_eta_is_infeasible(self, eta):
+        # at 5e-324 the table accuracy underflows to 0 before its log2
+        p = load_problem(FIXTURES / "diffusion_d3_sine.ini")
+        with pytest.raises(ToleranceInfeasibleError):
+            apply_certified(p.operator, p.rhs, eta)
 
     def test_expsum_needs_bounds(self):
         a = ideal_scaled_operator(self.dims, self.rng)

@@ -57,19 +57,30 @@ ranges pipelined over both cores, each range in its own process fed the
 ``--check`` takes a few seconds.  Rerun on another machine, the fits agree
 with the file to about 1e-3 in the sup (the ``--check`` criterion), not bit
 for bit: least squares and ``lstsq`` round differently with other LAPACK
-kernels.  At ``R = 2`` no fit with more than 4 terms improved on 6e-9;
-below that a request for ``X <= 2`` is served from ``R = 4``.
+kernels.  Run as a script it pins BLAS to one thread before numpy loads:
+on the machine above, one thread reproduced the stored ``R = 2^14 .. 2^16``
+fits bit for bit up to ``m = 26 .. 31`` (sups equal to 4 digits beyond),
+while with two threads ``R = 2^16`` stopped at 47 terms instead of 48.
+At ``R = 2`` no fit with more than 4 terms improved on 6e-9; below that a
+request for ``X <= 2`` is served from ``R = 4``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-from scipy.optimize import least_squares
+if __name__ == "__main__":
+    # BLAS reads its thread count once, when numpy loads
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = "1"
+
+import numpy as np  # noqa: E402
+from scipy.optimize import least_squares  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
