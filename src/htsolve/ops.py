@@ -274,7 +274,7 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
             f"exponential-sum range [1, {widest:.3g}]"
         )
 
-    def full_check(big_r, k):  # once per scaling and entry
+    def full_check(big_r, k):  # once per entry: the returned table, renormalized
         if (big_r, k) not in scaling._sups:
             _, w, t = tables[big_r][k]
             scaling._sups[big_r, k] = _scalar_expsum_relerr(
@@ -288,12 +288,14 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
         for k, (sup, w, t) in enumerate(tables[big_r]):
             if sup > threshold:
                 continue
-            if full_check(big_r, k) <= threshold:
+            err = full_check(big_r, k)
+            if err <= threshold:
                 return ExpSumTable(weights=w / math.sqrt(c), exponents=t / c,
-                                   certified=full_check(big_r, k))
+                                   certified=err)
 
     best = min(((r, k) for r, entries in tables.items() if r >= big_x
-                for k in range(len(entries))), key=lambda e: tables[e[0]][e[1]][0])
+                for k in range(len(entries))),
+               key=lambda rk: tables[rk[0]][rk[1]][0])
     raise ToleranceInfeasibleError(
         f"no tabulated exponential sum reaches relative tolerance {delta:g} "
         f"(best achieved: {full_check(*best):.3g}; "
