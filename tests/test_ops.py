@@ -361,6 +361,13 @@ class TestNearBestTables:
         assert shared == fresh
         assert any(isinstance(o, str) for o in shared)
         assert sum(isinstance(o, tuple) for o in shared) >= 50
+        # each certified sup is, bit for bit, the returned table mapped back
+        # to normalized coordinates on the check set as first written
+        c, _, check_x = reference_check_set(s.level_weights)
+        for tol, o in zip(self.SWEEP_TOLS, shared):
+            if isinstance(o, tuple):
+                w, t = np.frombuffer(o[0]), np.frombuffer(o[1])
+                assert o[2] == sup_error(w * math.sqrt(c), t * c, check_x), tol
 
     @pytest.mark.parametrize("name", EXPSUM_FIXTURES)
     def test_each_entry_checked_once_per_scaling(self, name, monkeypatch):
