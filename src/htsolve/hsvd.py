@@ -193,9 +193,9 @@ class HTensor:
     root_transfer : ndarray
         Square coupling matrix between the two root children.
     orthogonal : bool
-        If set, all leaf frames and matricized transfer tensors have
-        orthonormal columns (the root transfer is unconstrained).  The memo
-        and :func:`norm` rely on this flag, so it must hold.
+        Set only by :meth:`_trusted`, on orthogonal forms: all leaf frames and
+        matricized transfer tensors have orthonormal columns (the root
+        transfer is unconstrained).  The memo and :func:`norm` rely on it.
 
     Stored ranks satisfy ``r_node <= r_left * r_right`` at interior nodes and
     the two root children share the root edge rank.  Orthogonalized reduction
@@ -210,10 +210,11 @@ class HTensor:
     stale, and ``dataclasses.replace`` starts a fresh one.
 
     Public construction (``HTensor(...)``, ``dataclasses.replace``) copies
-    every array and validates the whole layout.  Results this module builds
-    itself from valid operands (sums, scalings, orthogonal forms, support
-    restrictions, the zero tensor) come from :meth:`_trusted`, which freezes
-    the arrays in place and skips the validation walk.
+    every array, validates the whole layout and never sets ``orthogonal``
+    (:func:`orthogonalize` gives the orthogonal form).  Results this module
+    builds itself from valid operands (sums, scalings, orthogonal forms,
+    support restrictions, the zero tensor) come from :meth:`_trusted`, which
+    freezes the arrays in place and skips the validation walk.
     """
 
     tree: DimensionTree
@@ -221,7 +222,7 @@ class HTensor:
     frames: dict[int, np.ndarray]
     transfer: dict[Node, np.ndarray]
     root_transfer: np.ndarray
-    orthogonal: bool = False
+    orthogonal: bool = field(default=False, init=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -376,73 +377,38 @@ def random_htensor(tree: DimensionTree, dims, rank, rng) -> HTensor:
 # -- dense conversion --------------------------------------------------------
 
 
-def _matricize(data: np.ndarray, tree: DimensionTree, node: Node) -> np.ndarray:
-    """Rows indexed by the node's axis order, columns by the complement."""
-    order = tree.axis_order(node)
-    rest = tuple(i for i in range(tree.d) if i not in node)
-    moved = np.transpose(data, order + rest)
-    n_in = int(np.prod([data.shape[i] for i in order], initial=1))
-    return moved.reshape(n_in, -1)
-
-
 def from_dense(data, tree: DimensionTree) -> HTensor:
-    """Hierarchical SVD of a dense array.
+    """Hierarchical SVD of a dense array: ``recompress(h, 0.0)`` of ``data``
+    written exactly on the tree as ``h``.
 
-    The stored ranks are the numerical matricization ranks (singular values
-    below ``1e-14 * sigma_1`` count as zero), capped at the children's rank
-    product, and the result reproduces ``data`` to roundoff.  The result is
-    orthogonal: a node's leading singular vectors need not lie in the span of
-    its children's, so for ``d > 2`` the projected transfer tensors are not
-    orthonormal until a QR sweep makes them so.  Apply :func:`recompress` for
-    a certified lower-rank approximation.
+    ``h`` has identity frames, transfer tensors and root transfer, except
+    that the larger root child's basis holds ``data`` matricized between the
+    two root children (the root transfer must be square).  The stored ranks
+    are the numerical matricization ranks (see :class:`EdgeSpectrum`), and
+    the result reproduces ``data`` to roundoff.  A wrong order, a size-0
+    mode or a non-finite entry raises ``ValueError``.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != tree.d:
         raise ValueError(f"data has order {data.ndim}, tree has order {tree.d}")
-    dims = data.shape
     if not np.isfinite(data).all():
         raise ValueError("data contains non-finite entries")
-    if np.all(data == 0.0):
-        return zero_htensor(tree, dims)
-
-    bases: dict[Node, np.ndarray] = {}
-
-    def numerical_rank(s: np.ndarray, node: Node) -> int:
-        rank = int(np.count_nonzero(s > ZERO_CUTOFF * s[0]))
-        if not tree.is_leaf(node):
+    dims = data.shape
+    size = {node: int(np.prod([dims[i] for i in node])) for node in tree.nodes}
+    big, small = sorted(tree.child_pair(tree.root), key=lambda n: -size[n])
+    mat = np.transpose(data, tree.axis_order(big) + tree.axis_order(small))
+    mat = mat.reshape(size[big], size[small])
+    frames, transfer = {}, {}
+    for node in tree.nodes[1:]:
+        basis = mat if node == big else np.eye(size[node])
+        if tree.is_leaf(node):
+            frames[node[0]] = basis
+        else:
             lft, rgt = tree.child_pair(node)
-            rank = min(rank, bases[lft].shape[1] * bases[rgt].shape[1])
-        return max(rank, 1)
-
-    left, right = tree.child_pair(tree.root)
-    for node in tree.bottom_up():
-        if node in (tree.root, left, right):
-            continue
-        u, s, _ = _svd(_matricize(data, tree, node))
-        bases[node] = u[:, :numerical_rank(s, node)]
-    # the two root children share one matricization; factor it jointly so the
-    # root coupling is exactly diagonal
-    u, s, vt = _svd(_matricize(data, tree, left))
-    r_root = min(numerical_rank(s, left), numerical_rank(s, right))
-    bases[left] = u[:, :r_root]
-    bases[right] = vt[:r_root].T
-    root_sigma = s[:r_root]
-
-    frames = {i: bases[(i,)] for i in range(tree.d)}
-    transfer = {}
-    for node in tree.interior_nodes():
-        if node == tree.root:
-            continue
-        lft, rgt = tree.child_pair(node)
-        n_l = int(np.prod([dims[i] for i in lft]))
-        t = bases[node].reshape(n_l, -1, bases[node].shape[1])
-        transfer[node] = np.einsum("ia,jb,ijk->abk", bases[lft], bases[rgt], t,
-                                   optimize=True)
-    # SVD frames are orthonormal; projected transfer tensors need not be, so
-    # with any of them (d > 2) the QR sweep of orthogonalize runs
-    return orthogonalize(HTensor(tree=tree, dims=dims, frames=frames,
-                                 transfer=transfer, root_transfer=np.diag(root_sigma),
-                                 orthogonal=not transfer))
+            transfer[node] = basis.reshape(size[lft], size[rgt], basis.shape[1])
+    return recompress(HTensor(tree=tree, dims=dims, frames=frames,
+                              transfer=transfer, root_transfer=np.eye(size[small])),
+                      0.0)
 
 
 def to_dense(h: HTensor, max_entries: float = 1e8) -> np.ndarray:

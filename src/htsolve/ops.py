@@ -77,9 +77,10 @@ class OperatorBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalScaling:
-    """Exact separable diagonal ``diag(v_1) x ... x diag(v_d)``."""
+    """Exact separable diagonal ``diag(v_1) x ... x diag(v_d)``, compared
+    and hashed by identity like :class:`ExpSumScaling`."""
 
     vectors: tuple[np.ndarray, ...]
 
@@ -104,7 +105,7 @@ class DiagonalScaling:
         return self.dense_diag()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpSumScaling:
     """The ideal diagonal ``(sum_i q_i[lam_i])^(-1/2)`` over every index.
 
@@ -113,7 +114,8 @@ class ExpSumScaling:
     once and kept here: the normalized check set :func:`build_scaling`
     certifies on, the full-check sup of each tabulated entry it has checked
     (keyed by ``(R, index)``), and the tables :func:`apply_certified` builds
-    with their per-mode factors (keyed by quantized tolerance).
+    with their per-mode factors (keyed by quantized tolerance).  Scalings
+    compare and hash by identity, since each carries its own memo.
     """
 
     level_weights: tuple[np.ndarray, ...]

@@ -7,12 +7,15 @@ little-endian row-major payload: leaf frames for modes ``1..d``, transfer
 tensors for the interior non-root nodes in depth-first order, and the root
 transfer matrix.  Every array shape is derivable from the header, so files
 are self-describing.
+
+The orthogonality flag records whether the saved tensor was in orthogonal
+form.  It is never trusted: a loaded tensor is not flagged, and the QR sweep
+of :func:`htsolve.hsvd.orthogonalize` orthogonalizes it on first use.
 """
 
 from __future__ import annotations
 
 import io
-import math
 
 import numpy as np
 
@@ -23,7 +26,6 @@ __all__ = ["save_htensor", "load_htensor", "FORMAT_VERSION"]
 
 MAGIC = "HTENSOR"
 FORMAT_VERSION = 1
-ORTHONORMAL_TOL = 1e-10
 
 
 def _payload_arrays(h: HTensor):
@@ -50,27 +52,14 @@ def save_htensor(h: HTensor, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _check_orthonormal(path, named_arrays) -> None:
-    """Reject an ``orthogonal 1`` header the payload does not bear out: each
-    leaf frame and matricized transfer tensor must have orthonormal columns."""
-    for name, a in named_arrays:
-        q = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-        dev = float(np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0))
-        if not dev <= ORTHONORMAL_TOL:
-            raise ValueError(f"{path}: flagged orthogonal, but {name} is off "
-                             f"orthonormal by {dev:.3g} (> {ORTHONORMAL_TOL:g})")
-
-
 def load_htensor(path) -> HTensor:
     """Read a tensor file, validating its header, payload size and shapes.
 
     Every payload entry must be finite; NaN or inf raises ``ValueError``
     naming the file, before any arithmetic sees it.
 
-    A file flagged orthogonal must have leaf frames and matricized transfer
-    tensors with orthonormal columns: every entry of ``Q^T Q - I`` must be
-    at most ``ORTHONORMAL_TOL = 1e-10`` in magnitude.  Certified truncation
-    trusts the flag, so a false claim raises ``ValueError``.
+    The header must carry an integer ``orthogonal`` field, but the result
+    is never flagged orthogonal (see the module docstring).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -95,7 +84,7 @@ def load_htensor(path) -> HTensor:
         tree = parse_tree(fields["tree"])
         dims = tuple(int(n) for n in fields["dims"].split())
         ranks = tuple(int(r) for r in fields["ranks"].split())
-        orthogonal = bool(int(fields["orthogonal"]))
+        int(fields["orthogonal"])  # required, but never trusted
     except KeyError as exc:
         raise ValueError(f"{path}: header is missing field {exc}") from None
     if len(dims) != tree.d:
@@ -128,7 +117,5 @@ def load_htensor(path) -> HTensor:
     for name, a in named + [("root transfer", root)]:
         if not np.isfinite(a).all():
             raise ValueError(f"{path}: {name} holds non-finite values")
-    if orthogonal:
-        _check_orthonormal(path, named)
     return HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
-                   root_transfer=root, orthogonal=orthogonal)
+                   root_transfer=root)

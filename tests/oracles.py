@@ -31,6 +31,7 @@ from htsolve.htree import (
     effective_edges,
 )
 from htsolve.hsvd import (
+    ZERO_CUTOFF,
     HTensor,
     _node_rank_map,
     _project,
@@ -47,6 +48,11 @@ from htsolve.hsvd import (
     select_support,
 )
 from htsolve.ops import DiagonalScaling, LowRankOperator, OperatorBounds
+
+
+#: Largest entry of ``|Q^T Q - I|`` accepted for a frame or matricized
+#: transfer tensor that claims orthonormal columns.
+ORTHONORMAL_TOL = 1e-10
 
 
 def matricize(data: np.ndarray, modes) -> np.ndarray:
@@ -100,6 +106,14 @@ def dense_edge_singular_values(data: np.ndarray, tree: DimensionTree):
     for node in effective_edges(tree):
         out.append(np.linalg.svd(matricize(data, node), compute_uv=False))
     return out
+
+
+def dense_numerical_ranks(data: np.ndarray, tree: DimensionTree) -> tuple[int, ...]:
+    """Per effective edge: the number of singular values of the dense
+    matricization above ``ZERO_CUTOFF`` times the largest (0 for a zero
+    array), the rule :class:`htsolve.hsvd.EdgeSpectrum` counts by."""
+    return tuple(int(np.count_nonzero(s > ZERO_CUTOFF * s[0]))
+                 for s in dense_edge_singular_values(data, tree))
 
 
 def dense_contractions(data: np.ndarray):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htsolve.cli import RunSpec, _build_parser, _pin_threads, main
-from htsolve.hsvd import add, norm, random_htensor, scale
+from htsolve.hsvd import add, norm, random_htensor, scale, to_dense
 from htsolve.htree import build_balanced_tree
 from htsolve.tensorfile import load_htensor, save_htensor
 
@@ -232,8 +232,6 @@ class TestCompressCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         g = load_htensor(tmp_path / "out" / "compressed.ht")
-        from htsolve.hsvd import to_dense
-
         assert np.linalg.norm(to_dense(g) - data) <= 0.3
 
     def test_tolerance_above_norm_yields_zero_tensor(self, stored, tmp_path):
@@ -262,16 +260,37 @@ class TestCompressCommand:
         assert not (tmp_path / "out" / "compress.json").exists()
 
 
-    def test_false_orthogonal_flag_rejected(self, tmp_path):
-        # a non-orthogonal tensor saved with the flag set would otherwise get
-        # a certificate (0.614) below its true truncation error (0.719)
+    def test_false_orthogonal_flag_not_trusted(self, tmp_path):
+        # a non-orthogonal tensor saved with the flag set once got a
+        # certificate (0.614) below its true truncation error (0.719); the
+        # flag is never trusted, so the sweep orthogonalizes it first
         rng = np.random.default_rng(3)
         h = random_htensor(build_balanced_tree(3), (5, 6, 7), 4, rng)
         path = tmp_path / "lie.ht"
-        save_htensor(dataclasses.replace(h, orthogonal=True), path)
-        code = main(["compress", str(path), "--eps", "0.7110708013164879",
+        save_htensor(h, path)
+        raw = path.read_bytes()
+        assert b"orthogonal 0\n" in raw
+        path.write_bytes(raw.replace(b"orthogonal 0\n", b"orthogonal 1\n", 1))
+        eta = 0.7110708013164879
+        code = main(["compress", str(path), "--eps", str(eta),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        g = load_htensor(tmp_path / "out" / "compressed.ht")
+        payload = json.loads((tmp_path / "out" / "compress.json").read_text())
+        dense_error = np.linalg.norm(to_dense(g) - to_dense(h))
+        assert dense_error <= payload["certificate"] <= eta
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 4)])
+    def test_empty_mode_npy_rejected(self, tmp_path, shape, capsys):
+        # a size-0 mode once compressed to "certified error <= 0" and wrote a
+        # compressed.ht that load_htensor rejected
+        path = tmp_path / "empty.npy"
+        np.save(path, np.zeros(shape))
+        code = main(["compress", str(path), "--eps", "0.1",
                      "--out", str(tmp_path / "out")])
         assert code == 2
+        assert "mode sizes must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "compressed.ht").exists()
         assert not (tmp_path / "out" / "compress.json").exists()
 
     def test_non_finite_payload_rejected(self, tmp_path, capsys):

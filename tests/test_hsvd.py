@@ -15,13 +15,15 @@ from htsolve.htree import build_balanced_tree, build_linear_tree, effective_edge
 from htsolve.problems import load_problem
 from htsolve.solver import default_config, solve
 from htsolve.softthresh import soft_threshold
-from htsolve.tensorfile import ORTHONORMAL_TOL, load_htensor, save_htensor
+from htsolve.tensorfile import load_htensor, save_htensor
 
 from oracles import (
+    ORTHONORMAL_TOL,
     SUM_CASES,
     best_tucker_error,
     dense_contractions,
     dense_edge_singular_values,
+    dense_numerical_ranks,
     dense_truncation_tail,
     inner,
     matricize,
@@ -62,6 +64,29 @@ def test_from_dense_exact_ranks(tree):
         assert rank == true_rank
     # ranks never exceed the matricization caps
     assert all(r <= c for r, c in zip(h.ranks, H.max_ranks(tree, dims)))
+
+
+# besides random dims, dims that make the larger root child (whose basis holds
+# the data) a right leaf, a left leaf, a right or a left interior node
+FROM_DENSE_DIMS = {2: [(3, 5)], 3: [(2, 2, 7), (7, 2, 2)], 4: [(2, 2, 3, 4)],
+                   5: [(2, 2, 2, 3, 3), (17, 2, 2, 2, 2)]}
+
+
+@pytest.mark.parametrize("tree,dims", [
+    (tree, dims) for tree in TREES
+    for dims in [None] + FROM_DENSE_DIMS[tree.d]],
+    ids=lambda v: f"d{v.d}" if hasattr(v, "d") else str(v))
+@pytest.mark.parametrize("kind", ["gaussian", "low_rank", "zero"])
+def test_from_dense_against_dense_oracle(tree, dims, kind):
+    rng = np.random.default_rng(23 + tree.d)
+    dims = dims or rand_dims(tree, rng, 2, 6)
+    data = {"gaussian": lambda: rng.standard_normal(dims),
+            "low_rank": lambda: random_lowish_rank(tree, dims, 2, rng),
+            "zero": lambda: np.zeros(dims)}[kind]()
+    h = H.from_dense(data, tree)
+    assert h.ranks == dense_numerical_ranks(data, tree)
+    assert H.orthogonalize(h) is h
+    assert np.linalg.norm(H.to_dense(h) - data) <= 1e-12 * np.linalg.norm(data)
 
 
 def test_from_dense_with_tolerance():
@@ -593,8 +618,10 @@ def test_coarsen_trivial_cases():
     rng = np.random.default_rng(16)
     tree = build_balanced_tree(3)
     data = rng.standard_normal((4, 3, 4))
-    data[:, 1, :] = 0.0  # an exactly-zero slice
-    h = H.from_dense(data, tree)
+    data[:, 1, :] = 0.0
+    # from_dense leaves roundoff on the zero slice; zeroing its frame row
+    # makes the slice exactly zero
+    h = H.restrict_support(H.from_dense(data, tree), [range(4), (0, 2), range(4)])
     z = H.coarsen(h, H.norm(h))
     assert H.norm(z) == 0.0 and z.ranks == (0, 0, 0)
     kept = H.coarsen(h, 0.0)
@@ -602,6 +629,19 @@ def test_coarsen_trivial_cases():
     sets, _, disc = H.select_support(H.contractions(h).pis, 0.0)
     assert disc == 0.0
     assert sets[1] == (0, 2)  # the zero slice may be dropped at eta = 0
+
+
+@pytest.mark.parametrize("build", [build_balanced_tree, build_linear_tree])
+@pytest.mark.parametrize("seed", range(4))
+def test_from_dense_zero_slice_outside_support(build, seed):
+    # from_dense need not leave exact zeros, but the roundoff it leaves on a
+    # zero slice stays below the cutoff that supports counts by
+    x = np.random.default_rng(seed).standard_normal((3, 4, 5, 2))
+    x[:, :, 1] = 0.0
+    h = H.from_dense(x, build(4))
+    c = H.contractions(h)
+    assert c.pis[2][1] <= H.ZERO_CUTOFF * H.norm(h)
+    assert c.supports == (3, 4, 4, 2)
 
 
 @pytest.mark.parametrize("reduce", [
@@ -697,7 +737,21 @@ def test_from_dense_orthogonal_on_noisy_input(seed, tmp_path):
     assert np.linalg.norm(H.to_dense(h) - x) <= 1e-12 * np.linalg.norm(x)
     save_htensor(h, tmp_path / "h.ht")
     back = load_htensor(tmp_path / "h.ht")
-    assert back.orthogonal and back.ranks == h.ranks
+    assert H.orthogonalize(back).ranks == h.ranks
+
+
+def test_only_the_sweep_flags_orthogonal():
+    rng = np.random.default_rng(41)
+    h = H.orthogonalize(H.random_htensor(build_balanced_tree(3), (3, 4, 5), 2, rng))
+    assert h.orthogonal
+    layout = dict(tree=h.tree, dims=h.dims, frames=h.frames,
+                  transfer=h.transfer, root_transfer=h.root_transfer)
+    assert not H.HTensor(**layout).orthogonal
+    assert not dataclasses.replace(h).orthogonal
+    with pytest.raises(TypeError):
+        H.HTensor(**layout, orthogonal=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(h, orthogonal=True)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -864,8 +918,7 @@ def test_internal_results_frozen_and_valid(d, linear, rank, seed):
             assert not a.flags.writeable, name
             assert a.flags.c_contiguous and a.dtype == np.float64, name
         H.HTensor(tree=r.tree, dims=r.dims, frames=r.frames,
-                  transfer=r.transfer, root_transfer=r.root_transfer,
-                  orthogonal=r.orthogonal)
+                  transfer=r.transfer, root_transfer=r.root_transfer)
 
 
 # -- LAPACK kernels -----------------------------------------------------------

@@ -463,6 +463,18 @@ class TestLowRankOperator:
         want = _assemble_sparse(a).toarray() @ dense_vec(v)
         assert np.linalg.norm(dense_vec(w) - want) <= 1e-10 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("make", [ExpSumScaling, DiagonalScaling],
+                             ids=["expsum", "diagonal"])
+    def test_scalings_compare_by_identity(self, make):
+        # the generated __eq__ compared ndarray fields and raised, and
+        # __hash__ raised TypeError; each scaling carries its own memo
+        weights = [np.array([1.0, 2.0, 3.0]), np.array([0.5, 4.0])]
+        s, t = make(weights), make(weights)
+        assert hash(s) == hash(s)
+        assert s == s
+        assert s != t and not s == t
+        assert len({s, t}) == 2
+
     def test_apply_exact_rejects_expsum(self):
         dims = (3, 3)
         s = ExpSumScaling([np.array([1.0, 2.0, 3.0])] * 2)

@@ -29,9 +29,14 @@ from htsolve.softthresh import (
     soft_threshold_edge,
     st_solve,
 )
-from htsolve.tensorfile import ORTHONORMAL_TOL
 
-from oracles import SUM_CASES, identity_operator, random_lowish_rank, random_sum
+from oracles import (
+    ORTHONORMAL_TOL,
+    SUM_CASES,
+    identity_operator,
+    random_lowish_rank,
+    random_sum,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -151,9 +156,8 @@ class TestSoftThresholdEdge:
         eta = 0.3 * min(s[0] for s in edge_spectra(h).sigmas)
         for i in range(len(h.edge_list.edges)):
             want = to_dense(all_nodes_soft_threshold_edge(h, i, eta))
-            fresh = HTensor(tree=h.tree, dims=h.dims, frames=h.frames,
-                            transfer=h.transfer, root_transfer=h.root_transfer,
-                            orthogonal=True)
+            fresh = HTensor._trusted(h.tree, h.dims, h.frames, h.transfer,
+                                     h.root_transfer, orthogonal=True)
             shapes = []
             svd = hsvd_module._svd
             monkeypatch.setattr(hsvd_module, "_svd",

@@ -21,12 +21,17 @@ def test_round_trip(tmp_path, build, d):
     assert back.tree == h.tree
     assert back.dims == h.dims
     assert back.ranks == h.ranks
-    assert back.orthogonal == h.orthogonal
     for i in range(d):
         assert np.array_equal(back.frames[i], h.frames[i])
     for node in h.transfer:
         assert np.array_equal(back.transfer[node], h.transfer[node])
     assert np.array_equal(back.root_transfer, h.root_transfer)
+    # the header's orthogonal flag is never trusted: the loaded tensor is
+    # not flagged, and the QR sweep gives back h's orthogonal form
+    assert h.orthogonal and not back.orthogonal
+    back_o = H.orthogonalize(back)
+    assert back_o.ranks == h.ranks
+    assert np.linalg.norm(H.to_dense(back_o) - H.to_dense(h)) <= 1e-13 * H.norm(h)
 
 
 def test_round_trip_zero_tensor(tmp_path):
@@ -37,6 +42,20 @@ def test_round_trip_zero_tensor(tmp_path):
     back = load_htensor(path)
     assert back.ranks == (0, 0, 0)
     assert H.norm(back) == 0.0
+
+
+def test_orthogonal_field_required_but_not_trusted(tmp_path):
+    rng = np.random.default_rng(8)
+    h = H.random_htensor(build_balanced_tree(3), (3, 4, 3), 2, rng)
+    path = tmp_path / "flag.ht"
+    save_htensor(h, path)
+    raw = path.read_bytes()
+    assert b"orthogonal 0\n" in raw
+    path.write_bytes(raw.replace(b"orthogonal 0\n", b"orthogonal 1\n", 1))
+    assert not load_htensor(path).orthogonal
+    path.write_bytes(raw.replace(b"orthogonal 0\n", b"", 1))
+    with pytest.raises(ValueError, match="missing field 'orthogonal'"):
+        load_htensor(path)
 
 
 def test_save_deterministic(tmp_path):
