@@ -39,6 +39,7 @@ it returns bitwise what computing again would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -379,36 +380,64 @@ def random_htensor(tree: DimensionTree, dims, rank, rng) -> HTensor:
 
 def from_dense(data, tree: DimensionTree) -> HTensor:
     """Hierarchical SVD of a dense array: ``recompress(h, 0.0)`` of ``data``
-    written exactly on the tree as ``h``.
+    written on the tree as ``h``, which reproduces ``data`` to roundoff.
 
-    ``h`` has identity frames, transfer tensors and root transfer, except
-    that the larger root child's basis holds ``data`` matricized between the
-    two root children (the root transfer must be square).  The stored ranks
-    are the numerical matricization ranks (see :class:`EdgeSpectrum`), and
-    the result reproduces ``data`` to roundoff.  A wrong order, a size-0
-    mode or a non-finite entry raises ``ValueError``.
+    In ``h`` the root transfer is the identity, and the smaller root child's
+    basis is the right singular vectors of the root children's
+    matricization, those above its roundoff.  The nodes larger than their
+    complement form a chain down from the other root child: each has its
+    matricization's columns as basis (times those vectors at the root
+    child), and the transfer tensors above the chain's end select columns.
+    Every other node has the identity basis, so no rank exceeds the smaller
+    side of a matricization.  A wrong order, a size-0 mode or a non-finite
+    entry raises ``ValueError``.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != tree.d:
         raise ValueError(f"data has order {data.ndim}, tree has order {tree.d}")
+    if data.size == 0:
+        raise ValueError(f"mode sizes must be positive: {data.shape}")
     if not np.isfinite(data).all():
         raise ValueError("data contains non-finite entries")
-    dims = data.shape
-    size = {node: int(np.prod([dims[i] for i in node])) for node in tree.nodes}
-    big, small = sorted(tree.child_pair(tree.root), key=lambda n: -size[n])
-    mat = np.transpose(data, tree.axis_order(big) + tree.axis_order(small))
-    mat = mat.reshape(size[big], size[small])
+    dims, total = data.shape, data.size
+    size = {node: math.prod(dims[i] for i in node) for node in tree.nodes}
+    top, small = sorted(tree.child_pair(tree.root), key=lambda n: -size[n])
+    chain, last = {top: tree.axis_order(small)}, top  # node: its column modes
+    while not tree.is_leaf(last):
+        child, other = sorted(tree.child_pair(last), key=lambda n: -size[n])
+        if size[child] ** 2 <= total:
+            break
+        chain[child] = tree.axis_order(other) + chain[last]
+        last = child
+    u, s, vt = _svd(np.transpose(data, tree.axis_order(top) + chain[top])
+                    .reshape(size[top], size[small]))
+    # only what lies below the SVD's own roundoff; recompress applies the cutoff
+    rank = max(int(np.count_nonzero(s > np.finfo(np.float64).eps * s[0])), 1)
     frames, transfer = {}, {}
     for node in tree.nodes[1:]:
-        basis = mat if node == big else np.eye(size[node])
+        if node == small:
+            basis = vt[:rank].T
+        elif node == last == top:
+            basis = u[:, :rank] * s[:rank]
+        elif node == last:
+            basis = np.transpose(data, tree.axis_order(node) + chain[node])
+        elif node not in chain:
+            basis = np.eye(size[node])
+        else:  # the chain child's columns run over the other child, then ours
+            lft, rgt = tree.child_pair(node)
+            other = rgt if lft in chain else lft
+            cols = vt[:rank].T if node == top else np.eye(total // size[node])
+            sel = np.kron(np.eye(size[other]), cols)
+            sel = sel.reshape(-1, size[other], cols.shape[1])
+            transfer[node] = sel if other == rgt else sel.transpose(1, 0, 2)
+            continue
         if tree.is_leaf(node):
-            frames[node[0]] = basis
+            frames[node[0]] = basis.reshape(size[node], -1)
         else:
             lft, rgt = tree.child_pair(node)
-            transfer[node] = basis.reshape(size[lft], size[rgt], basis.shape[1])
-    return recompress(HTensor(tree=tree, dims=dims, frames=frames,
-                              transfer=transfer, root_transfer=np.eye(size[small])),
-                      0.0)
+            transfer[node] = basis.reshape(size[lft], size[rgt], -1)
+    return recompress(HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
+                              root_transfer=np.eye(rank)), 0.0)
 
 
 def to_dense(h: HTensor, max_entries: float = 1e8) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +67,12 @@ def test_from_dense_exact_ranks(tree):
     assert all(r <= c for r, c in zip(h.ranks, H.max_ranks(tree, dims)))
 
 
-# besides random dims, dims that make the larger root child (whose basis holds
-# the data) a right leaf, a left leaf, a right or a left interior node
-FROM_DENSE_DIMS = {2: [(3, 5)], 3: [(2, 2, 7), (7, 2, 2)], 4: [(2, 2, 3, 4)],
-                   5: [(2, 2, 2, 3, 3), (17, 2, 2, 2, 2)]}
+# besides random dims, dims that make the larger root child a right leaf, a
+# left leaf, a right or a left interior node, and dims whose nodes larger than
+# their complement run from it down to a left or a right leaf
+FROM_DENSE_DIMS = {2: [(3, 5)], 3: [(2, 2, 7), (7, 2, 2)],
+                   4: [(2, 2, 3, 4), (2, 2, 2, 30)],
+                   5: [(2, 2, 2, 3, 3), (17, 2, 2, 2, 2), (2, 2, 2, 2, 40)]}
 
 
 @pytest.mark.parametrize("tree,dims", [
@@ -87,6 +90,37 @@ def test_from_dense_against_dense_oracle(tree, dims, kind):
     assert h.ranks == dense_numerical_ranks(data, tree)
     assert H.orthogonalize(h) is h
     assert np.linalg.norm(H.to_dense(h) - data) <= 1e-12 * np.linalg.norm(data)
+
+
+@pytest.mark.parametrize("tree,dims,kind", [
+    (build_balanced_tree(3), (4000, 2, 2), "gaussian"),
+    (build_balanced_tree(3), (2, 2, 4000), "gaussian"),
+    (build_balanced_tree(3), (2, 4000, 2), "gaussian"),
+    (build_balanced_tree(5), (300, 2, 2, 2, 2), "gaussian"),
+    (build_linear_tree(4), (2, 2, 2, 500), "gaussian"),
+    (build_linear_tree(4), (500, 2, 2, 2), "gaussian"),
+    (build_balanced_tree(2), (200, 200), "smooth"),
+    (build_balanced_tree(4), (16, 16, 16, 16), "smooth")],
+    ids=lambda v: f"d{v.d}" if hasattr(v, "d") else str(v))
+def test_from_dense_allocates_little(tree, dims, kind):
+    # per-node SVDs of the matricizations peak below 8 times the data's bytes
+    # on these inputs.  An identity basis on a node larger than its complement
+    # would take the square of its size (128 MB for a mode of 4000), and one
+    # on each root child of low-rank data twice the data's size.
+    if kind == "gaussian":
+        x = np.random.default_rng(5).standard_normal(dims)
+    else:
+        x = 1.0 / (1.0 + sum(np.meshgrid(*[np.linspace(0, 1, n) for n in dims],
+                                          indexing="ij", sparse=True)))
+    tracemalloc.start()
+    try:
+        h = H.from_dense(x, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * x.nbytes
+    assert h.ranks == dense_numerical_ranks(x, tree)
+    assert np.linalg.norm(H.to_dense(h) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_from_dense_with_tolerance():
