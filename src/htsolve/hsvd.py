@@ -194,9 +194,10 @@ class HTensor:
     root_transfer : ndarray
         Square coupling matrix between the two root children.
     orthogonal : bool
-        Set only by :meth:`_trusted`, on orthogonal forms: all leaf frames and
-        matricized transfer tensors have orthonormal columns (the root
-        transfer is unconstrained).  The memo and :func:`norm` rely on it.
+        Set only by :meth:`_trusted`, on the QR sweep's output and the zero
+        tensor: all leaf frames and matricized transfer tensors have
+        orthonormal columns, and the root transfer is ``diag(sigma)`` with
+        the root-edge singular values nonincreasing, which the spectrum reads.
 
     Stored ranks satisfy ``r_node <= r_left * r_right`` at interior nodes and
     the two root children share the root edge rank.  Orthogonalized reduction
@@ -278,7 +279,8 @@ class HTensor:
         """An instance of data that already satisfies every condition
         ``__post_init__`` checks, with ``dims`` a tuple of ints.  Its arrays
         are read-only, C-contiguous float64 as always, but frozen in place
-        (see :func:`_frozen`) instead of copied, and nothing is validated."""
+        (see :func:`_frozen`) instead of copied, and nothing is validated.
+        Only :func:`_qr_sweep` and :func:`zero_htensor` pass ``orthogonal``."""
         h = object.__new__(cls)
         for name, value in (
                 ("tree", tree), ("dims", dims),
@@ -498,9 +500,9 @@ def add(a: HTensor, b: HTensor) -> HTensor:
 
 
 def scale(c: float, h: HTensor) -> HTensor:
-    """Scalar multiple; only the root transfer changes."""
+    """Scalar multiple, never flagged orthogonal; only the root changes."""
     return HTensor._trusted(h.tree, h.dims, h.frames, h.transfer,
-                            float(c) * h.root_transfer, orthogonal=h.orthogonal)
+                            float(c) * h.root_transfer)
 
 
 def _memoized(h: HTensor, key, compute):
@@ -835,26 +837,21 @@ def _spectral_decomposition(ho: HTensor):
 
 
 def _edge_decomposition(ho: HTensor, node: Node):
-    """Truncation bases and spectrum of the effective edge at ``node``, from
-    a single SVD.
+    """Truncation bases and spectrum ``S`` of the effective edge at ``node``
+    of an orthogonal form ``ho``, the bases keyed by node.
 
-    The two root children are factored jointly (SVD ``U S V^T`` of the root
-    transfer, for ``node`` the left root child) so their bases ``U`` and
-    ``V`` stay consistently paired; every other node takes the SVD
-    ``U S W^T`` of its :func:`_square_root_factors` entry, ``U`` its basis and
-    ``S`` its spectrum, accurate to order ``u sigma_1`` for unit roundoff
-    ``u`` since no data is squared.  Returns the bases keyed by node, and
-    ``S``.
+    At the root edge (``node`` the left root child) ``S`` is the root
+    transfer's diagonal, the root-edge singular values, and both root
+    children get the identity basis.  Every other node takes the thin SVD
+    ``U S W^T`` of its :func:`_square_root_factors` entry, accurate to order
+    ``u sigma_1`` for unit roundoff ``u`` since no data is squared; a tall
+    factor's missing directions have sigma 0, which the tails ignore.
     """
     left, right = ho.tree.child_pair(ho.tree.root)
     if node == left:
-        u, s, vt = _svd(ho.root_transfer)
-        return {left: u, right: vt.T}, s
-    f = _square_root_factors(ho)[node]
-    if f.shape[0] > f.shape[1]:
-        # zero columns pad a tall factor: missing directions have sigma 0
-        f = np.pad(f, ((0, 0), (0, f.shape[0] - f.shape[1])))
-    u, s, _ = _svd(f)
+        eye = np.eye(ho.root_transfer.shape[0])
+        return {left: eye, right: eye}, np.diag(ho.root_transfer)
+    u, s, _ = _svd(_square_root_factors(ho)[node])
     return {node: u}, s
 
 

@@ -39,7 +39,7 @@ __all__ = [
 
 def soft_scalar(x, eta: float):
     """sgn(x) * max(|x| - eta, 0), elementwise on arrays."""
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"threshold must be >= 0, got {eta}")
     x = np.asarray(x, dtype=np.float64)
     out = np.sign(x) * np.maximum(np.abs(x) - eta, 0.0)
@@ -55,7 +55,7 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
     the proximal map of the nuclear norm at this edge exactly.  The result is
     in orthogonal form.
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"threshold must be >= 0, got {eta}")
     edges = h.edge_list
     if not 0 <= edge < len(edges.edges):
@@ -81,7 +81,7 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
 def soft_threshold(h: HTensor, eta: float) -> HTensor:
     """Apply the edge shrinkage sequentially over all effective edges, in the
     fixed enumeration order.  Non-expansive for every ``eta >= 0``."""
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"threshold must be >= 0, got {eta}")
     for i in range(len(h.edge_list.edges)):
         h = soft_threshold_edge(h, i, eta)

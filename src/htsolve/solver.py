@@ -421,12 +421,7 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
         for j in range(reps):
             tick = time.perf_counter()
             eta = cfg.rho ** (j + 1) * level
-            aw = apply_certified(a, w, eta / 2.0)
-            ft = rhs_truncate(f, eta / 2.0)
-            r = add(aw, scale(-1.0, ft))
-            rn = norm(r)
-            res_lo = max(rn - eta, 0.0)
-            res_hi = rn + eta
+            r, res_lo, res_hi = _certified_residual(a, w, f, eta)
             # the scheduled bound on ||w_{k,j} - u|| after j perturbed steps
             bound = cfg.rho**j * (1.0 + drift * j) * level
             if res_lo / upper > bound * (1.0 + 1e-9) + 1e-12 * cfg.eps0:
@@ -534,6 +529,14 @@ def error_certificate(a: LowRankOperator, v: HTensor, f: HTensor,
         raise ValueError(
             f"the lower operator bound must be positive, got {lower}"
         )
-    r = add(apply_certified(a, v, res_eta), scale(-1.0, rhs_truncate(f, res_eta)))
+    _, res_lo, res_hi = _certified_residual(a, v, f, 2.0 * res_eta)
+    return res_lo / upper, res_hi / lower
+
+
+def _certified_residual(a: LowRankOperator, v: HTensor, f: HTensor,
+                        eta: float) -> tuple[HTensor, float, float]:
+    """``r`` within ``eta`` of ``A v - f``, and an interval on ``norm(A v - f)``."""
+    half = eta / 2.0
+    r = add(apply_certified(a, v, half), scale(-1.0, rhs_truncate(f, half)))
     rn = norm(r)
-    return max(rn - 2.0 * res_eta, 0.0) / upper, (rn + 2.0 * res_eta) / lower
+    return r, max(rn - eta, 0.0), rn + eta

@@ -100,7 +100,8 @@ def test_from_dense_against_dense_oracle(tree, dims, kind):
     (build_linear_tree(4), (2, 2, 2, 500), "gaussian"),
     (build_linear_tree(4), (500, 2, 2, 2), "gaussian"),
     (build_balanced_tree(2), (200, 200), "smooth"),
-    (build_balanced_tree(4), (16, 16, 16, 16), "smooth")],
+    (build_balanced_tree(4), (16, 16, 16, 16), "smooth"),
+    (build_linear_tree(4), (32, 32, 32, 32), "smooth")],
     ids=lambda v: f"d{v.d}" if hasattr(v, "d") else str(v))
 def test_from_dense_allocates_little(tree, dims, kind):
     # per-node SVDs of the matricizations peak below 8 times the data's bytes
@@ -194,7 +195,7 @@ def test_scale_touches_root_only():
     tree = build_balanced_tree(3)
     h = H.orthogonalize(H.random_htensor(tree, (4, 4, 4), 3, rng))
     g = H.scale(3.0, h)
-    assert g.orthogonal  # frames untouched, flag preserved
+    assert not g.orthogonal  # frames untouched, but the flag is the sweep's
     for i in range(3):
         assert np.array_equal(g.frames[i], h.frames[i])
     for node in h.transfer:
@@ -280,6 +281,27 @@ def test_edge_spectra_against_dense(tree):
         assert np.abs(sm[:k] - sd[:k]).max() <= 1e-10 * max(sd[0], 1)
         if len(sd) > k:
             assert np.abs(sd[k:]).max() <= 1e-10 * max(sd[0], 1)
+
+
+def test_edge_spectra_of_a_tall_factor():
+    # a node whose rank exceeds its complement's size has a tall square-root
+    # factor, whose thin SVD leaves out directions of singular value zero
+    tree, dims = build_balanced_tree(3), (12, 2, 2)
+    rng = np.random.default_rng(0)
+    h = H.add(H.random_htensor(tree, dims, 4, rng), H.random_htensor(tree, dims, 4, rng))
+    f = H._square_root_factors(H.orthogonalize(h))[(0,)]
+    assert f.shape[0] > f.shape[1], f.shape
+    data = H.to_dense(h)
+    spec = H.edge_spectra(h)
+    for sm, sd in zip(spec.sigmas, dense_edge_singular_values(data, tree)):
+        k = min(len(sm), len(sd))
+        assert np.abs(sm[:k] - sd[:k]).max() <= 1e-13 * sd[0]
+        assert np.abs(sm[k:]).max(initial=0.0) <= 1e-13 * sd[0]
+        assert np.abs(sd[k:]).max(initial=0.0) <= 1e-13 * sd[0]
+    assert spec.numerical_ranks == dense_numerical_ranks(data, tree)
+    g = H.recompress(h, 0.0)
+    assert g.ranks == spec.numerical_ranks
+    assert np.linalg.norm(H.to_dense(g) - data) <= 1e-13 * np.linalg.norm(data)
 
 
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
@@ -786,6 +808,44 @@ def test_only_the_sweep_flags_orthogonal():
         H.HTensor(**layout, orthogonal=True)
     with pytest.raises(ValueError):
         dataclasses.replace(h, orthogonal=True)
+
+
+def orthogonal_form_cases(tree, tmp_path):
+    """One tensor of each kind the library builds, on ``tree``."""
+    rng = np.random.default_rng(70 + tree.d)
+    dims = rand_dims(tree, rng)
+    h = H.random_htensor(tree, dims, 3, rng)
+    total = H.add(h, H.random_htensor(tree, dims, 2, rng))
+    terms = [tuple(rng.standard_normal(n) for n in dims), (None,) * tree.d]
+    cut = H.recompress(total, 0.3 * H.norm(total))
+    assert sum(cut.ranks) < sum(H.orthogonalize(total).ranks)  # eta cuts
+    save_htensor(total, tmp_path / "sum.ht")
+    return {"random": h, "sum": total,
+            "apply_cp": H.apply_cp(h, terms, weights=[1.0, -2.0]),
+            "recompress": cut,
+            "soft_threshold": soft_threshold(total, 0.1 * H.norm(total)),
+            "loaded": load_htensor(tmp_path / "sum.ht"),
+            "zero": H.zero_htensor(tree, dims)}
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+def test_orthogonal_root_is_the_root_edge_spectrum(tree, tmp_path):
+    # an orthogonal form's root transfer is diag(sigma), sigma >= 0
+    # nonincreasing, and the root edge's spectrum is read off it; a scaling
+    # keeps no flag, since it may break that invariant
+    for kind, h in orthogonal_form_cases(tree, tmp_path).items():
+        ho = H.orthogonalize(h)
+        sigma = np.diag(ho.root_transfer)
+        assert np.array_equal(ho.root_transfer, np.diag(sigma)), kind
+        assert np.all(sigma >= 0) and np.all(np.diff(sigma) <= 0), kind
+        assert np.array_equal(H.edge_spectra(h).sigmas[0], sigma), kind
+        for c in (2.0, 0.0, -1.0):
+            assert not H.scale(c, ho).orthogonal, kind
+        flipped = H.orthogonalize(H.scale(-2.0, ho))
+        fs = np.diag(flipped.root_transfer)
+        assert np.array_equal(flipped.root_transfer, np.diag(fs)), kind
+        assert np.all(fs >= 0), kind
+        assert abs(H.norm(flipped) - 2.0 * H.norm(ho)) <= 1e-14 * H.norm(ho), kind
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

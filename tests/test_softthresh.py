@@ -73,6 +73,9 @@ class TestSoftScalar:
     def test_validation(self):
         with pytest.raises(ValueError):
             soft_scalar(1.0, -0.1)
+        with pytest.raises(ValueError):
+            soft_scalar([1.0, 2.0], np.nan)
+        assert np.array_equal(soft_scalar([1.0, -2.0], np.inf), [0.0, 0.0])
 
 
 def matrix_with_singular_values(sv, shape, rng):
@@ -149,11 +152,13 @@ class TestSoftThresholdEdge:
     ])
     def test_one_spectral_svd_per_edge(self, tree, dims, monkeypatch):
         # equals projecting every node onto its full (square) basis, and
-        # each call runs one spectral SVD (the edge's node, or the root
-        # transfer at the root edge) plus the root-core SVD of its sweep
+        # each call runs the root-core SVD of its sweep plus, away from the
+        # root edge, one spectral SVD of the edge's node; the root edge's
+        # spectrum is the orthogonal root's diagonal
         rng = np.random.default_rng(sum(dims) + tree.d)
         h = orthogonalize(random_htensor(tree, dims, 4, rng))
         eta = 0.3 * min(s[0] for s in edge_spectra(h).sigmas)
+        root_edge = tree.child_pair(tree.root)[0]
         for i in range(len(h.edge_list.edges)):
             want = to_dense(all_nodes_soft_threshold_edge(h, i, eta))
             fresh = HTensor._trusted(h.tree, h.dims, h.frames, h.transfer,
@@ -164,7 +169,7 @@ class TestSoftThresholdEdge:
                                 lambda a: shapes.append(a.shape) or svd(a))
             got = to_dense(soft_threshold_edge(fresh, i, eta))
             monkeypatch.undo()
-            assert len(shapes) == 2, shapes
+            assert len(shapes) == (1 if h.edge_list.edges[i] == root_edge else 2), shapes
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_edge_index_validation(self):
@@ -175,6 +180,9 @@ class TestSoftThresholdEdge:
             soft_threshold_edge(h, -1, 0.1)
         with pytest.raises(ValueError):
             soft_threshold_edge(h, 0, -0.5)
+        with pytest.raises(ValueError):
+            soft_threshold_edge(h, 0, np.nan)
+        assert soft_threshold_edge(h, 0, np.inf).ranks == (0,)
 
 
 class TestSoftThreshold:
@@ -202,6 +210,14 @@ class TestSoftThreshold:
         rng = np.random.default_rng(9)
         h = random_htensor(build_balanced_tree(3), (4, 4, 4), 2, rng)
         assert norm(soft_threshold(h, 2.0 * norm(h))) == 0.0
+        assert soft_threshold(h, np.inf).ranks == (0, 0, 0)
+
+    def test_nan_threshold_rejected(self):
+        # NaN passes an ``eta < 0`` check and would shrink everything away
+        h = random_htensor(build_balanced_tree(3), (4, 4, 4), 2,
+                           np.random.default_rng(9))
+        with pytest.raises(ValueError):
+            soft_threshold(h, np.nan)
 
     def test_non_expansive(self):
         rng = np.random.default_rng(10)
