@@ -27,7 +27,10 @@ products (``@``, batched ``np.matmul``) on blocks that are mostly a few dozen
 rows, where per-call overhead outweighs the flops; ``np.einsum`` is left to
 the dense conversions.  For the same reason every QR and SVD goes through
 :func:`_qr` and :func:`_svd`, which call ``scipy.linalg.lapack`` directly and
-return bitwise what ``np.linalg.qr`` and ``np.linalg.svd`` would.  Instances
+return bitwise what ``np.linalg.qr`` and ``np.linalg.svd`` would, and a sweep
+factors only what it changes: a block with no more rows than columns keeps
+the identity basis, and a cut of the root edge alone slices the root
+children.  Instances
 are immutable: arrays are stored read-only and the fields cannot be
 reassigned.  Public construction copies and validates its input; the results
 this module computes itself are built trusted (see :meth:`HTensor._trusted`).
@@ -42,9 +45,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.linalg import lapack
 
 from htsolve.htree import DimensionTree, EdgeList, Node, effective_edges
@@ -194,10 +199,12 @@ class HTensor:
     root_transfer : ndarray
         Square coupling matrix between the two root children.
     orthogonal : bool
-        Set only by :meth:`_trusted`, on the QR sweep's output and the zero
+        Set only by :meth:`_trusted`, on the QR sweep's output, a root-edge
+        cut of an orthogonal form (:func:`_cut_root_edge`) and the zero
         tensor: all leaf frames and matricized transfer tensors have
         orthonormal columns, and the root transfer is ``diag(sigma)`` with
-        the root-edge singular values nonincreasing, which the spectrum reads.
+        the root-edge singular values nonnegative and nonincreasing, which
+        the spectrum reads.
 
     Stored ranks satisfy ``r_node <= r_left * r_right`` at interior nodes and
     the two root children share the root edge rank.  Orthogonalized reduction
@@ -280,7 +287,9 @@ class HTensor:
         ``__post_init__`` checks, with ``dims`` a tuple of ints.  Its arrays
         are read-only, C-contiguous float64 as always, but frozen in place
         (see :func:`_frozen`) instead of copied, and nothing is validated.
-        Only :func:`_qr_sweep` and :func:`zero_htensor` pass ``orthogonal``."""
+        Only :func:`_qr_sweep`, :func:`_cut_root_edge` and
+        :func:`zero_htensor` pass ``orthogonal``, each with a root
+        ``diag(sigma)``, ``sigma`` nonnegative and nonincreasing."""
         h = object.__new__(cls)
         for name, value in (
                 ("tree", tree), ("dims", dims),
@@ -544,18 +553,48 @@ def _orthogonal_form(h: HTensor) -> HTensor:
 def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
               weights=None, groups=None) -> HTensor:
     """Orthogonal form of ``sum_j w_j T_j`` for ``m`` tensors ``T_j`` that
-    share their transfer tensors and root transfer ``root``.
+    share their transfer tensors and root transfer ``root``: the
+    :func:`_sweep` towards the root, then the SVD of its root core.
 
     ``leaves[i]`` is the stacked leaf frame ``[U_i1 ... U_im]`` of shape
     ``(n_i, m r_i)``; ``weights`` (an array) defaults to one block of weight
-    one.  The sum's transfer tensors are block-diagonal in ``j`` and never
-    formed: a QR sweep from the leaves factors each stacked frame, and at
-    each interior node the children's R factors contracted with the shared
-    transfer, block by block, so every triangular factor is absorbed towards
-    the root.  The SVD of the root core ``sum_j w_j R_L[:, j] B R_R[:, j]^T``
-    is absorbed into the root children, which makes the root ranks equal and
-    leaves the root transfer diagonal with the root-edge singular values on
-    it.
+    one, and ``groups`` is :func:`_sweep`'s.  The SVD ``U S V^T`` of the root
+    core is absorbed into the root children (a root child with the identity
+    basis takes ``U`` or ``V`` itself), which makes the root ranks equal and
+    leaves the root transfer ``diag(S)`` with the root-edge singular values
+    on it.  Nothing is truncated, so the result equals the sum up to
+    roundoff; its ranks are the sweep's, the root rank the smaller root
+    child rank (see :func:`_stored_ranks`).  A zero root rank yields the
+    canonical zero tensor.
+    """
+    frames, out, core, eye = _sweep(tree, leaves, transfer, root, weights, groups)
+    if 0 in core.shape:
+        return zero_htensor(tree, dims)
+    u, s, vt = _svd(core)
+    left, right = tree.child_pair(tree.root)
+    _set_root_basis(tree, frames, out, left, u, left in eye)
+    _set_root_basis(tree, frames, out, right, vt.T, right in eye)
+    return HTensor._trusted(tree, dims, frames, out, np.diag(s), orthogonal=True)
+
+
+def _sweep(tree: DimensionTree, leaves, transfer, root: np.ndarray,
+           weights=None, groups=None):
+    """:func:`_qr_sweep` up to its root core: ``(frames, transfer, core,
+    eye)``.
+
+    The sum's transfer tensors are block-diagonal in ``j`` and never formed:
+    the sweep factors each stacked leaf frame, and at each interior node the
+    children's R factors contracted with the shared transfer, block by block
+    (:func:`_stacked_block`), so every triangular factor is absorbed towards
+    the root.  Only a tall block (more rows than columns) is factored by
+    :func:`_qr`.  A block with ``rows <= cols`` keeps the identity as its
+    frame or transfer and is its own R factor: its QR would give a square
+    basis of the whole space, so the rank is ``rows = min(rows, cols)``
+    either way.  The root core is ``sum_j w_j R_L[:, j] B R_R[:, j]^T``.
+
+    ``eye`` is the set of root children with the identity basis.  Their
+    entry in ``frames`` or ``transfer`` is not built: the root SVD's factor
+    becomes it (:func:`_set_root_basis`).  Every other entry is stored.
 
     ``groups`` (from :func:`_term_groups`, ``None`` when no terms coincide)
     maps each non-root node to its terms' group labels and one
@@ -563,25 +602,22 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
     below the node, so a node factors one block per group: ``leaves[i]``
     then stacks the representatives only, an interior node takes each
     child's R block of its representatives, and the root core gives every
-    term its group's block (``R[:, labels]``).
-
-    Nothing is truncated, so the result equals the sum up to roundoff.  With
-    ``g`` the number of groups at a node (``m`` without grouping), a leaf
-    rank is at most ``min(n_i, g r_i)``, an interior rank at most
-    ``min(q_left q_right, g r_node)`` for the children's new ranks ``q``, and
-    the root rank is the smaller root child rank (see :func:`_stored_ranks`).
-    A zero root rank yields the canonical zero tensor.
+    term its group's block (``R[:, labels]``).  With ``g`` the number of
+    groups at a node (``m`` without grouping), a leaf rank is
+    ``min(n_i, g r_i)`` and an interior rank ``min(q_left q_right, g r_node)``
+    for the children's new ranks ``q``.
     """
     m = 1 if weights is None else len(weights)
+    top = tree.child_pair(tree.root)
     frames: dict[int, np.ndarray] = {}
     out: dict[Node, np.ndarray] = {}
+    eye: set[Node] = set()
     rfac: dict[Node, np.ndarray] = {}  # (q, g, r): R factor, one block per group
     for node in tree.bottom_up():
         if node == tree.root:
             continue
         if tree.is_leaf(node):
-            q, r = _qr(leaves[node[0]])
-            frames[node[0]] = q
+            block = leaves[node[0]]
         else:
             left, right = tree.child_pair(node)
             rl, rr = rfac[left], rfac[right]
@@ -589,29 +625,46 @@ def _qr_sweep(tree: DimensionTree, dims, leaves, transfer, root: np.ndarray,
                 reps = groups[node][1]
                 rl = rl[:, groups[left][0][reps]]
                 rr = rr[:, groups[right][0][reps]]
-            q, r = _qr(_stacked_block(rl, rr, transfer[node]))
+            block = _stacked_block(rl, rr, transfer[node])
+        q, r = None, block
+        if block.shape[0] > block.shape[1]:
+            q, r = _qr(block)
+        elif node not in top:
+            q = np.eye(block.shape[0])
+        if q is None:
+            eye.add(node)
+        elif tree.is_leaf(node):
+            frames[node[0]] = q
+        else:
             out[node] = q.reshape(rl.shape[0], rr.shape[0], q.shape[1])
         g = m if groups is None else len(groups[node][1])
         rfac[node] = r.reshape(r.shape[0], g, r.shape[1] // g)
 
-    left, right = tree.child_pair(tree.root)
-    rl, rr = rfac[left], rfac[right]
+    rl, rr = (rfac[n] for n in top)
     if rl.shape[0] == 0 or rr.shape[0] == 0:
-        return zero_htensor(tree, dims)
+        return frames, out, np.zeros((rl.shape[0], rr.shape[0])), eye
     if groups is not None:
-        rl, rr = rl[:, groups[left][0]], rr[:, groups[right][0]]
+        rl, rr = rl[:, groups[top[0]][0]], rr[:, groups[top[1]][0]]
     # core = sum_j w_j R_L[:, j] B R_R[:, j]^T as one matrix product
     lb = (rl.reshape(-1, rl.shape[2]) @ root).reshape(rl.shape[0], m, -1)
     if weights is not None:
         lb = lb * weights[None, :, None]
     core = lb.reshape(rl.shape[0], -1) @ rr.reshape(rr.shape[0], -1).T
-    u, s, vt = _svd(core)
-    for node, basis in ((left, u), (right, vt.T)):
-        if tree.is_leaf(node):
-            frames[node[0]] = frames[node[0]] @ basis
-        else:
-            out[node] = _last_axis_product(out[node], basis)
-    return HTensor._trusted(tree, dims, frames, out, np.diag(s), orthogonal=True)
+    return frames, out, core, eye
+
+
+def _set_root_basis(tree: DimensionTree, frames, out, node: Node,
+                    basis: np.ndarray, identity: bool):
+    """Store root child ``node``'s frame or transfer times ``basis`` in
+    ``frames`` or ``out``; with the ``identity`` basis, ``basis`` itself."""
+    if tree.is_leaf(node):
+        frames[node[0]] = basis if identity else frames[node[0]] @ basis
+    elif identity:
+        lft, rgt = (frames[c[0]].shape[1] if tree.is_leaf(c) else out[c].shape[2]
+                    for c in tree.child_pair(node))
+        out[node] = basis.reshape(lft, rgt, basis.shape[1])
+    else:
+        out[node] = _last_axis_product(out[node], basis)
 
 
 def _last_axis_product(b: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -633,27 +686,6 @@ def _stacked_block(rl: np.ndarray, rr: np.ndarray, b: np.ndarray) -> np.ndarray:
     s = s.reshape(q2, m, r1, k).transpose(1, 2, 0, 3).reshape(m, r1, q2 * k)
     c = np.matmul(rl.transpose(1, 0, 2), s)  # (j, x, (y, c))
     return c.reshape(m, q1, q2, k).transpose(1, 2, 0, 3).reshape(q1 * q2, m * k)
-
-
-def _map_frame(factor, u: np.ndarray) -> np.ndarray:
-    """One CP factor applied to a leaf frame: ``None`` is the identity, a 1-d
-    array a diagonal, anything else a (dense or scipy-sparse) matrix."""
-    if factor is None:
-        return u
-    if isinstance(factor, np.ndarray) and factor.ndim == 1:
-        return factor[:, None] * u
-    return factor @ u
-
-
-def _leaf_stack(factors, u: np.ndarray) -> np.ndarray:
-    """The stacked leaf frame ``[M_1 U ... M_m U]`` of one mode.  When every
-    factor is a 1-d diagonal (exp-sum terms, diagonal scalings) it is one
-    broadcast product, with the same products in the same column order as
-    stacking each :func:`_map_frame`."""
-    if all(isinstance(f, np.ndarray) and f.ndim == 1 for f in factors):
-        diag = np.array(factors).T  # (n, m): column j is factor j
-        return (diag[:, :, None] * u[:, None, :]).reshape(u.shape[0], -1)
-    return np.hstack([_map_frame(f, u) for f in factors])
 
 
 def _term_groups(tree: DimensionTree, terms):
@@ -692,16 +724,98 @@ def _term_groups(tree: DimensionTree, terms):
     return groups
 
 
+class _CPPlan(NamedTuple):
+    """What applying ``m`` CP terms on a tree needs besides the tensor, built
+    once by :func:`_cp_plan`: the terms' :func:`_term_groups` and one leaf
+    map per mode (:func:`_leaf_map`)."""
+
+    groups: dict | None
+    maps: tuple
+
+
+def _cp_plan(tree: DimensionTree, dims, terms) -> _CPPlan:
+    """The plan of ``terms`` (per-mode factor tuples, see :func:`apply_cp`)
+    on ``tree`` for mode sizes ``dims``."""
+    groups = _term_groups(tree, terms)
+    maps = []
+    for i, n in enumerate(dims):
+        picked = terms if groups is None else [terms[j] for j in groups[(i,)][1]]
+        maps.append(_leaf_map([t[i] for t in picked], n))
+    return _CPPlan(groups, tuple(maps))
+
+
+def _leaf_map(factors, n: int):
+    """One mode's distinct factors as one operand for :func:`_mapped_leaf`:
+    ``None`` for the identity alone, the ``(n, g)`` matrix of the diagonals
+    when every factor is one (exp-sum terms, diagonal scalings), and
+    otherwise the ``vstack`` of the factors as CSR matrices (``None`` the
+    identity, a 1-d array a diagonal, anything else a dense or scipy-sparse
+    matrix)."""
+    if len(factors) == 1 and factors[0] is None:
+        return None
+    if all(isinstance(f, np.ndarray) and f.ndim == 1 for f in factors):
+        return np.array(factors).T
+
+    def csr(f):
+        if f is None:
+            f = np.ones(n)
+        if isinstance(f, np.ndarray) and f.ndim == 1:
+            return scipy.sparse.csr_array((f, np.arange(n), np.arange(n + 1)),
+                                          shape=(n, n))
+        return scipy.sparse.csr_array(f)
+
+    return scipy.sparse.vstack([csr(f) for f in factors], format="csr")
+
+
+def _mapped_leaf(leaf_map, u: np.ndarray) -> np.ndarray:
+    """The stacked leaf frame ``[M_1 U ... M_g U]`` of a :func:`_leaf_map`.
+    Both products are bitwise the factors' own (``d[:, None] * U`` for a
+    diagonal ``d``, ``M @ U`` for a CSR ``M``): a broadcast product, or one
+    CSR product whose rows are each factor's rows."""
+    if leaf_map is None:
+        return u
+    n, r = u.shape
+    if isinstance(leaf_map, np.ndarray):
+        return (leaf_map[:, :, None] * u[:, None, :]).reshape(n, -1)
+    g = leaf_map.shape[0] // n
+    return (leaf_map @ u).reshape(g, n, r).transpose(1, 0, 2).reshape(n, g * r)
+
+
+def _apply_stages(h: HTensor, stages) -> HTensor:
+    """Exact ``P_k ... P_1 h`` in orthogonal form, for stages ``(plan,
+    weights)`` that each apply a weighted CP sum of a :func:`_cp_plan`
+    (``weights`` one per term, or ``None`` for a single term of weight one).
+    Each stage is one :func:`_sweep`.  Only the last takes the root SVD
+    (:func:`_qr_sweep`): an earlier one hands its frames, transfers and root
+    core to the next as they are, the core possibly rectangular and an
+    identity root child's basis built as such.  The result has the ranks of
+    the last stage's sweep."""
+    tree = h.tree
+    frames, transfer, root = h.frames, h.transfer, h.root_transfer
+    for k, (plan, weights) in enumerate(stages, 1):
+        leaves = {i: _mapped_leaf(plan.maps[i], frames[i]) for i in range(tree.d)}
+        if k == len(stages):
+            return _qr_sweep(tree, h.dims, leaves, transfer, root, weights,
+                             plan.groups)
+        frames, transfer, root, eye = _sweep(tree, leaves, transfer, root,
+                                             weights, plan.groups)
+        for node, rows in zip(tree.child_pair(tree.root), root.shape):
+            if node in eye:
+                _set_root_basis(tree, frames, transfer, node, np.eye(rows), True)
+
+
 def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     """Exact ``sum_j w_j (M_j1 x ... x M_jd) h`` in orthogonal form.
 
     ``terms`` is a sequence of ``m`` per-mode factor tuples (``None`` for an
     identity, a 1-d array for a diagonal, or a dense or scipy-sparse square
     matrix); ``weights`` defaults to all ones.  The stacked leaf frames
-    ``[M_1i U_i ... M_mi U_i]`` (:func:`_leaf_stack`) and the unchanged
-    transfer tensors go through one :func:`_qr_sweep`, which never forms the
-    sum's block-diagonal transfers and truncates nothing, so the result
-    equals the sum up to roundoff.
+    ``[M_1i U_i ... M_mi U_i]`` and the unchanged transfer tensors go
+    through one :func:`_qr_sweep`, which never forms the sum's
+    block-diagonal transfers and truncates nothing, so the result equals the
+    sum up to roundoff.  The terms' :func:`_cp_plan` is built per call;
+    :func:`~htsolve.ops.apply_certified` keeps its plans and applies them
+    through :func:`_apply_stages`.
 
     Terms whose factors on a node's modes are the same objects (``None``
     being the identity) are the same tensor below that node, so the sweep
@@ -723,13 +837,7 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
-    groups = _term_groups(h.tree, terms)
-    leaves = {}
-    for i in range(h.d):
-        picked = terms if groups is None else [terms[j] for j in groups[(i,)][1]]
-        leaves[i] = _leaf_stack([t[i] for t in picked], h.frames[i])
-    return _qr_sweep(h.tree, h.dims, leaves, h.transfer, h.root_transfer, w,
-                     groups)
+    return _apply_stages(h, [(_cp_plan(h.tree, h.dims, terms), w)])
 
 
 # -- spectra and hard truncation ----------------------------------------------
@@ -889,6 +997,28 @@ def _project(ho: HTensor, vectors: dict[Node, np.ndarray], node_ranks: dict[Node
     return _qr_sweep(tree, ho.dims, frames, transfer, root)
 
 
+def _cut_root_edge(ho: HTensor, sigma: np.ndarray) -> HTensor:
+    """The orthogonal form ``ho`` with its root edge cut to ``k = len(sigma)``
+    and root transfer ``diag(sigma)``, for ``sigma`` nonnegative and
+    nonincreasing: both root children keep the first ``k`` columns of their
+    basis, so no sweep runs.  With ``sigma`` the root transfer's leading
+    diagonal this is the rank-``k`` truncation of the root edge; a shrunk
+    diagonal gives the root edge's soft threshold.  ``k = 0`` gives the
+    canonical zero tensor."""
+    tree = ho.tree
+    k = len(sigma)
+    if k == 0:
+        return zero_htensor(tree, ho.dims)
+    frames, transfer = dict(ho.frames), dict(ho.transfer)
+    for node in tree.child_pair(tree.root):
+        if tree.is_leaf(node):
+            frames[node[0]] = frames[node[0]][:, :k]
+        else:
+            transfer[node] = transfer[node][:, :, :k]
+    return HTensor._trusted(tree, ho.dims, frames, transfer, np.diag(sigma),
+                            orthogonal=True)
+
+
 def _project_transfer(b: np.ndarray, vl, vr, vk) -> np.ndarray:
     """``sum_abk b[a, b, k] vl[a, A] vr[b, B] vk[k, K]``, one axis at a time
     (last, first, middle); a basis of ``None`` leaves its axis alone."""
@@ -1000,6 +1130,8 @@ def _truncate(h: HTensor, eta: float) -> tuple[HTensor, float]:
     ranks, bound = _choose_ranks(spectrum, eta)
     if tuple(ranks) == ho.ranks:
         return ho, bound
+    if tuple(ranks[1:]) == ho.ranks[1:]:  # the root edge alone is cut
+        return _cut_root_edge(ho, spectrum.sigmas[0][:ranks[0]]), bound
     return _project(ho, vectors, _node_rank_map(ho.tree, ranks)), bound
 
 

@@ -16,19 +16,21 @@ optional diagonal scalings on either side.  A scaling is either
   each by a sampled check.
 
 The separable structure is what keeps ranks predictable: the Kronecker
-middle and an ``m``-term scaling are sums of CP terms, so
-:func:`~htsolve.hsvd.apply_cp` applies each of them exactly in one
-orthogonalizing sweep whose ranks are capped by the QR block sizes.  A
-node's block has one column block per distinct term restricted to the
-node's modes: a Kronecker term is the identity away from its own modes, so
-terms that coincide on a subtree are factored once there.
+middle and an ``m``-term scaling are sums of CP terms, each applied exactly
+in one orthogonalizing sweep (as :func:`~htsolve.hsvd.apply_cp` applies one)
+whose ranks are capped by the QR block sizes.  A node's block has one column
+block per distinct term restricted to the node's modes: a Kronecker term is
+the identity away from its own modes, so terms that coincide on a subtree
+are factored once there.  What a sweep needs of its terms besides the tensor
+(the term groups and one stacked leaf map per mode) is built once per tree
+and kept on the operator, or next to the table on the scaling.
 
 :func:`apply_certified` is the one way to apply an operator: given a
 tolerance ``eta`` it sizes the scaling tables from the operator's certified
 upper bound so that their accuracy costs at most ``eta/4``, applies the
 right scaling, the Kronecker middle and the left scaling exactly (one sweep
-each, no intermediate truncation), and spends ``eta/2`` on a single final
-recompression.
+each, no intermediate truncation, and one root SVD in all), and spends
+``eta/2`` on a single final recompression.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ import scipy.sparse as sp
 from htsolve.errors import ToleranceInfeasibleError
 from htsolve.hsvd import (
     HTensor,
-    apply_cp,
+    _apply_stages,
+    _cp_plan,
     coarsen,
     norm,
     recompress,
@@ -114,8 +117,9 @@ class ExpSumScaling:
     once and kept here: the normalized check set :func:`build_scaling`
     certifies on, the full-check sup of each tabulated entry it has checked
     (keyed by ``(R, index)``), and the tables :func:`apply_certified` builds
-    with their per-mode factors (keyed by quantized tolerance).  Scalings
-    compare and hash by identity, since each carries its own memo.
+    with their CP terms and, per tree, those terms' apply plan (keyed by
+    quantized tolerance).  Scalings compare and hash by identity, since each
+    carries its own memo.
     """
 
     level_weights: tuple[np.ndarray, ...]
@@ -251,12 +255,15 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
     least the normalized range ``X`` are walked from the smallest up, and
     within each the sizes whose stored sup is at most ``0.995 delta`` from
     the smallest up; the first that passes the full check is returned, which
-    is usually the first one.  The check set is built once per scaling and
-    each entry fully checked at most once, so tables and their ``certified``
-    sups are bitwise those of a fresh scaling.  Raises
-    :class:`ToleranceInfeasibleError` when none passes, naming the
-    full-check sup of the table with the smallest stored sup for ``R >= X``,
-    or when ``X`` exceeds every tabulated range.
+    is usually the first one.  When none of them passes, the table with the
+    smallest stored sup for ``R >= X`` is returned if its full check passes:
+    its stored sup, taken over all of ``[1, R]``, may exceed the threshold
+    while its sup on the checked ``[1, X]`` does not.  The check set is
+    built once per scaling and each entry fully checked at most once, so
+    tables and their ``certified`` sups are bitwise those of a fresh
+    scaling.  Raises :class:`ToleranceInfeasibleError` when that table fails
+    too, naming its full-check sup, or when ``X`` exceeds every tabulated
+    range.
     """
     if math.isnan(tol):
         raise ValueError("relative tolerance must be a number, got nan")
@@ -283,24 +290,32 @@ def build_scaling(level_weights, tol: float) -> ExpSumTable:
                 w / math.sqrt(c) * math.sqrt(c), t / c * c, scaling._check_x)
         return scaling._sups[big_r, k]
 
+    def table(big_r, k, err):
+        _, w, t = tables[big_r][k]
+        return ExpSumTable(weights=w / math.sqrt(c), exponents=t / c, certified=err)
+
     # small headroom: between grid points the error can exceed the sampled
     # sup by a sliver (exhaustive row sets are exact already)
     threshold = 0.995 * delta
     for big_r in sorted(r for r in tables if r >= big_x):
-        for k, (sup, w, t) in enumerate(tables[big_r]):
+        for k, (sup, _, _) in enumerate(tables[big_r]):
             if sup > threshold:
                 continue
             err = full_check(big_r, k)
             if err <= threshold:
-                return ExpSumTable(weights=w / math.sqrt(c), exponents=t / c,
-                                   certified=err)
+                return table(big_r, k, err)
 
+    # a stored sup covers all of [1, R], the check only [1, X]: the most
+    # accurate entry may pass though its stored sup does not
     best = min(((r, k) for r, entries in tables.items() if r >= big_x
                 for k in range(len(entries))),
                key=lambda rk: tables[rk[0]][rk[1]][0])
+    err = full_check(*best)
+    if err <= threshold:
+        return table(*best, err)
     raise ToleranceInfeasibleError(
         f"no tabulated exponential sum reaches relative tolerance {delta:g} "
-        f"(best achieved: {full_check(*best):.3g}; "
+        f"(best achieved: {err:.3g}; "
         f"normalized range [1, {big_x:.3g}], tabulated up to {widest:.3g})"
     )
 
@@ -334,6 +349,9 @@ class LowRankOperator:
         diagonal).
     bounds : optional proved :class:`OperatorBounds`; the solvers read them
         as the spectral bounds of an SPD operator.
+
+    :func:`apply_certified` keeps the apply plans of the exact stages here,
+    per tree, so they live as long as the operator.
     """
 
     def __init__(self, dims, terms, scaling_left=None, scaling_right=None,
@@ -365,6 +383,7 @@ class LowRankOperator:
         self.scaling_left = scaling_left
         self.scaling_right = scaling_right
         self.bounds = bounds
+        self._plans = {}  # tree: CP plans of the exact stages, see _exact_plans
 
     @property
     def d(self) -> int:
@@ -390,26 +409,36 @@ def _check_dims(a: LowRankOperator, v: HTensor):
         raise ValueError(f"operator dims {a.dims} do not match tensor dims {v.dims}")
 
 
-def _expsum_table(s: ExpSumScaling, beta: float) -> tuple[ExpSumTable, list]:
-    """The table for ``s`` at accuracy ``beta`` and its CP terms, built on
-    first use and cached on ``s``; tolerances are quantized down to powers
-    of two so that nearby requests share a table."""
+def _expsum_stage(s: ExpSumScaling, beta: float, tree) -> tuple:
+    """The table for ``s`` at accuracy ``beta`` and its CP plan on ``tree``
+    (see :func:`~htsolve.hsvd._cp_plan`), built on first use and cached on
+    ``s`` next to the table; tolerances are quantized down to powers of two
+    so that nearby requests share a table."""
     quant = 2.0 ** math.floor(math.log2(beta))
     if quant not in s._tables:
         table = build_scaling(s, quant)
         # term j takes exp(-t_j q_i) in every mode i
-        s._tables[quant] = table, list(zip(*(
-            np.exp(-np.outer(q, table.exponents)).T for q in s.level_weights)))
-    return s._tables[quant]
+        terms = list(zip(*(np.exp(-np.outer(q, table.exponents)).T
+                           for q in s.level_weights)))
+        s._tables[quant] = table, terms, {}
+    table, terms, plans = s._tables[quant]
+    if tree not in plans:
+        plans[tree] = _cp_plan(tree, s.dims, terms)
+    return table, plans[tree]
 
 
-def _apply_side(s, v: HTensor, beta: float) -> tuple[HTensor, int]:
-    """Apply one scaling as a CP sum in a single sweep; returns the result and
-    the number of exp-sum terms used (0 for an exact diagonal)."""
-    if isinstance(s, DiagonalScaling):
-        return apply_cp(v, [s.vectors]), 0
-    table, terms = _expsum_table(s, beta)
-    return apply_cp(v, terms, table.weights), table.m
+def _exact_plans(a: LowRankOperator, tree) -> tuple:
+    """The CP plans on ``tree`` of the right scaling, the Kronecker middle
+    and the left scaling, ``None`` for a missing or exp-sum scaling; built on
+    first use and kept on the operator."""
+    if tree not in a._plans:
+        def side(s):
+            if isinstance(s, DiagonalScaling):
+                return _cp_plan(tree, a.dims, [s.vectors])
+            return None
+        a._plans[tree] = (side(a.scaling_right), _cp_plan(tree, a.dims, a.terms),
+                          side(a.scaling_left))
+    return a._plans[tree]
 
 
 def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
@@ -417,9 +446,12 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
     """Apply ``A`` within certified error ``eta``.
 
     The right scaling, the Kronecker middle and the left scaling are each
-    applied exactly by one :func:`~htsolve.hsvd.apply_cp` sweep, with no
-    intermediate truncation.  The only errors are the exponential-sum table
-    accuracy and one final recompression.  The tables are built at a
+    applied exactly by one sweep of :func:`~htsolve.hsvd._apply_stages`, with
+    no intermediate truncation, from apply plans built once per tree (on the
+    operator, and on the scaling next to each table).  A stage hands its
+    frames, transfers and root core to the next without the root SVD; only
+    the last stage takes it and builds the tensor.  The only errors are the
+    exponential-sum table accuracy and one final recompression.  The tables are built at a
     relative accuracy ``beta`` sized from the operator's certified upper
     bound so that they contribute at most
     ``beta (2 + beta) upper ||v|| <= eta/4``; the final recompression spends
@@ -469,12 +501,20 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
         info["beta"] = beta
         info["scaling_error"] = beta * (2.0 + beta) * upper * nv
 
-    w = v
+    def scaling_stage(s, plan, key):
+        if isinstance(s, ExpSumScaling):
+            table, plan = _expsum_stage(s, beta, v.tree)
+            info[key] = table.m
+            return plan, table.weights
+        return plan, None
+
+    right, middle, left = _exact_plans(a, v.tree)
+    stages = [(middle, np.ones(a.num_terms))]
     if a.scaling_right is not None:
-        w, info["m_right"] = _apply_side(a.scaling_right, w, beta)
-    w = apply_cp(w, a.terms)
+        stages.insert(0, scaling_stage(a.scaling_right, right, "m_right"))
     if a.scaling_left is not None:
-        w, info["m_left"] = _apply_side(a.scaling_left, w, beta)
+        stages.append(scaling_stage(a.scaling_left, left, "m_left"))
+    w = _apply_stages(v, stages)
     info["pre_ranks"] = w.ranks
     info["recompress_error"] = eta / 2.0
     w = recompress(w, eta / 2.0)

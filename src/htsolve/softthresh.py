@@ -18,6 +18,7 @@ import numpy as np
 from htsolve.errors import ContractionViolationError
 from htsolve.hsvd import (
     HTensor,
+    _cut_root_edge,
     _edge_decomposition,
     _project,
     add,
@@ -62,6 +63,9 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
         raise IndexError(f"edge index {edge} out of range (0..{len(edges.edges) - 1})")
     node = edges.edges[edge]
     ho = orthogonalize(h)
+    if edge == 0:  # the root edge: its spectrum is the orthogonal root
+        shrunk = soft_scalar(np.diag(ho.root_transfer), eta)
+        return _cut_root_edge(ho, shrunk[:np.count_nonzero(shrunk > 0.0)])
     vectors, sig = _edge_decomposition(ho, node)
     shrunk = soft_scalar(sig, eta)
     k = int(np.count_nonzero(shrunk > 0.0))
@@ -69,13 +73,11 @@ def soft_threshold_edge(h: HTensor, edge: int, eta: float) -> HTensor:
         return zero_htensor(h.tree, h.dims)
     # sigma is nonincreasing, so the survivors are a prefix.  The kept
     # directions V enter the projection V V^T twice: in the edge's node and
-    # in its parent (the root transfer, for the root edge).  Scaling V by
-    # sqrt(f) thus rescales the edge by f = s_eta(sigma)/sigma; at the root
-    # edge the right root child shares the cut.  Every other node has no
-    # basis here, which the projection takes as the identity.
-    scaled = {n: v[:, :k] for n, v in vectors.items()}
-    scaled[node] = scaled[node] * np.sqrt(shrunk[:k] / sig[:k])
-    return _project(ho, scaled, {n: k for n in scaled})
+    # in its parent.  Scaling V by sqrt(f) thus rescales the edge by
+    # f = s_eta(sigma)/sigma.  Every other node has no basis here, which the
+    # projection takes as the identity.
+    scaled = vectors[node][:, :k] * np.sqrt(shrunk[:k] / sig[:k])
+    return _project(ho, {node: scaled}, {node: k})
 
 
 def soft_threshold(h: HTensor, eta: float) -> HTensor:

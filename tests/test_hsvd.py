@@ -15,7 +15,7 @@ import htsolve.hsvd as H
 from htsolve.htree import build_balanced_tree, build_linear_tree, effective_edges
 from htsolve.problems import load_problem
 from htsolve.solver import default_config, solve
-from htsolve.softthresh import soft_threshold
+from htsolve.softthresh import soft_threshold, soft_threshold_edge
 from htsolve.tensorfile import load_htensor, save_htensor
 
 from oracles import (
@@ -1122,3 +1122,124 @@ def test_solve_reaches_lapack_only_through_the_kernels(monkeypatch):
     cfg = default_config(problem.operator, problem.rhs, eps=1e-4)
     solve(problem.operator, problem.rhs, cfg)
     assert calls["_qr"] > 0 and calls["_svd"] > 0
+
+
+# -- sweeps that factor only tall blocks ---------------------------------------
+
+
+def counting(monkeypatch, *names):
+    """Count the calls of the named hsvd kernels from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        kernel = getattr(H, name)
+
+        def call(*args, _kernel=kernel, _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(H, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+@pytest.mark.parametrize("kind", ["wide", "square", "tall", "mixed", "zero"])
+def test_qr_sweep_factors_tall_blocks_only(tree, kind, monkeypatch):
+    # input ranks chosen bottom-up so that each block the sweep meets
+    # (rows: the mode size or the children's new ranks' product) is wider
+    # than, as wide as or narrower than tall; "zero" gives one leaf rank 0
+    rng = np.random.default_rng(11 * tree.d + len(kind))
+    dims = rand_dims(tree, rng, 2, 5)
+    shift = {"wide": 1, "square": 0, "tall": -1}
+    left, right = tree.child_pair(tree.root)
+    cols, rows, new = {}, {}, {}
+    for node in tree.bottom_up():
+        if node == tree.root:
+            continue
+        if tree.is_leaf(node):
+            rows[node] = dims[node[0]]
+            child_product = np.inf
+        else:
+            lft, rgt = tree.child_pair(node)
+            rows[node] = new[lft] * new[rgt]
+            child_product = cols[lft] * cols[rgt]
+        pick = kind if kind in shift else str(rng.choice(list(shift)))
+        cols[node] = int(min(max(rows[node] + shift[pick], 1), child_product))
+        if kind == "zero" and node == (0,):
+            cols[node] = 0
+        new[node] = min(rows[node], cols[node])
+    # the root children share one input rank
+    cols[left] = cols[right] = min(cols[left], cols[right])
+    for node in (left, right):
+        new[node] = min(rows[node], cols[node])
+    h = H.HTensor(
+        tree=tree, dims=dims,
+        frames={i: rng.standard_normal((n, cols[(i,)])) for i, n in enumerate(dims)},
+        transfer={n: rng.standard_normal((cols[tree.child_pair(n)[0]],
+                                          cols[tree.child_pair(n)[1]], cols[n]))
+                  for n in tree.interior_nodes() if n != tree.root},
+        root_transfer=rng.standard_normal((cols[left], cols[left])))
+    calls = counting(monkeypatch, "_qr")
+    ho = H.orthogonalize(h)
+    monkeypatch.undo()
+    assert calls["_qr"] == sum(rows[n] > cols[n] for n in rows)
+    if kind == "zero":
+        assert ho.ranks == (0,) * len(ho.ranks)
+        return
+    for u in ho.frames.values():
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-14
+    for b in ho.transfer.values():
+        mat = b.reshape(-1, b.shape[2])
+        assert np.abs(mat.T @ mat - np.eye(mat.shape[1])).max() <= 1e-14
+    sigma = np.diag(ho.root_transfer)
+    assert np.array_equal(ho.root_transfer, np.diag(sigma))
+    assert (sigma >= 0).all() and (np.diff(sigma) <= 0).all()
+    want = H.to_dense(h)
+    assert np.linalg.norm(H.to_dense(ho) - want) <= 1e-13 * np.linalg.norm(want)
+    new[left] = new[right] = min(new[left], new[right])
+    assert ho.ranks == tuple(new[n] for n in ho.edge_list)
+
+
+def root_edge_case(tree, seed):
+    """An orthogonal form whose last root-edge singular value is 1e-6 of
+    the first, far below every other edge's spectrum."""
+    rng = np.random.default_rng(seed)
+    ho = H.orthogonalize(H.random_htensor(tree, rand_dims(tree, rng, 3, 6), 3, rng))
+    sigma = np.diag(ho.root_transfer).copy()
+    sigma[-1] = 1e-6 * sigma[0]
+    return H.HTensor._trusted(tree, ho.dims, ho.frames, ho.transfer,
+                              np.diag(sigma), orthogonal=True), sigma
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+def test_root_edge_cut_is_a_slice(tree, monkeypatch):
+    h, sigma = root_edge_case(tree, 70 + tree.d)
+    spectrum, vectors = H._projection_data(h)
+    eta = 1.5e-6 * sigma[0]
+    ranks, _ = H._choose_ranks(spectrum, eta)
+    assert ranks[0] == h.ranks[0] - 1 and tuple(ranks[1:]) == h.ranks[1:]
+    want = H._project(h, vectors, H._node_rank_map(tree, ranks))
+    calls = counting(monkeypatch, "_qr", "_svd", "_project")
+    got = H.recompress(h, eta)
+    assert calls == {"_qr": 0, "_svd": 0, "_project": 0}
+    assert got.orthogonal and got.ranks == want.ranks
+    assert np.array_equal(got.root_transfer, np.diag(sigma[:-1]))
+    dense = H.to_dense(want)
+    assert np.linalg.norm(H.to_dense(got) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: f"d{t.d}")
+def test_root_edge_soft_threshold_is_a_slice(tree, monkeypatch):
+    h, sigma = root_edge_case(tree, 80 + tree.d)
+    eta = 0.5 * (sigma[0] + sigma[1]) if len(sigma) > 2 else 0.5 * sigma[1]
+    shrunk = np.maximum(sigma - eta, 0.0)
+    k = int(np.count_nonzero(shrunk))
+    eye = np.eye(len(sigma))
+    left, right = tree.child_pair(tree.root)
+    want = H._project(h, {left: eye[:, :k] * np.sqrt(shrunk[:k] / sigma[:k]),
+                          right: eye[:, :k]}, {left: k, right: k})
+    calls = counting(monkeypatch, "_qr", "_svd")
+    got = soft_threshold_edge(h, 0, eta)
+    assert calls == {"_qr": 0, "_svd": 0}
+    assert got.orthogonal and got.ranks == want.ranks
+    assert np.array_equal(got.root_transfer, np.diag(shrunk[:k]))
+    dense = H.to_dense(want)
+    assert np.linalg.norm(H.to_dense(got) - dense) <= 1e-13 * np.linalg.norm(dense)

@@ -1,10 +1,12 @@
 """Operator representations, scalings, and certified application vs dense oracles."""
 
+import gc
 import hashlib
 import importlib.resources
 import importlib.util
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from htsolve.ops import (
     rhs_truncate,
 )
 from htsolve.problems import _assemble_sparse, build_diffusion_I, load_problem
+from htsolve.softthresh import st_solve
 
 from oracles import (
     apply_exact,
@@ -339,10 +342,27 @@ class TestNearBestTables:
         s = build_scaling(qs, 2.0**-20)
         assert seen == [s.m]
 
-    # 2^-51 .. 2^-54 lie below every fixture's floor, so the sweep also
-    # meets infeasible requests
+    # 2^-52 .. 2^-54 lie below every fixture's floor (2^-51 only
+    # diffusion_d3_sine reaches), so the sweep also meets infeasible requests
     SWEEP_TOLS = [2.0**-int(k) for k in
                   np.random.default_rng(21).permutation(np.arange(1, 55))]
+
+    def test_most_accurate_entry_passes_on_the_checked_range(self):
+        # diffusion_d3_sine at 2^-51: every stored sup for R >= X, taken over
+        # [1, R], exceeds 0.995 * 2^-51 = 4.42e-16, but the most accurate
+        # entry's sup on the checked [1, X] is 3.33e-16
+        s = load_problem(FIXTURES / "diffusion_d3_sine.ini").operator.scaling_left
+        tol = 2.0**-51
+        _, big_x = s.row_sum_range
+        tables = ops_module._near_best_tables()
+        assert all(sup > 0.995 * tol for r in tables if r >= big_x
+                   for sup, _, _ in tables[r])
+        t = build_scaling(s, tol)
+        assert t.m == 17
+        assert t.certified <= 0.995 * tol
+        c, _, check_x = reference_check_set(s.level_weights)
+        assert t.certified == sup_error(t.weights * math.sqrt(c),
+                                        t.exponents * c, check_x)
 
     @staticmethod
     def outcome(level_weights, tol):
@@ -641,25 +661,26 @@ class TestApplyCP:
         got = dense_vec(apply_cp(v, a.terms))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_diagonal_leaf_stack_is_bitwise_per_term_stack(self, monkeypatch):
+    def test_diagonal_leaf_stack_is_bitwise_per_term_stack(self):
         # all-diagonal modes take one broadcast product; it must equal the
-        # per-term _map_frame stacking bit for bit, alone and inside apply_cp
+        # per-term stacking of d[:, None] * U bit for bit, alone and inside
+        # apply_cp
         rng = np.random.default_rng(15)
         tree, dims = build_balanced_tree(3), (6, 5, 7)
         v = random_htensor(tree, dims, 3, rng)
         qs = [np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2 for n in dims]
         s = build_scaling(qs, 1e-4)
         terms = list(zip(*(mode_factors(qs, s, i).T for i in range(3))))
+        leaves = {}
         for i in range(3):
             factors = [t[i] for t in terms]
-            per_term = np.hstack([hsvd_module._map_frame(f, v.frames[i])
-                                  for f in factors])
-            assert np.array_equal(hsvd_module._leaf_stack(factors, v.frames[i]),
-                                  per_term)
+            leaves[i] = np.hstack([f[:, None] * v.frames[i] for f in factors])
+            leaf_map = hsvd_module._leaf_map(factors, dims[i])
+            assert np.array_equal(hsvd_module._mapped_leaf(leaf_map, v.frames[i]),
+                                  leaves[i])
         got = apply_cp(v, terms, s.weights)
-        monkeypatch.setattr(hsvd_module, "_leaf_stack", lambda fs, u: np.hstack(
-            [hsvd_module._map_frame(f, u) for f in fs]))
-        want = apply_cp(v, terms, s.weights)
+        want = hsvd_module._qr_sweep(tree, dims, leaves, v.transfer,
+                                     v.root_transfer, s.weights)
         assert all(np.array_equal(got.frames[i], want.frames[i]) for i in range(3))
         assert all(np.array_equal(got.transfer[n], want.transfer[n])
                    for n in want.transfer)
@@ -709,16 +730,18 @@ class TestApplyCP:
         k = 3
         v = random_htensor(tree, problem.dims, k, np.random.default_rng(42))
         shapes = []
-        qr = hsvd_module._qr
+        stacked = hsvd_module._stacked_block
 
-        def recording_qr(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return qr(a, *args, **kwargs)
+        def recording_block(*args):
+            block = stacked(*args)
+            shapes.append(block.shape)
+            return block
 
-        monkeypatch.setattr(hsvd_module, "_qr", recording_qr)
+        monkeypatch.setattr(hsvd_module, "_stacked_block", recording_block)
         apply_cp(v, problem.operator.terms)
-        # the sweep factors every non-root node once, bottom-up
-        nodes = [n for n in tree.bottom_up() if n != tree.root]
+        # the sweep forms one block per interior non-root node, bottom-up
+        nodes = [n for n in tree.bottom_up()
+                 if n != tree.root and not tree.is_leaf(n)]
         assert len(shapes) == len(nodes)
         block = dict(zip(nodes, shapes))
         assert len(problem.operator.terms) == 5
@@ -908,6 +931,74 @@ class TestApplyCertified:
         _, tight = apply_certified(a, v, 1e-8 * norm(v), return_info=True)
         assert tight["m_left"] > loose["m_left"]
         assert tight["beta"] < loose["beta"]
+
+
+    def test_one_root_svd_per_application(self, monkeypatch):
+        # right scaling, middle and left scaling are three sweeps; only the
+        # last takes the SVD of its root core
+        monkeypatch.setattr(ops_module, "recompress", lambda h, eta: h)
+        a = ideal_scaled_operator(self.dims, self.rng)
+        v = hsvd_module.orthogonalize(random_htensor(self.tree, self.dims, 2,
+                                                     self.rng))
+        apply_certified(a, v, 1e-6 * norm(v))  # builds the table and plans
+        svds = []
+        svd = hsvd_module._svd
+        monkeypatch.setattr(hsvd_module, "_svd",
+                            lambda m: svds.append(m.shape) or svd(m))
+        w, info = apply_certified(a, v, 1e-6 * norm(v), return_info=True)
+        assert info["m_left"] > 1 and info["m_right"] > 1
+        assert len(svds) == 1 and w.orthogonal
+
+    def test_plans_built_once(self, monkeypatch):
+        p = load_problem(FIXTURES / "diffusion_d3_sine.ini")
+        apply_certified(p.operator, p.rhs, 1e-3)
+        built = []
+        groups = hsvd_module._term_groups
+        monkeypatch.setattr(hsvd_module, "_term_groups",
+                            lambda *args: built.append(args) or groups(*args))
+        apply_certified(p.operator, p.rhs, 1e-3)
+        assert built == []
+        # a new table accuracy builds that table's plan only
+        apply_certified(p.operator, p.rhs, 1e-6)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name", ["parametric_d4", "diffusion_d3_ml3"])
+    def test_stored_plan_is_bitwise_fresh_plan_and_per_factor_products(self, name):
+        p = load_problem(FIXTURES / f"{name}.ini")
+        a, tree = p.operator, p.rhs.tree
+        v = random_htensor(tree, a.dims, 3, np.random.default_rng(9))
+        stored = ops_module._exact_plans(a, tree)[1]
+        assert ops_module._exact_plans(a, tree)[1] is stored
+        ones = np.ones(a.num_terms)
+        got = hsvd_module._apply_stages(v, [(stored, ones)])
+        fresh = apply_cp(v, a.terms)
+        groups = hsvd_module._term_groups(tree, a.terms)
+        assert groups is not None
+        leaves = {}
+        for i, u in v.frames.items():
+            factors = [a.terms[j][i] for j in groups[(i,)][1]]
+            leaves[i] = np.hstack([u if f is None else f @ u for f in factors])
+        per_factor = hsvd_module._qr_sweep(tree, a.dims, leaves, v.transfer,
+                                           v.root_transfer, ones, groups)
+        for want in (fresh, per_factor):
+            assert all(np.array_equal(got.frames[i], want.frames[i])
+                       for i in range(a.d))
+            assert all(np.array_equal(got.transfer[n], want.transfer[n])
+                       for n in want.transfer)
+            assert np.array_equal(got.root_transfer, want.root_transfer)
+
+    def test_plans_die_with_the_operator(self):
+        # plans live on the operator and its scaling, not in a module cache
+        # that would keep every loaded problem alive
+        p = load_problem(FIXTURES / "diffusion_d2_sine.ini")
+        refs = [weakref.ref(p.operator), weakref.ref(p.operator.scaling_left)]
+        lower, upper = float(p.operator.bounds.lower), float(p.operator.bounds.upper)
+        st_solve(p.operator, p.rhs, 2.0 / (upper + lower),
+                 (upper - lower) / (upper + lower), eps=1e-3)
+        assert p.operator._plans and p.operator.scaling_left._tables
+        del p
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestRhsTruncate:

@@ -151,10 +151,11 @@ class TestSoftThresholdEdge:
         (build_linear_tree(4), (4, 3, 3, 4)),
     ])
     def test_one_spectral_svd_per_edge(self, tree, dims, monkeypatch):
-        # equals projecting every node onto its full (square) basis, and
-        # each call runs the root-core SVD of its sweep plus, away from the
-        # root edge, one spectral SVD of the edge's node; the root edge's
-        # spectrum is the orthogonal root's diagonal
+        # equals projecting every node onto its full (square) basis.  Away
+        # from the root edge each call runs one spectral SVD of the edge's
+        # node and the root-core SVD of its sweep; at the root edge none,
+        # since its spectrum is the orthogonal root's diagonal and the cut a
+        # slice of the root children
         rng = np.random.default_rng(sum(dims) + tree.d)
         h = orthogonalize(random_htensor(tree, dims, 4, rng))
         eta = 0.3 * min(s[0] for s in edge_spectra(h).sigmas)
@@ -169,7 +170,7 @@ class TestSoftThresholdEdge:
                                 lambda a: shapes.append(a.shape) or svd(a))
             got = to_dense(soft_threshold_edge(fresh, i, eta))
             monkeypatch.undo()
-            assert len(shapes) == (1 if h.edge_list.edges[i] == root_edge else 2), shapes
+            assert len(shapes) == (0 if h.edge_list.edges[i] == root_edge else 2), shapes
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_edge_index_validation(self):
