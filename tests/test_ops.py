@@ -932,7 +932,6 @@ class TestApplyCertified:
         assert tight["m_left"] > loose["m_left"]
         assert tight["beta"] < loose["beta"]
 
-
     def test_one_root_svd_per_application(self, monkeypatch):
         # right scaling, middle and left scaling are three sweeps; only the
         # last takes the SVD of its root core
