@@ -37,8 +37,8 @@ _API = {
              "random_htensor", "max_ranks"),
     "tensorfile": ("save_htensor", "load_htensor"),
     "softthresh": ("soft_scalar", "soft_threshold_edge", "soft_threshold", "st_solve"),
-    "ops": ("LowRankOperator", "DiagonalScaling", "ExpSumScaling", "ExpSumTable",
-            "OperatorBounds", "apply_certified", "build_scaling", "rhs_truncate"),
+    "ops": ("LowRankOperator", "ExpSumScaling", "ExpSumTable", "OperatorBounds",
+            "apply_certified", "build_scaling", "rhs_truncate"),
     "problems": ("DiffusionProblemI", "ParametricProblemII", "build_diffusion_I",
                  "build_parametric_II", "dense_solve", "load_problem"),
     "solver": ("SolveConfig", "SolveReport", "default_config", "solve",

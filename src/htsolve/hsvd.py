@@ -182,7 +182,7 @@ def _svd(a: np.ndarray):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HTensor:
     """Immutable hierarchical-format tensor on a dimension tree.
 
@@ -200,7 +200,8 @@ class HTensor:
         Square coupling matrix between the two root children.
     orthogonal : bool
         Set only by :meth:`_trusted`, on the QR sweep's output, a root-edge
-        cut of an orthogonal form (:func:`_cut_root_edge`) and the zero
+        cut of an orthogonal form (:func:`_cut_root_edge`), the form
+        :func:`from_dense` writes when one SVD gives it, and the zero
         tensor: all leaf frames and matricized transfer tensors have
         orthonormal columns, and the root transfer is ``diag(sigma)`` with
         the root-edge singular values nonnegative and nonincreasing, which
@@ -214,9 +215,10 @@ class HTensor:
     that cap.
 
     Derived data (the orthogonal form, its spectral data and contractions)
-    is memoized per instance in ``_memo`` (not compared, not shown): the
-    arrays are read-only and the fields frozen, so the memo can never go
-    stale, and ``dataclasses.replace`` starts a fresh one.
+    is memoized per instance in ``_memo`` (not shown): the arrays are
+    read-only and the fields frozen, so the memo can never go stale, and
+    ``dataclasses.replace`` starts a fresh one.  Instances compare and hash
+    by identity, as every array-holding class of the package does.
 
     Public construction (``HTensor(...)``, ``dataclasses.replace``) copies
     every array, validates the whole layout and never sets ``orthogonal``
@@ -232,8 +234,7 @@ class HTensor:
     transfer: dict[Node, np.ndarray]
     root_transfer: np.ndarray
     orthogonal: bool = field(default=False, init=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         tree = self.tree
@@ -287,8 +288,8 @@ class HTensor:
         ``__post_init__`` checks, with ``dims`` a tuple of ints.  Its arrays
         are read-only, C-contiguous float64 as always, but frozen in place
         (see :func:`_frozen`) instead of copied, and nothing is validated.
-        Only :func:`_qr_sweep`, :func:`_cut_root_edge` and
-        :func:`zero_htensor` pass ``orthogonal``, each with a root
+        Only :func:`_qr_sweep`, :func:`_cut_root_edge`, :func:`from_dense`
+        and :func:`zero_htensor` pass ``orthogonal``, each with a root
         ``diag(sigma)``, ``sigma`` nonnegative and nonincreasing."""
         h = object.__new__(cls)
         for name, value in (
@@ -393,13 +394,17 @@ def from_dense(data, tree: DimensionTree) -> HTensor:
     """Hierarchical SVD of a dense array: ``recompress(h, 0.0)`` of ``data``
     written on the tree as ``h``, which reproduces ``data`` to roundoff.
 
-    In ``h`` the root transfer is the identity, and the smaller root child's
-    basis is the right singular vectors of the root children's
-    matricization, those above its roundoff.  The nodes larger than their
-    complement form a chain down from the other root child: each has its
-    matricization's columns as basis (times those vectors at the root
-    child), and the transfer tensors above the chain's end select columns.
-    Every other node has the identity basis, so no rank exceeds the smaller
+    ``h`` rests on one SVD ``U S V^T`` of the root children's
+    matricization, cut to the singular values above its roundoff: the
+    smaller root child's basis is ``V``.  The nodes larger than their
+    complement form a chain down from the other root child.  When the chain
+    is that root child alone (every order-2 input, for one), its basis is
+    ``U`` and the root transfer ``S``, so ``h`` is already an orthogonal
+    form and the recompression runs no QR sweep and no second root SVD.
+    Otherwise the root transfer is the identity, each chain node has its
+    matricization's columns as basis (times ``V`` at the root child), and
+    the transfer tensors above the chain's end select columns.  Every node
+    off the chain has the identity basis, so no rank exceeds the smaller
     side of a matricization.  A wrong order, a size-0 mode or a non-finite
     entry raises ``ValueError``.
     """
@@ -429,7 +434,7 @@ def from_dense(data, tree: DimensionTree) -> HTensor:
         if node == small:
             basis = vt[:rank].T
         elif node == last == top:
-            basis = u[:, :rank] * s[:rank]
+            basis = u[:, :rank]
         elif node == last:
             basis = np.transpose(data, tree.axis_order(node) + chain[node])
         elif node not in chain:
@@ -447,8 +452,13 @@ def from_dense(data, tree: DimensionTree) -> HTensor:
         else:
             lft, rgt = tree.child_pair(node)
             transfer[node] = basis.reshape(size[lft], size[rgt], -1)
-    return recompress(HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
-                              root_transfer=np.eye(rank)), 0.0)
+    if last == top:
+        h = HTensor._trusted(tree, dims, frames, transfer, np.diag(s[:rank]),
+                             orthogonal=True)
+    else:
+        h = HTensor(tree=tree, dims=dims, frames=frames, transfer=transfer,
+                    root_transfer=np.eye(rank))
+    return recompress(h, 0.0)
 
 
 def to_dense(h: HTensor, max_entries: float = 1e8) -> np.ndarray:
@@ -747,7 +757,7 @@ def _cp_plan(tree: DimensionTree, dims, terms) -> _CPPlan:
 def _leaf_map(factors, n: int):
     """One mode's distinct factors as one operand for :func:`_mapped_leaf`:
     ``None`` for the identity alone, the ``(n, g)`` matrix of the diagonals
-    when every factor is one (exp-sum terms, diagonal scalings), and
+    when every factor is one (exp-sum terms), and
     otherwise the ``vstack`` of the factors as CSR matrices (``None`` the
     identity, a 1-d array a diagonal, anything else a dense or scipy-sparse
     matrix)."""
@@ -843,7 +853,7 @@ def apply_cp(h: HTensor, terms, weights=None) -> HTensor:
 # -- spectra and hard truncation ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSpectrum:
     """Singular values of every effective matricization, with tail sums.
 
@@ -1070,16 +1080,13 @@ def _choose_ranks(spectrum: EdgeSpectrum, eta: float) -> tuple[list[int], float]
                     best, best_tail = e, t
         cur += tails2[best][ranks[best] + 1] - tails2[best][ranks[best]]
         ranks[best] += 1
-    # greedy trim: drop ranks while the certificate still holds
-    changed = True
-    while changed:
-        changed = False
-        for e in range(E):
-            t = tails2[e]
-            while ranks[e] > 0 and cur - t[ranks[e]] + t[ranks[e] - 1] <= eta2:
-                cur += t[ranks[e] - 1] - t[ranks[e]]
-                ranks[e] -= 1
-                changed = True
+    # greedy trim: drop ranks while the certificate still holds; one pass,
+    # since a drop only raises cur and so re-enables no earlier edge's drop
+    for e in range(E):
+        t = tails2[e]
+        while ranks[e] > 0 and cur - t[ranks[e]] + t[ranks[e] - 1] <= eta2:
+            cur += t[ranks[e] - 1] - t[ranks[e]]
+            ranks[e] -= 1
     # never split a group of equal singular values when the cap permits
     for e in range(E):
         s = spectrum.sigmas[e]
@@ -1149,7 +1156,7 @@ def recompress(h: HTensor, eta: float) -> HTensor:
 # -- contractions and coarsening ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionSet:
     """Per-mode contraction values ``pi^(i)``.
 

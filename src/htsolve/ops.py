@@ -2,18 +2,17 @@
 
 Operators have the form ``A = S_L (sum_r  M_{r,1} x ... x M_{r,d}) S_R`` with
 per-mode square matrices ``M_{r,i}`` (``None`` marks an identity factor) and
-optional diagonal scalings on either side.  A scaling is either
-
-* :class:`DiagonalScaling` - an explicit separable diagonal, applied exactly;
-* :class:`ExpSumScaling` - the *ideal* inverse-square-root diagonal
-  ``omega(lam) = (sum_i q_i[lam_i])^(-1/2)`` given by per-mode level weights
-  ``q_i >= 0``, applied through certified exponential-sum tables
-  (:class:`ExpSumTable`).  The operator *means* the ideal diagonal; tables
-  at any accuracy are built on demand, and every application carries a
-  certificate relative to the ideal operator.  :func:`build_scaling` takes
-  its tables only from the committed near-best exponential sums
-  (``expsum_tables.npz``, normalized ranges up to ``2^32``) and certifies
-  each by a sampled check.
+optional diagonal scalings on either side.  A scaling is an
+:class:`ExpSumScaling` or ``None``: the *ideal* inverse-square-root diagonal
+``omega(lam) = (sum_i q_i[lam_i])^(-1/2)`` given by per-mode level weights
+``q_i >= 0``, applied through certified exponential-sum tables
+(:class:`ExpSumTable`).  The operator *means* the ideal diagonal; tables at
+any accuracy are built on demand, and every application carries a
+certificate relative to the ideal operator.  :func:`build_scaling` takes its
+tables only from the committed near-best exponential sums
+(``expsum_tables.npz``, normalized ranges up to ``2^32``) and certifies each
+by a sampled check.  An exact separable diagonal needs no scaling: it is one
+more factor in every term.
 
 The separable structure is what keeps ranks predictable: the Kronecker
 middle and an ``m``-term scaling are sums of CP terms, each applied exactly
@@ -57,7 +56,6 @@ from htsolve.hsvd import (
 
 __all__ = [
     "OperatorBounds",
-    "DiagonalScaling",
     "ExpSumScaling",
     "ExpSumTable",
     "LowRankOperator",
@@ -78,34 +76,6 @@ class OperatorBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 # scalings
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalScaling:
-    """Exact separable diagonal ``diag(v_1) x ... x diag(v_d)``, compared
-    and hashed by identity like :class:`ExpSumScaling`."""
-
-    vectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=np.float64) for v in self.vectors)
-        if any(v.ndim != 1 for v in vecs):
-            raise ValueError("diagonal scaling vectors must be 1-d")
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.vectors)
-
-    def dense_diag(self) -> np.ndarray:
-        out = self.vectors[0]
-        for v in self.vectors[1:]:
-            out = np.multiply.outer(out, v)
-        return out.ravel()
-
-    def ideal_dense_diag(self) -> np.ndarray:
-        """An exact diagonal is its own ideal."""
-        return self.dense_diag()
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +134,7 @@ class ExpSumScaling:
         return x.ravel() ** -0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpSumTable:
     """``omega~(lam) = sum_j w_j prod_i exp(-t_j q_i[lam_i])``, ``m``
     separable diagonals approximating an :class:`ExpSumScaling`;
@@ -344,14 +314,13 @@ class LowRankOperator:
     ----------
     dims : mode sizes.
     terms : iterable of per-mode factor tuples; ``None`` marks an identity.
-    scaling_left, scaling_right : optional :class:`DiagonalScaling` (exact) or
-        :class:`ExpSumScaling` (the operator then means its *ideal*
-        diagonal).
+    scaling_left, scaling_right : optional :class:`ExpSumScaling`; the
+        operator then means its *ideal* diagonal.
     bounds : optional proved :class:`OperatorBounds`; the solvers read them
         as the spectral bounds of an SPD operator.
 
-    :func:`apply_certified` keeps the apply plans of the exact stages here,
-    per tree, so they live as long as the operator.
+    :func:`apply_certified` keeps the Kronecker middle's apply plan here,
+    one per tree, so it lives as long as the operator.
     """
 
     def __init__(self, dims, terms, scaling_left=None, scaling_right=None,
@@ -378,12 +347,14 @@ class LowRankOperator:
             raise ValueError("an operator needs at least one term")
         self.terms = tuple(parsed)
         for s in (scaling_left, scaling_right):
+            if s is not None and not isinstance(s, ExpSumScaling):
+                raise TypeError(f"a scaling is an ExpSumScaling or None, got {s!r}")
             if s is not None and s.dims != self.dims:
                 raise ValueError(f"scaling dims {s.dims} do not match {self.dims}")
         self.scaling_left = scaling_left
         self.scaling_right = scaling_right
         self.bounds = bounds
-        self._plans = {}  # tree: CP plans of the exact stages, see _exact_plans
+        self._plans = {}  # tree: the Kronecker middle's CP plan
 
     @property
     def d(self) -> int:
@@ -395,8 +366,7 @@ class LowRankOperator:
 
     @property
     def has_expsum(self) -> bool:
-        return isinstance(self.scaling_left, ExpSumScaling) or isinstance(
-            self.scaling_right, ExpSumScaling)
+        return self.scaling_left is not None or self.scaling_right is not None
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +397,6 @@ def _expsum_stage(s: ExpSumScaling, beta: float, tree) -> tuple:
     return table, plans[tree]
 
 
-def _exact_plans(a: LowRankOperator, tree) -> tuple:
-    """The CP plans on ``tree`` of the right scaling, the Kronecker middle
-    and the left scaling, ``None`` for a missing or exp-sum scaling; built on
-    first use and kept on the operator."""
-    if tree not in a._plans:
-        def side(s):
-            if isinstance(s, DiagonalScaling):
-                return _cp_plan(tree, a.dims, [s.vectors])
-            return None
-        a._plans[tree] = (side(a.scaling_right), _cp_plan(tree, a.dims, a.terms),
-                          side(a.scaling_left))
-    return a._plans[tree]
-
-
 def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
                     return_info: bool = False):
     """Apply ``A`` within certified error ``eta``.
@@ -451,13 +407,13 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
     operator, and on the scaling next to each table).  A stage hands its
     frames, transfers and root core to the next without the root SVD; only
     the last stage takes it and builds the tensor.  The only errors are the
-    exponential-sum table accuracy and one final recompression.  The tables are built at a
-    relative accuracy ``beta`` sized from the operator's certified upper
-    bound so that they contribute at most
+    exponential-sum table accuracy and one final recompression.  The tables
+    are built at a relative accuracy ``beta`` sized from the operator's
+    certified upper bound so that they contribute at most
     ``beta (2 + beta) upper ||v|| <= eta/4``; the final recompression spends
-    ``eta/2``.  The total is thus at most ``3 eta/4``.  With exact scalings
-    only, the application is error-free before the recompression (``eta = 0``
-    then trims numerically-zero ranks only).  With ``return_info`` the
+    ``eta/2``.  The total is thus at most ``3 eta/4``.  Without scalings the
+    application is error-free before the recompression (``eta = 0`` then
+    trims numerically-zero ranks only).  With ``return_info`` the
     returned dict records the table sizes, the pre-recompression ranks, and
     the certified error split.
 
@@ -501,19 +457,18 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
         info["beta"] = beta
         info["scaling_error"] = beta * (2.0 + beta) * upper * nv
 
-    def scaling_stage(s, plan, key):
-        if isinstance(s, ExpSumScaling):
-            table, plan = _expsum_stage(s, beta, v.tree)
-            info[key] = table.m
-            return plan, table.weights
-        return plan, None
+    def scaling_stage(s, key):
+        table, plan = _expsum_stage(s, beta, v.tree)
+        info[key] = table.m
+        return plan, table.weights
 
-    right, middle, left = _exact_plans(a, v.tree)
-    stages = [(middle, np.ones(a.num_terms))]
+    if v.tree not in a._plans:
+        a._plans[v.tree] = _cp_plan(v.tree, a.dims, a.terms)
+    stages = [(a._plans[v.tree], np.ones(a.num_terms))]
     if a.scaling_right is not None:
-        stages.insert(0, scaling_stage(a.scaling_right, right, "m_right"))
+        stages.insert(0, scaling_stage(a.scaling_right, "m_right"))
     if a.scaling_left is not None:
-        stages.append(scaling_stage(a.scaling_left, left, "m_left"))
+        stages.append(scaling_stage(a.scaling_left, "m_left"))
     w = _apply_stages(v, stages)
     info["pre_ranks"] = w.ranks
     info["recompress_error"] = eta / 2.0

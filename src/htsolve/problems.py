@@ -135,7 +135,7 @@ def _build_rhs(spec, tree, dims, spatial_vector=None) -> HTensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionProblemI:
     """Preconditioned high-dimensional diffusion problem.
 
@@ -244,7 +244,7 @@ def build_diffusion_I(d, basis_spec, m_matrix,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParametricProblemII:
     """Spatially preconditioned parametric diffusion problem.
 

@@ -202,8 +202,6 @@ def inner_repetitions(cfg: SolveConfig) -> int:
                 f"the configuration (omega={cfg.omega}, rho={cfg.rho}) does "
                 "not contract"
             )
-    if j < 1:
-        raise ValueError("the inner loop needs at least one step")
     return j
 
 

@@ -12,10 +12,11 @@ purpose: it checks their ranks and supports against the best approximations
 of a nearby reference, truncating at fixed ranks with
 :func:`truncate_to_ranks`, which runs hsvd's own projection onto the
 leading edge singular vectors.
-:func:`inner`, :func:`identity_operator`, :func:`approx_dense_diag` and
-:func:`spatial_parametric_singular_values` are small references that no
-solve needs.  :func:`check_inner_passes` re-derives, from a solve report's
-recorded residuals, where each outer pass had to end.
+:func:`inner`, :func:`identity_operator`, :func:`diagonally_scaled_terms`,
+:func:`approx_dense_diag` and :func:`spatial_parametric_singular_values` are
+small references that no solve needs.  :func:`check_inner_passes`
+re-derives, from a solve report's recorded residuals, where each outer pass
+had to end.
 """
 
 import itertools
@@ -47,7 +48,7 @@ from htsolve.hsvd import (
     scale,
     select_support,
 )
-from htsolve.ops import DiagonalScaling, LowRankOperator, OperatorBounds
+from htsolve.ops import LowRankOperator, OperatorBounds
 
 
 #: Largest entry of ``|Q^T Q - I|`` accepted for a frame or matricized
@@ -332,10 +333,19 @@ def _apply_kron_term(term, v: HTensor) -> HTensor:
                    root_transfer=v.root_transfer)
 
 
-def _apply_diagonal(s: DiagonalScaling, v: HTensor) -> HTensor:
-    frames = {i: s.vectors[i][:, None] * v.frames[i] for i in range(v.d)}
-    return HTensor(tree=v.tree, dims=v.dims, frames=frames, transfer=v.transfer,
-                   root_transfer=v.root_transfer)
+def diagonally_scaled_terms(terms, left, right) -> list[tuple]:
+    """The terms of ``diag(l) (sum_r M_r1 x ... x M_rd) diag(r)`` for the
+    separable diagonals ``diag(l) = diag(l_1) x ... x diag(l_d)`` and
+    ``diag(r)``, given by their per-mode vectors: each diagonal is a one-term
+    CP, so the product multiplies it into every term, mode by mode, as the
+    dense factor ``diag(l_i) M_ri diag(r_i)``.  An identity factor becomes
+    ``diag(l_i r_i)``, one object per mode, so terms that shared the
+    identity at a mode still share a factor there."""
+    shared = [np.diag(lv * rv) for lv, rv in zip(left, right)]
+    return [tuple(shared[i] if m is None
+                  else left[i][:, None] * np.asarray(m) * right[i][None, :]
+                  for i, m in enumerate(term))
+            for term in terms]
 
 
 def identity_operator(dims) -> LowRankOperator:
@@ -399,8 +409,8 @@ def apply_scaling(level_weights, table, v: HTensor,
 
 
 def apply_exact(a: LowRankOperator, v: HTensor) -> HTensor:
-    """Apply an operator with no exponential-sum scalings: exact, with every
-    edge rank multiplied by exactly the number of Kronecker terms."""
+    """Apply an unscaled operator: exact, with every edge rank multiplied by
+    exactly the number of Kronecker terms."""
     if a.dims != v.dims:
         raise ValueError(f"operator dims {a.dims} do not match tensor dims {v.dims}")
     if a.has_expsum:
@@ -408,14 +418,10 @@ def apply_exact(a: LowRankOperator, v: HTensor) -> HTensor:
             "operator carries an exponential-sum scaling; exact application "
             "is not defined (use apply_certified)"
         )
-    if isinstance(a.scaling_right, DiagonalScaling):
-        v = _apply_diagonal(a.scaling_right, v)
     out = None
     for term in a.terms:
         w = _apply_kron_term(term, v)
         out = w if out is None else add(out, w)
-    if isinstance(a.scaling_left, DiagonalScaling):
-        out = _apply_diagonal(a.scaling_left, out)
     return out
 
 

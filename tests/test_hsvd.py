@@ -144,6 +144,27 @@ def test_from_dense_zero_input():
     assert H.norm(h) == 0.0
 
 
+@pytest.mark.parametrize("shape, rank", [
+    ((40, 40), 40), ((60, 7), 7), ((7, 60), 7), ((30, 25), 3)],
+    ids=["square", "tall", "wide", "rank_deficient"])
+def test_from_dense_order_two_takes_one_svd(shape, rank, monkeypatch):
+    # the root SVD's U, S and V already form the orthogonal form, so the
+    # recompression runs no QR sweep and no second root SVD
+    rng = np.random.default_rng(31)
+    data = (rng.standard_normal((shape[0], rank))
+            @ rng.standard_normal((rank, shape[1])))
+    calls = counting(monkeypatch, "_qr", "_svd")
+    h = H.from_dense(data, build_balanced_tree(2))
+    assert calls == {"_qr": 0, "_svd": 1}
+    assert h.orthogonal and h.ranks == (rank,)
+    for u in h.frames.values():
+        assert np.abs(u.T @ u - np.eye(rank)).max() <= ORTHONORMAL_TOL
+    sigma = np.diag(h.root_transfer)
+    assert np.array_equal(h.root_transfer, np.diag(sigma))
+    assert (sigma > 0).all() and (np.diff(sigma) <= 0).all()
+    assert np.linalg.norm(H.to_dense(h) - data) <= 1e-13 * np.linalg.norm(data)
+
+
 def test_to_dense_guard():
     tree = build_balanced_tree(3)
     h = H.zero_htensor(tree, (100, 100, 100))

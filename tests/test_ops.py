@@ -1,5 +1,6 @@
 """Operator representations, scalings, and certified application vs dense oracles."""
 
+import dataclasses
 import gc
 import hashlib
 import importlib.resources
@@ -17,8 +18,11 @@ import htsolve.hsvd as hsvd_module
 import htsolve.ops as ops_module
 
 from htsolve.errors import ToleranceInfeasibleError
-from htsolve.htree import build_balanced_tree, build_linear_tree
+from htsolve.htree import build_balanced_tree, build_linear_tree, effective_edges
 from htsolve.hsvd import (
+    ContractionSet,
+    EdgeSpectrum,
+    HTensor,
     add,
     apply_cp,
     coarsen,
@@ -30,19 +34,26 @@ from htsolve.hsvd import (
     zero_htensor,
 )
 from htsolve.ops import (
-    DiagonalScaling,
     ExpSumScaling,
+    ExpSumTable,
     LowRankOperator,
     OperatorBounds,
     apply_certified,
     build_scaling,
     rhs_truncate,
 )
-from htsolve.problems import _assemble_sparse, build_diffusion_I, load_problem
+from htsolve.problems import (
+    DiffusionProblemI,
+    ParametricProblemII,
+    _assemble_sparse,
+    build_diffusion_I,
+    load_problem,
+)
 from htsolve.softthresh import st_solve
 
 from oracles import (
     apply_exact,
+    diagonally_scaled_terms,
     apply_scaling,
     approx_dense_diag,
     bh_exponential_sum,
@@ -440,6 +451,12 @@ class TestLowRankOperator:
             LowRankOperator((3, 3), [(np.eye(2), None)])  # wrong shape
         with pytest.raises(ValueError):
             LowRankOperator((3, 0), [(None, None)])
+        q = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="scaling dims"):
+            LowRankOperator((3, 3), [(None, None)], scaling_left=ExpSumScaling([q]))
+        # a scaling is an ExpSumScaling or None; an exact diagonal is a factor
+        with pytest.raises(TypeError, match="ExpSumScaling or None"):
+            LowRankOperator((3, 3), [(None, None)], scaling_right=(q, q))
 
     def test_identity(self):
         a = identity_operator((3, 2, 4))
@@ -472,24 +489,42 @@ class TestLowRankOperator:
         assert w.ranks == tuple(3 * r for r in v.ranks)
 
     def test_diagonal_scaling_exact(self):
+        # an exact separable diagonal on each side, as one-term CPs
+        # multiplied into the terms, against the dense S_L (M x I x I) S_R
         rng = np.random.default_rng(9)
         dims = (4, 3, 5)
         tree = build_balanced_tree(3)
-        ds = DiagonalScaling(tuple(rng.random(n) + 0.5 for n in dims))
-        a = LowRankOperator(dims, [(rng.standard_normal((4, 4)), None, None)],
-                            scaling_left=ds, scaling_right=ds)
+        diag = tuple(rng.random(n) + 0.5 for n in dims)
+        m = rng.standard_normal((4, 4))
+        a = LowRankOperator(dims, diagonally_scaled_terms([(m, None, None)],
+                                                          diag, diag))
         v = random_htensor(tree, dims, 2, rng)
         w = apply_exact(a, v)
-        want = _assemble_sparse(a).toarray() @ dense_vec(v)
+        s = np.einsum("i,j,k->ijk", *diag).ravel()
+        want = s * (np.kron(m, np.eye(15)) @ (s * dense_vec(v)))
         assert np.linalg.norm(dense_vec(w) - want) <= 1e-10 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("make", [ExpSumScaling, DiagonalScaling],
-                             ids=["expsum", "diagonal"])
+    @pytest.mark.parametrize("make", [
+        lambda: ExpSumScaling([np.array([1.0, 2.0, 3.0]), np.array([0.5, 4.0])]),
+        lambda: build_scaling([np.array([1.0, 2.0, 3.0])] * 2, 1e-3),
+        lambda: random_htensor(build_balanced_tree(3), (3, 4, 2), 2,
+                               np.random.default_rng(0)),
+        lambda: EdgeSpectrum(effective_edges(build_balanced_tree(2)),
+                             (np.array([2.0, 1.0]),)),
+        lambda: ContractionSet((np.array([1.0, 2.0]), np.array([3.0]))),
+        lambda: load_problem(FIXTURES / "diffusion_d2_sine.ini"),
+        lambda: load_problem(FIXTURES / "parametric_d2.ini"),
+    ], ids=["expsum", "expsum_table", "htensor", "edge_spectrum",
+            "contraction_set", "diffusion_problem", "parametric_problem"])
     def test_scalings_compare_by_identity(self, make):
         # the generated __eq__ compared ndarray fields and raised, and
-        # __hash__ raised TypeError; each scaling carries its own memo
-        weights = [np.array([1.0, 2.0, 3.0]), np.array([0.5, 4.0])]
-        s, t = make(weights), make(weights)
+        # __hash__ raised TypeError: on two equal values built apart, and on
+        # a tensor and its dataclasses.replace copy
+        s, t = make(), make()
+        assert type(s) in (ExpSumScaling, ExpSumTable, HTensor, EdgeSpectrum,
+                           ContractionSet, DiffusionProblemI, ParametricProblemII)
+        if isinstance(s, HTensor):
+            t = dataclasses.replace(s)
         assert hash(s) == hash(s)
         assert s == s
         assert s != t and not s == t
@@ -835,11 +870,12 @@ class TestApplyCertified:
             assert err <= eta
 
     def test_no_expsum_error_zero_before_recompress(self):
+        # an exact diagonal on each side, multiplied into the terms
         rng = self.rng
-        ds = DiagonalScaling(tuple(rng.random(n) + 0.5 for n in self.dims))
-        a = LowRankOperator(self.dims, [(np.diag(rng.random(5) + 1), None, None),
-                                        (None, np.diag(rng.random(4) + 1), None)],
-                            scaling_left=ds, scaling_right=ds)
+        diag = tuple(rng.random(n) + 0.5 for n in self.dims)
+        terms = [(np.diag(rng.random(5) + 1), None, None),
+                 (None, np.diag(rng.random(4) + 1), None)]
+        a = LowRankOperator(self.dims, diagonally_scaled_terms(terms, diag, diag))
         v = random_htensor(self.tree, self.dims, 2, rng)
         exact = apply_exact(a, v)
         w, info = apply_certified(a, v, 0.0, return_info=True)
@@ -966,8 +1002,12 @@ class TestApplyCertified:
         p = load_problem(FIXTURES / f"{name}.ini")
         a, tree = p.operator, p.rhs.tree
         v = random_htensor(tree, a.dims, 3, np.random.default_rng(9))
-        stored = ops_module._exact_plans(a, tree)[1]
-        assert ops_module._exact_plans(a, tree)[1] is stored
+        apply_certified(a, v, 1e-3)
+        stored = a._plans[tree]
+        apply_certified(a, v, 1e-3)
+        # the operator keeps one plan per tree, its Kronecker middle's
+        assert a._plans == {tree: stored} and a._plans[tree] is stored
+        assert isinstance(stored, hsvd_module._CPPlan)
         ones = np.ones(a.num_terms)
         got = hsvd_module._apply_stages(v, [(stored, ones)])
         fresh = apply_cp(v, a.terms)

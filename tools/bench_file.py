@@ -13,19 +13,27 @@ checkout (for example a ``git clone`` of the parent commit), alternating the
 two run by run, so the file holds parent and change side by side.
 
 The ``extra`` section times one solve each of two larger instances that no
-fixture file describes, built as ``ROADMAP.md`` describes them:
+fixture file describes, built as ``ROADMAP.md`` describes them, and one
+dense conversion:
 
 * ``param_d8``: ``build_parametric_II(16, 8, ("disjoint", 8), 0.1, 6)`` at
   eps 1e-4;
 * ``eig_d5``: ``build_diffusion_I(5, ("eigensine", 8), M)`` at eps 1e-2,
   with M tridiagonal (1 on the diagonal, 0.2 beside it).
 
-Each records the wall time of ``default_config`` plus ``solve``, the final
-rank, the peak inner rank and the certified bound.  The peak inner rank is
-the largest rank of an iterate entering an inner step (``steps[*]["ranks"]``
-of the report), which every checkout records, so parent and change measure
-the same thing.  Everything runs with BLAS
-pinned to one thread.  The file also records the ``src/`` line counts, the
+The two solves record the wall time of ``default_config`` plus ``solve``,
+the final rank, the peak inner rank and the certified bound.  The peak
+inner rank is the largest rank of an iterate entering an inner step
+(``steps[*]["ranks"]`` of the report), which every checkout records, so
+parent and change measure the same thing.
+
+* ``from_dense_d2``: ``from_dense`` of a seeded Gaussian 1000 x 1000 array
+  on a balanced tree, then ``_truncate(h, 1e-8 |x|)``, the truncation
+  ``htsolve compress`` runs.  It records the best wall time of 5 runs, the
+  tracemalloc peak of a sixth over the data's bytes, the ranks and the
+  certified bound.
+
+Everything runs with BLAS pinned to one thread.  The file also records the ``src/`` line counts, the
 numpy and scipy versions, the CPU model and the git HEAD of each checkout.
 """
 
@@ -75,7 +83,41 @@ print(json.dumps({
     "residual_interval": list(report.residual_interval),
 }))
 """
-EXTRAS = ("param_d8", "eig_d5")
+
+# from_dense plus the truncation compress runs, on one Gaussian matrix
+FROM_DENSE = r"""
+import json, time, tracemalloc
+import numpy as np
+from htsolve.hsvd import _truncate, from_dense
+from htsolve.htree import build_balanced_tree
+
+data = np.random.default_rng(0).standard_normal((1000, 1000))
+tree, eta = build_balanced_tree(2), 1e-8 * float(np.linalg.norm(data))
+
+
+def run():
+    return _truncate(from_dense(data, tree), eta)
+
+
+walls = []
+for _ in range(5):
+    t0 = time.perf_counter()
+    h, bound = run()
+    walls.append(time.perf_counter() - t0)
+tracemalloc.start()
+run()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({
+    "wall_s": min(walls),
+    "wall_s_runs": walls,
+    "peak_over_data": peak / data.nbytes,
+    "ranks": list(h.ranks),
+    "bound": bound,
+}))
+"""
+EXTRAS = {"param_d8": EXTRA_SOLVE, "eig_d5": EXTRA_SOLVE,
+          "from_dense_d2": FROM_DENSE}
 
 
 def child_env(checkout: Path) -> dict:
@@ -163,10 +205,10 @@ def main(argv=None) -> int:
             }
 
     extra = {}
-    for name in EXTRAS:
+    for name, script in EXTRAS.items():
         extra[name] = {}
         for side, checkout in sides.items():
-            extra[name][side] = last_json([sys.executable, "-c", EXTRA_SOLVE, name],
+            extra[name][side] = last_json([sys.executable, "-c", script, name],
                                           checkout, child_env(checkout))
             print(f"{name} {side}: {extra[name][side]['wall_s']:.3g} s", flush=True)
 
