@@ -53,10 +53,10 @@ from htsolve.softthresh import st_solve
 
 from oracles import (
     apply_exact,
-    diagonally_scaled_terms,
     apply_scaling,
     approx_dense_diag,
     bh_exponential_sum,
+    diagonally_scaled_terms,
     identity_operator,
     mode_factors,
     reference_check_set,
