@@ -50,9 +50,9 @@ _THREAD_ENV = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-# SolveConfig fields a flag may override
-_OVERRIDE_FIELDS = ("omega", "rho", "kappa1", "kappa2", "kappa3",
-                    "beta1", "beta2")
+# SolveConfig fields a flag may override: none of them can loosen a
+# certificate (omega, rho and eps0 come only from the operator bounds)
+_OVERRIDE_FIELDS = ("kappa1", "kappa2", "kappa3", "beta1", "beta2")
 
 
 def _pin_threads(argv: list[str]) -> None:
@@ -86,7 +86,6 @@ class RunSpec:
     problem: str
     eps: float | None = None
     overrides: dict = field(default_factory=dict)
-    alpha: float | None = None
     out: str = "."
     seed: int | None = None
     threads: int = 1
@@ -122,13 +121,6 @@ _FLAGS = (
     ("--eps", ("solve", "st-solve", "compress"),
      dict(type=float, default=None,
           help="target tolerance (compress: truncation tolerance)")),
-    ("--alpha", _SOLVERS,
-     dict(type=float, default=None,
-          help="free parameter behind the reduction constants")),
-    ("--omega", _SOLVERS + ("st-solve",),
-     dict(type=float, default=None, help="override the Richardson step size")),
-    ("--rho", _SOLVERS + ("st-solve",),
-     dict(type=float, default=None, help="override the contraction factor")),
     ("--kappa1", _SOLVERS, dict(type=float, default=None)),
     ("--kappa2", _SOLVERS, dict(type=float, default=None)),
     ("--kappa3", _SOLVERS, dict(type=float, default=None)),
@@ -185,7 +177,7 @@ def _spec_from_namespace(ns: argparse.Namespace) -> RunSpec:
     }
     # a flag the subcommand does not take keeps the RunSpec default
     read = {name: given[name]
-            for name in ("eps", "alpha", "out", "seed", "threads", "oracle", "max_iter")
+            for name in ("eps", "out", "seed", "threads", "oracle", "max_iter")
             if name in given}
     return RunSpec(command=ns.command, problem=ns.problem, overrides=overrides,
                    **read)
@@ -216,11 +208,8 @@ def _solver_config(problem, spec: RunSpec, eps: float):
 
     from htsolve.solver import default_config
 
-    alpha = 1.0 if spec.alpha is None else spec.alpha
-    cfg = default_config(problem.operator, problem.rhs, eps=eps, alpha=alpha)
-    if spec.overrides:
-        cfg = replace(cfg, **spec.overrides)
-    return cfg
+    return replace(default_config(problem.operator, problem.rhs, eps=eps),
+                   **spec.overrides)
 
 
 def _oracle_error(problem, u) -> float:
@@ -258,7 +247,7 @@ def _cmd_st_solve(spec: RunSpec) -> int:
     from htsolve.softthresh import st_solve
 
     problem = _load(spec)
-    # the step size and contraction factor of solve, --omega/--rho applied
+    # the step size and contraction factor solve derives from the bounds
     cfg = _solver_config(problem, spec, spec.eps)
     omega, xi = cfg.omega, cfg.rho
     u, trace = st_solve(problem.operator, problem.rhs, omega, xi, eps=spec.eps,

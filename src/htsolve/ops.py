@@ -73,6 +73,20 @@ class OperatorBounds(NamedTuple):
     upper: float
 
 
+def _proven_bounds(a) -> tuple[float, float]:
+    """``(lower, upper)`` of ``a.bounds``, the one check every certificate
+    that reads them relies on; raises ``ValueError`` unless the operator
+    carries bounds with ``0 < lower <= upper < inf`` (NaN fails)."""
+    if a.bounds is None:
+        raise ValueError("the operator carries no bounds, and certified "
+                         "solves and applications need them")
+    lower, upper = float(a.bounds.lower), float(a.bounds.upper)
+    if not 0.0 < lower <= upper < math.inf:
+        raise ValueError(f"operator bounds must satisfy 0 < lower <= upper "
+                         f"< inf, got lower={lower}, upper={upper}")
+    return lower, upper
+
+
 # ---------------------------------------------------------------------------
 # scalings
 # ---------------------------------------------------------------------------
@@ -427,6 +441,8 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
     _check_dims(a, v)
     if not math.isfinite(eta) or eta < 0:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    if a.has_expsum:
+        upper = _proven_bounds(a)[1]
     info = {"m_left": 0, "m_right": 0, "beta": 0.0, "scaling_error": 0.0,
             "pre_ranks": None, "recompress_error": 0.0}
     nv = norm(v)
@@ -442,12 +458,6 @@ def apply_certified(a: LowRankOperator, v: HTensor, eta: float,
                 "eta = 0 requires exact application, but the operator carries an "
                 "exponential-sum scaling"
             )
-        if a.bounds is None:
-            raise ValueError(
-                "certified application with exponential-sum scalings needs "
-                "operator bounds, and the operator carries none"
-            )
-        upper = float(a.bounds.upper)
         # table error [beta_L + beta_R (1 + beta_L)] * upper * ||v||
         # <= beta (2 + beta) * upper * ||v|| <= 2.5 beta upper ||v|| <= eta/4
         beta = min(0.5, (eta / 4.0) / (2.5 * upper * nv))

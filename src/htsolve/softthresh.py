@@ -28,7 +28,7 @@ from htsolve.hsvd import (
     scale,
     zero_htensor,
 )
-from htsolve.ops import LowRankOperator, apply_certified
+from htsolve.ops import LowRankOperator, _proven_bounds, apply_certified
 
 __all__ = [
     "soft_scalar",
@@ -122,13 +122,7 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if a.bounds is None:
-        raise ValueError("st_solve needs operator bounds, and the operator "
-                         "carries none")
-    upper = float(a.bounds.upper)
-    if not math.isfinite(upper) or upper <= 0.0:
-        raise ValueError(f"the upper operator bound must be positive and "
-                         f"finite, got {upper}")
+    upper = _proven_bounds(a)[1]
     if a.dims != f.dims:
         raise ValueError(f"operator dims {a.dims} do not match {f.dims}")
 

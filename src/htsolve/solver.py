@@ -38,7 +38,7 @@ from .hsvd import (
     scale,
     zero_htensor,
 )
-from .ops import LowRankOperator, apply_certified, rhs_truncate
+from .ops import LowRankOperator, _proven_bounds, apply_certified, rhs_truncate
 
 __all__ = [
     "SolveConfig",
@@ -56,12 +56,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def kappa_defaults(d: int, alpha: float = 1.0) -> tuple[float, float, float]:
+def kappa_defaults(d: int) -> tuple[float, float, float]:
     """Reduction constants ``(kappa1, kappa2, kappa3)`` for order ``d``.
 
-    kappa1 = 1 / (1 + (1+alpha) (sqrt(2d-3) + sqrt(d) + sqrt((2d-3) d)))
-    kappa2 = sqrt(2d-3) (1+alpha) kappa1
-    kappa3 = sqrt(d) (sqrt(2d-3) + 1) (1+alpha) kappa1
+    kappa1 = 1 / (1 + 2 (sqrt(2d-3) + sqrt(d) + sqrt((2d-3) d)))
+    kappa2 = 2 sqrt(2d-3) kappa1
+    kappa3 = 2 sqrt(d) (sqrt(2d-3) + 1) kappa1
 
     The three sum to 1 exactly: kappa1 absorbs the inner-loop contraction
     slack, kappa2 pays for the rank truncation (quasi-optimality factor
@@ -70,19 +70,20 @@ def kappa_defaults(d: int, alpha: float = 1.0) -> tuple[float, float, float]:
     """
     if d < 2:
         raise ValueError(f"order must be at least 2, got d={d}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     edge = math.sqrt(2 * d - 3)
     mode = math.sqrt(d)
-    kappa1 = 1.0 / (1.0 + (1.0 + alpha) * (edge + mode + edge * mode))
-    kappa2 = edge * (1.0 + alpha) * kappa1
-    kappa3 = mode * (edge + 1.0) * (1.0 + alpha) * kappa1
+    kappa1 = 1.0 / (1.0 + 2.0 * (edge + mode + edge * mode))
+    kappa2 = 2.0 * edge * kappa1
+    kappa3 = 2.0 * mode * (edge + 1.0) * kappa1
     return kappa1, kappa2, kappa3
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Parameters of the adaptive Richardson iteration.
+
+    :func:`default_config` derives ``omega`` and ``rho`` from the proved
+    operator bounds; a caller who builds a config by hand certifies them.
 
     omega   step size, with ``norm(I - omega A) <= rho`` on the energy space.
     rho     contraction factor in [0, 1).
@@ -137,15 +138,16 @@ class SolveConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
-def default_config(a: LowRankOperator, f: HTensor, eps: float,
-                   alpha: float = 1.0) -> SolveConfig:
+def default_config(a: LowRankOperator, f: HTensor, eps: float) -> SolveConfig:
     """Configuration derived from the operator's proved bounds.
 
     Uses the optimal Richardson parameters for a symmetric spectrum in
     ``[lower, upper]``: ``omega = 2/(upper+lower)`` and
     ``rho = (upper-lower)/(upper+lower)``, and ``eps0 = norm(f)/lower``
-    (the representation norm is exact).  The kappa
-    constants follow :func:`kappa_defaults` for the operator's order.
+    (the representation norm is exact).  No other step size proves a
+    smaller contraction factor from these bounds, and a smaller ``rho`` is
+    unproven, so neither is a parameter.  The kappa constants follow
+    :func:`kappa_defaults` for the operator's order.
 
     The inner step is ``w <- coarsen(recompress(w - omega r, beta1 eta),
     beta2 eta)`` with ``beta1 = 1/4`` and ``beta2 = kappa1/4``: a quarter of
@@ -157,17 +159,11 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float,
     the scheduled bound ``rho^j (1 + drift j) level`` still holds, and the
     a posteriori :func:`error_certificate` of the final iterate is the same
     kind of bound as before.  ``beta1 = 0`` restores the untruncated inner
-    step.  Raises ``ValueError`` when the operator carries no bounds.
+    step.  Raises ``ValueError`` unless the operator carries bounds with
+    ``0 < lower <= upper < inf``.
     """
-    if a.bounds is None:
-        raise ValueError("default_config needs operator bounds, and the "
-                         "operator carries none")
-    lower, upper = float(a.bounds.lower), float(a.bounds.upper)
-    if lower <= 0:
-        raise ValueError(
-            f"the lower operator bound must be positive, got {lower}"
-        )
-    kappa1, kappa2, kappa3 = kappa_defaults(a.d, alpha)
+    lower, upper = _proven_bounds(a)
+    kappa1, kappa2, kappa3 = kappa_defaults(a.d)
     return SolveConfig(
         omega=2.0 / (upper + lower),
         rho=(upper - lower) / (upper + lower),
@@ -398,10 +394,7 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
         raise ValueError(
             f"operator dims {a.dims} do not match right-hand side dims {f.dims}"
         )
-    if a.bounds is None:
-        raise ValueError("solve needs operator bounds, and the operator "
-                         "carries none")
-    lower, upper = float(a.bounds.lower), float(a.bounds.upper)
+    lower, upper = _proven_bounds(a)
     started = time.perf_counter()
     reps = inner_repetitions(cfg)
     drift = cfg.omega + cfg.beta1 + cfg.beta2
@@ -519,14 +512,7 @@ def error_certificate(a: LowRankOperator, v: HTensor, f: HTensor,
             f"operator dims {a.dims} do not match tensor dims "
             f"{v.dims} / {f.dims}"
         )
-    if a.bounds is None:
-        raise ValueError("error certificates need operator bounds, and the "
-                         "operator carries none")
-    lower, upper = float(a.bounds.lower), float(a.bounds.upper)
-    if lower <= 0:
-        raise ValueError(
-            f"the lower operator bound must be positive, got {lower}"
-        )
+    lower, upper = _proven_bounds(a)
     _, res_lo, res_hi = _certified_residual(a, v, f, 2.0 * res_eta)
     return res_lo / upper, res_hi / lower
 

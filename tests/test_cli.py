@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htsolve.cli import RunSpec, _build_parser, _pin_threads, main
+from htsolve.cli import _FLAGS, RunSpec, _build_parser, _pin_threads, main
 from htsolve.hsvd import add, norm, random_htensor, scale, to_dense
 from htsolve.htree import build_balanced_tree
+from htsolve.problems import load_problem
+from htsolve.solver import default_config
 from htsolve.tensorfile import load_htensor, save_htensor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -163,11 +165,11 @@ class TestSolveCommand:
 
     def test_config_overrides_take_effect(self, tmp_path):
         code = main(["solve", PARAMETRIC_D2, "--eps", "1e-2",
-                     "--omega", "0.9", "--beta2", "0.005",
+                     "--kappa2", "0.2", "--beta2", "0.005",
                      "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["config"]["omega"] == 0.9
+        assert report["config"]["kappa2"] == 0.2
         assert report["config"]["beta2"] == 0.005
 
 
@@ -189,17 +191,15 @@ class TestStSolveCommand:
                            "halved"]
         assert len(rows) == 1 + report["iterations"]
 
-    def test_step_overrides_reach_the_iteration(self, tmp_path):
-        # omega and rho come from solve's configuration, flags applied
+    def test_step_comes_from_default_config(self, tmp_path):
+        # omega and xi are solve's step size and contraction factor, which
+        # default_config derives from the proved operator bounds
         assert main(["st-solve", PARAMETRIC_D2, "--eps", "1e-2",
-                     "--out", str(tmp_path / "a")]) == 0
-        derived = json.loads((tmp_path / "a" / "st_report.json").read_text())
-        rho = 0.5 * (1.0 + derived["xi"])  # a looser contraction bound
-        assert main(["st-solve", PARAMETRIC_D2, "--eps", "1e-2",
-                     "--omega", repr(derived["omega"]), "--rho", repr(rho),
-                     "--out", str(tmp_path / "b")]) == 0
-        report = json.loads((tmp_path / "b" / "st_report.json").read_text())
-        assert (report["omega"], report["xi"]) == (derived["omega"], rho)
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "st_report.json").read_text())
+        problem = load_problem(PARAMETRIC_D2)
+        cfg = default_config(problem.operator, problem.rhs, eps=1e-2)
+        assert (report["omega"], report["xi"]) == (cfg.omega, cfg.rho)
 
 
 class TestCompressCommand:
@@ -347,18 +347,23 @@ class TestInfoCommand:
 
 
 # the flags each subcommand reads; every other flag is rejected
-_OVERRIDES = ("--omega", "--rho", "--kappa1", "--kappa2", "--kappa3",
-              "--beta1", "--beta2")
+_OVERRIDES = ("--kappa1", "--kappa2", "--kappa3", "--beta1", "--beta2")
 FLAGS_READ = {
-    "solve": ("--eps", "--alpha", *_OVERRIDES, "--threads", "--oracle",
-              "--out", "--seed"),
-    "st-solve": ("--eps", "--omega", "--rho", "--threads", "--oracle", "--out",
-                 "--seed", "--max-iter"),
+    "solve": ("--eps", *_OVERRIDES, "--threads", "--oracle", "--out",
+              "--seed"),
+    "st-solve": ("--eps", "--threads", "--oracle", "--out", "--seed",
+                 "--max-iter"),
     "compress": ("--eps", "--threads", "--out"),
-    "bench": ("--alpha", *_OVERRIDES, "--threads", "--out", "--seed"),
+    "bench": (*_OVERRIDES, "--threads", "--out", "--seed"),
     "info": ("--threads", "--seed"),
 }
-ALL_FLAGS = sorted({f for flags in FLAGS_READ.values() for f in flags})
+# flags no subcommand reads any more: a step size or contraction factor not
+# derived from the operator bounds voids the certificate, and --alpha only
+# reparametrized the kappas, which stay overridable
+REMOVED_FLAGS = ("--alpha", "--omega", "--rho")
+ALL_FLAGS = sorted({f for flags in FLAGS_READ.values() for f in flags}
+                   | set(REMOVED_FLAGS))
+README = Path(__file__).resolve().parent.parent / "README.md"
 FLAG_VALUES = {"--oracle": [], "--out": ["somewhere"], "--seed": ["3"],
                "--threads": ["2"], "--max-iter": ["7"]}
 
@@ -382,6 +387,16 @@ class TestFlagsPerSubcommand:
         value = getattr(ns, flag[2:].replace("-", "_"))
         assert str(value) == (args[1] if len(args) > 1 else "True")
 
+    def test_readme_table_matches_flags(self):
+        # the README's subcommand table: | `solve` | `--eps --out ...` |
+        table = {}
+        for line in README.read_text().splitlines():
+            cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+            if len(cells) == 2 and cells[0] in FLAGS_READ:
+                table[cells[0]] = set(cells[1].split())
+        assert table == {c: {f for f, commands, _ in _FLAGS if c in commands}
+                         for c in FLAGS_READ}
+
 
 class TestExitCodes:
     def test_missing_problem_file_is_invalid_input(self, capsys):
@@ -401,10 +416,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_bad_alpha_is_invalid_input(self, alpha, capsys):
-        # kappa_defaults is the only check of --alpha
+        # no subcommand takes --alpha, whatever its value
         assert main(["solve", DIFFUSION_D2, "--eps", "1e-2",
                      "--alpha", alpha]) == 2
-        assert "alpha must be positive" in capsys.readouterr().err
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
 
     def test_unknown_flag_is_invalid_input(self, capsys):
         assert main(["solve", DIFFUSION_D3, "--eps", "1e-3", "--bogus"]) == 2
@@ -418,12 +433,14 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
 
-    def test_divergent_step_size_is_contraction_violation(self, tmp_path,
-                                                          capsys):
-        code = main(["solve", DIFFUSION_D3, "--eps", "1e-3", "--omega", "2.0",
-                     "--out", str(tmp_path)])
+    def test_exhausted_iteration_cap_is_contraction_violation(self, tmp_path,
+                                                             capsys):
+        # one step cannot reach the stopping level, so st-solve gives up
+        code = main(["st-solve", DIFFUSION_D2, "--eps", "1e-4",
+                     "--max-iter", "1", "--out", str(tmp_path)])
         assert code == 4
         assert "contraction" in capsys.readouterr().err
+        assert not (tmp_path / "st_report.json").exists()
 
     def test_unreachable_scaling_tolerance_is_infeasible(self, tmp_path,
                                                          capsys):

@@ -81,25 +81,19 @@ def parametric_d3():
 
 class TestKappaDefaults:
     def test_pinned_d3(self):
-        k1, k2, k3 = kappa_defaults(3, alpha=1.0)
+        k1, k2, k3 = kappa_defaults(3)
         assert k1 == pytest.approx(1.0 / (7.0 + 4.0 * math.sqrt(3.0)), rel=1e-14)
         assert k2 == pytest.approx(math.sqrt(3.0) * 2.0 * k1, rel=1e-14)
         assert k3 == pytest.approx(math.sqrt(3.0) * (math.sqrt(3.0) + 1.0) * 2.0 * k1,
                                    rel=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_sum_to_one(self, d, alpha):
-        assert sum(kappa_defaults(d, alpha)) == pytest.approx(1.0, abs=1e-12)
+    def test_sum_to_one(self, d):
+        assert sum(kappa_defaults(d)) == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):
             kappa_defaults(1)
-        with pytest.raises(ValueError, match="alpha"):
-            kappa_defaults(3, alpha=0.0)
-        for alpha in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="alpha"):
-                kappa_defaults(3, alpha=alpha)
 
 
 class TestSolveConfig:
@@ -173,8 +167,8 @@ class TestDefaultConfig:
 
     def test_kappas_match_order(self):
         f = uniform_rank_one((4, 4, 4))
-        cfg = default_config(identity_operator((4, 4, 4)), f, eps=0.1, alpha=2.0)
-        k1, k2, k3 = kappa_defaults(3, alpha=2.0)
+        cfg = default_config(identity_operator((4, 4, 4)), f, eps=0.1)
+        k1, k2, k3 = kappa_defaults(3)
         assert (cfg.kappa1, cfg.kappa2, cfg.kappa3) == (k1, k2, k3)
 
     def test_rejects_nonpositive_lower(self):
@@ -359,24 +353,46 @@ class TestSolveValidation:
 
 @pytest.mark.parametrize("call", ["apply_certified", "solve", "error_certificate",
                                   "default_config", "st_solve"])
-def test_operator_without_bounds_rejected(call):
+def test_operator_without_bounds_rejected(call, monkeypatch):
     # bounds come only from the problem builders; nothing estimates missing ones
+    test_unproven_bounds_rejected_before_any_sweep(call, None, monkeypatch)
+
+
+@pytest.mark.parametrize("bounds", [
+    OperatorBounds(math.nan, 1.0),
+    OperatorBounds(0.5, math.nan),  # apply_certified once took beta = 0.5
+    OperatorBounds(0.0, 1.0),
+    OperatorBounds(1.0, math.inf),
+    OperatorBounds(2.0, 1.0),  # error_certificate once returned lo > hi
+], ids=["nan-lower", "nan-upper", "zero-lower", "inf-upper", "inverted"])
+@pytest.mark.parametrize("call", ["apply_certified", "solve", "error_certificate",
+                                  "default_config", "st_solve"])
+def test_unproven_bounds_rejected_before_any_sweep(call, bounds, monkeypatch):
+    # every reader of the bounds goes through one check, which holds only
+    # for 0 < lower <= upper < inf (test_operator_without_bounds_rejected
+    # runs this with no bounds at all)
+    import htsolve.hsvd as hsvd_module
     from test_ops import ideal_scaled_operator
 
     rng = np.random.default_rng(41)
     dims = (4, 5)
     a = ideal_scaled_operator(dims, rng)
-    a.bounds = None
+    a.bounds = bounds
     f = random_htensor(build_balanced_tree(2), dims, 2, rng)
     cfg = SolveConfig(omega=1.0, rho=0.0, eps0=1.0,
                       kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
     calls = {
-        "apply_certified": lambda: apply_certified(a, f, 0.1),
+        "apply_certified": lambda: apply_certified(a, f, 1e-8),
         "solve": lambda: solve(a, f, cfg),
         "error_certificate": lambda: error_certificate(a, f, f, 0.1),
         "default_config": lambda: default_config(a, f, eps=0.1),
         "st_solve": lambda: st_solve(a, f, omega=1.0, xi=0.5),
     }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran before the bounds were checked")
+
+    monkeypatch.setattr(hsvd_module, "_sweep", refuse)
     with pytest.raises(ValueError, match="bounds"):
         calls[call]()
 
