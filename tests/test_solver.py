@@ -88,8 +88,22 @@ class TestKappaDefaults:
                                    rel=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
-    def test_sum_to_one(self, d):
-        assert sum(kappa_defaults(d)) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_sum_to_one(self, d, alpha):
+        k1, k2, k3 = kappa_defaults(d)
+        assert k1 + k2 + k3 == pytest.approx(1.0, abs=1e-12)
+        # weighting the truncation and coarsening shares by (1+alpha)/2
+        # against kappa1 gives the split kappa_defaults once took an alpha
+        # for; it is now reachable only through kappa overrides, still sums
+        # to one, passes SolveConfig, and is the default split at alpha = 1
+        w = (1.0 + alpha) / 2.0
+        total = k1 + w * (k2 + k3)
+        split = (k1 / total, w * k2 / total, w * k3 / total)
+        assert sum(split) == pytest.approx(1.0, abs=1e-12)
+        SolveConfig(omega=0.5, rho=0.5, eps0=1.0,
+                    kappa1=split[0], kappa2=split[1], kappa3=split[2])
+        if alpha == 1.0:
+            assert split == pytest.approx((k1, k2, k3), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):
