@@ -50,8 +50,8 @@ _THREAD_ENV = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-# SolveConfig fields a flag may override: none of them can loosen a
-# certificate (omega, rho and eps0 come only from the operator bounds)
+# SolveConfig fields a flag may override (eps has its own): none of them can
+# loosen a certificate
 _OVERRIDE_FIELDS = ("kappa1", "kappa2", "kappa3", "beta1", "beta2")
 
 
@@ -245,11 +245,11 @@ def _cmd_solve(spec: RunSpec) -> int:
 
 def _cmd_st_solve(spec: RunSpec) -> int:
     from htsolve.softthresh import st_solve
+    from htsolve.solver import _richardson_constants
 
     problem = _load(spec)
     # the step size and contraction factor solve derives from the bounds
-    cfg = _solver_config(problem, spec, spec.eps)
-    omega, xi = cfg.omega, cfg.rho
+    omega, xi, _ = _richardson_constants(problem.operator, problem.rhs)
     u, trace = st_solve(problem.operator, problem.rhs, omega, xi, eps=spec.eps,
                         max_iter=spec.max_iter)
     out = Path(spec.out)

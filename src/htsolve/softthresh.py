@@ -96,13 +96,12 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
              eps: float = 1e-6, max_iter: int = 500):
     """Soft-thresholded Richardson iteration ``u <- S_alpha(u - omega (A u - f))``.
 
-    The caller certifies ``|I - omega A| <= xi < 1``; ``|A|`` is bounded by
-    the operator's proved ``bounds.upper``.  The threshold
-    starts at ``omega |f| / (d - 1)`` and is halved whenever
+    The threshold starts at ``omega |f| / (d - 1)`` and is halved whenever
     ``|u_new - u| <= (1 - xi) / (xi upper) |A u_new - f|``, evaluated on the
-    pessimistic side of the certified residual interval, and never grows.
-    The iteration stops when the certified residual bound implies
-    ``|u - u*| <= eps`` (coercivity ``lambda_min >= (1 - xi) / omega``).
+    pessimistic side of the certified residual interval, and never grows;
+    ``xi`` (``|I - omega A| <= xi < 1``) is read only there.  The iteration
+    stops once the certified residual bound over the proven ``lower``
+    implies ``|u - u*| <= eps``.
     Returns ``(u, trace)`` with one record per step: threshold, max rank,
     residual interval, halving flag.
 
@@ -122,7 +121,7 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    upper = _proven_bounds(a)[1]
+    lower, upper = _proven_bounds(a)
     if a.dims != f.dims:
         raise ValueError(f"operator dims {a.dims} do not match {f.dims}")
 
@@ -130,7 +129,7 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
     if nf == 0.0:
         return zero_htensor(f.tree, f.dims), []
     d = f.d
-    res_target = eps * (1.0 - xi) / omega  # certified stop: ||r|| below this
+    res_target = eps * lower  # certified stop: ||r|| below this
     u = zero_htensor(f.tree, f.dims)
     alpha = omega * nf / max(d - 1, 1)
     trigger = (1.0 - xi) / (xi * upper)
@@ -141,7 +140,7 @@ def st_solve(a: LowRankOperator, f: HTensor, omega: float, xi: float,
     period_best_hi = np.inf
     period_len = 0
     for n in range(1, max_iter + 1):
-        if res_hi * omega / (1.0 - xi) <= eps:
+        if res_hi / lower <= eps:
             return u, trace
         u_new = soft_threshold(add(u, scale(-omega, r)), alpha)
         step = norm(add(u_new, scale(-1.0, u)))

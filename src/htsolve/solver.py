@@ -12,8 +12,9 @@ so the halved bound still holds.  The returned report traces every
 tolerance, rank, support size and certified residual interval, and the
 final iterate comes with a two-sided a posteriori error certificate.
 
-:func:`default_config` derives the step size, contraction factor and
-reduction constants from certified operator bounds.
+:func:`solve` derives the step size, contraction factor and initial bound
+from the operator's proven bounds; :func:`default_config` gives the constants
+a caller may set.
 """
 
 from __future__ import annotations
@@ -80,14 +81,10 @@ def kappa_defaults(d: int) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Parameters of the adaptive Richardson iteration.
+    """The constants of the adaptive Richardson iteration a caller may set,
+    none of which can loosen a certificate (:func:`solve` derives ``omega``,
+    ``rho`` and ``eps0`` from the operator's proven bounds).
 
-    :func:`default_config` derives ``omega`` and ``rho`` from the proved
-    operator bounds; a caller who builds a config by hand certifies them.
-
-    omega   step size, with ``norm(I - omega A) <= rho`` on the energy space.
-    rho     contraction factor in [0, 1).
-    eps0    initial certified error bound, at least ``norm(A^{-1}) norm(f)``.
     kappa1..kappa3
             outer reduction constants, each in (0, 1), summing to at most 1.
     beta1, beta2
@@ -100,9 +97,6 @@ class SolveConfig:
     eps     target error bound.
     """
 
-    omega: float
-    rho: float
-    eps0: float
     kappa1: float
     kappa2: float
     kappa3: float
@@ -111,16 +105,10 @@ class SolveConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("omega", "eps0", "beta1", "beta2"):
+        for name in ("beta1", "beta2"):
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.eps0 < 0:
-            raise ValueError(f"eps0 must be nonnegative, got {self.eps0}")
         for name in ("kappa1", "kappa2", "kappa3"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
@@ -139,15 +127,8 @@ class SolveConfig:
 
 
 def default_config(a: LowRankOperator, f: HTensor, eps: float) -> SolveConfig:
-    """Configuration derived from the operator's proved bounds.
-
-    Uses the optimal Richardson parameters for a symmetric spectrum in
-    ``[lower, upper]``: ``omega = 2/(upper+lower)`` and
-    ``rho = (upper-lower)/(upper+lower)``, and ``eps0 = norm(f)/lower``
-    (the representation norm is exact).  No other step size proves a
-    smaller contraction factor from these bounds, and a smaller ``rho`` is
-    unproven, so neither is a parameter.  The kappa constants follow
-    :func:`kappa_defaults` for the operator's order.
+    """Default configuration for solving ``a u = f`` to ``eps`` (``f`` is not
+    read): the kappas of :func:`kappa_defaults` for the operator's order.
 
     The inner step is ``w <- coarsen(recompress(w - omega r, beta1 eta),
     beta2 eta)`` with ``beta1 = 1/4`` and ``beta2 = kappa1/4``: a quarter of
@@ -162,22 +143,28 @@ def default_config(a: LowRankOperator, f: HTensor, eps: float) -> SolveConfig:
     step.  Raises ``ValueError`` unless the operator carries bounds with
     ``0 < lower <= upper < inf``.
     """
-    lower, upper = _proven_bounds(a)
+    _proven_bounds(a)
     kappa1, kappa2, kappa3 = kappa_defaults(a.d)
-    return SolveConfig(
-        omega=2.0 / (upper + lower),
-        rho=(upper - lower) / (upper + lower),
-        eps0=norm(f) / lower,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kappa3=kappa3,
-        beta1=0.25,
-        beta2=kappa1 / 4.0,
-        eps=eps,
-    )
+    return SolveConfig(kappa1, kappa2, kappa3, beta1=0.25, beta2=kappa1 / 4.0,
+                       eps=eps)
 
 
-def inner_repetitions(cfg: SolveConfig) -> int:
+def _richardson_constants(a: LowRankOperator, f: HTensor) -> tuple[float, float, float]:
+    """``(omega, rho, eps0)`` from the operator's proven bounds: the step
+    ``2/(upper+lower)``, which proves the smallest contraction factor,
+    ``(upper-lower)/(upper+lower)``, and ``eps0 = norm(f)/lower``.  Raises
+    ``ValueError`` unless ``omega`` and ``eps0`` are finite and ``rho < 1``."""
+    lower, upper = _proven_bounds(a)
+    omega = 2.0 / (upper + lower)
+    rho = (upper - lower) / (upper + lower)
+    eps0 = norm(f) / lower
+    if not (0.0 < omega < math.inf and rho < 1.0 and math.isfinite(eps0)):
+        raise ValueError(f"operator bounds lower={lower}, upper={upper} give "
+                         f"omega={omega}, rho={rho}, eps0={eps0}")
+    return omega, rho, eps0
+
+
+def inner_repetitions(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> int:
     """Largest number of inner Richardson steps per outer pass.
 
     The smallest ``j`` with ``rho^j (1 + (omega+beta1+beta2) j) <= kappa1/2``:
@@ -187,16 +174,16 @@ def inner_repetitions(cfg: SolveConfig) -> int:
     since the target is below 1.  :func:`solve` runs at most this many steps
     per pass, and exactly this many in its last pass.
     """
+    omega, rho, _ = _richardson_constants(a, f)
     target = cfg.kappa1 / 2.0
-    drift = cfg.omega + cfg.beta1 + cfg.beta2
+    drift = omega + cfg.beta1 + cfg.beta2
     j = 0
-    while cfg.rho**j * (1.0 + drift * j) > target:
+    while rho**j * (1.0 + drift * j) > target:
         j += 1
         if j > 10**6:
             raise ValueError(
                 f"no finite inner step count reaches kappa1/2 = {target}; "
-                f"the configuration (omega={cfg.omega}, rho={cfg.rho}) does "
-                "not contract"
+                f"the operator bounds give rho={rho}"
             )
     return j
 
@@ -240,12 +227,15 @@ class SolveReport:
     certified bound on the pass's last iterate that allowed the reduction
     (``inner_exit_bound``: the early-exit bound of :func:`solve`, or the
     scheduled ``rho^J (1 + drift J) 2^{-k} eps0`` after a full pass).
+    ``omega``, ``rho`` and ``eps0`` are the constants :func:`solve` derived.
     ``schedule_bound`` is the guaranteed error bound ``2^{-K} eps0`` at
     exit, ``residual_interval`` the a posteriori two-sided error
     certificate, and ``final_error_bound`` the smaller of the two upper
     bounds — never above the requested ``eps``.
     """
 
+    omega: float
+    rho: float
     eps0: float
     eps: float
     inner_per_outer: int
@@ -348,9 +338,11 @@ def _diagnostics(u: HTensor) -> dict:
 def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, SolveReport]:
     """Adaptive Richardson iteration with certified error control.
 
-    Starting from zero, as long as the certified bound ``2^{-k} eps0``
-    exceeds the target ``eps``, one outer pass runs at most
-    ``J = inner_repetitions(cfg)`` perturbed Richardson steps
+    ``omega``, ``rho`` and ``eps0`` come from the operator's proven bounds
+    (``_richardson_constants``).  Starting from zero, as long as the
+    certified bound ``2^{-k} eps0`` exceeds the target ``eps``, one outer
+    pass runs at most ``J = inner_repetitions(a, f, cfg)`` perturbed
+    Richardson steps
 
         eta = rho^{j+1} 2^{-k} eps0
         r   = apply_certified(a, w; eta/2) - rhs_truncate(f; eta/2)
@@ -383,9 +375,10 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
     ``J`` steps, since the returned certificate is read from its iterate.
 
     Every inner residual carries a certified interval; if its lower end
-    contradicts the scheduled bound — which can only happen when the assumed
-    contraction ``norm(I - omega A) <= rho`` does not hold — the iteration
-    aborts with :class:`ContractionViolationError` naming the offending step.
+    contradicts the scheduled bound — which can only happen when the
+    operator bounds, and with them ``norm(I - omega A) <= rho``, do not hold
+    — the iteration aborts with :class:`ContractionViolationError` naming
+    the offending step.
     The final iterate is certified a posteriori via
     :func:`error_certificate`; the reported bound is the smaller of the
     schedule bound and the certificate, and never exceeds ``eps``.
@@ -396,31 +389,32 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
         )
     lower, upper = _proven_bounds(a)
     started = time.perf_counter()
-    reps = inner_repetitions(cfg)
-    drift = cfg.omega + cfg.beta1 + cfg.beta2
+    omega, rho, eps0 = _richardson_constants(a, f)
+    reps = inner_repetitions(a, f, cfg)
+    drift = omega + cfg.beta1 + cfg.beta2
 
     u = zero_htensor(f.tree, f.dims)
     steps: list[dict] = []
     outer_steps: list[dict] = []
     k = 0
-    while 2.0 ** (-k) * cfg.eps0 > cfg.eps:
-        level = 2.0 ** (-k) * cfg.eps0
+    while 2.0 ** (-k) * eps0 > cfg.eps:
+        level = 2.0 ** (-k) * eps0
         # the last pass keeps all its steps: the certificate is read from it
-        may_exit = 2.0 ** (-(k + 1)) * cfg.eps0 > cfg.eps
-        exit_bound = cfg.rho**reps * (1.0 + drift * reps) * level
+        may_exit = 2.0 ** (-(k + 1)) * eps0 > cfg.eps
+        exit_bound = rho**reps * (1.0 + drift * reps) * level
         w = u
         for j in range(reps):
             tick = time.perf_counter()
-            eta = cfg.rho ** (j + 1) * level
+            eta = rho ** (j + 1) * level
             r, res_lo, res_hi = _certified_residual(a, w, f, eta)
             # the scheduled bound on ||w_{k,j} - u|| after j perturbed steps
-            bound = cfg.rho**j * (1.0 + drift * j) * level
-            if res_lo / upper > bound * (1.0 + 1e-9) + 1e-12 * cfg.eps0:
+            bound = rho**j * (1.0 + drift * j) * level
+            if res_lo / upper > bound * (1.0 + 1e-9) + 1e-12 * eps0:
                 raise ContractionViolationError(
                     f"certified error at outer step {k}, inner step {j} is at "
                     f"least {res_lo / upper:.6g}, above the scheduled bound "
-                    f"{bound:.6g}; the assumed contraction (omega="
-                    f"{cfg.omega:.6g}, rho={cfg.rho:.6g}) does not hold"
+                    f"{bound:.6g}; the operator bounds (lower={lower:.6g}, "
+                    f"upper={upper:.6g}) do not hold"
                 )
             steps.append({
                 "k": k,
@@ -431,13 +425,13 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
                 "res_lo": float(res_lo),
                 "res_hi": float(res_hi),
             })
-            w = add(w, scale(-cfg.omega, r))
+            w = add(w, scale(-omega, r))
             steps[-1]["pre_rank"] = max(w.ranks, default=0)
             w = coarsen(recompress(w, cfg.beta1 * eta), cfg.beta2 * eta)
             steps[-1]["kept_rank"] = max(w.ranks, default=0)
             steps[-1]["wall"] = time.perf_counter() - tick
             # certified bound on the new iterate's error (see the docstring)
-            step_bound = cfg.rho * res_hi / lower + drift * eta
+            step_bound = rho * res_hi / lower + drift * eta
             if (may_exit and j + 1 < reps
                     and step_bound <= cfg.kappa1 * level / 2.0):
                 exit_bound = step_bound
@@ -450,7 +444,7 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
         k += 1
         outer_steps.append({
             "k": k,
-            "bound": 2.0 ** (-k) * cfg.eps0,
+            "bound": 2.0 ** (-k) * eps0,
             "ranks": tuple(int(x) for x in u.ranks),
             "supports": contractions(u).supports,
             "inner_steps": j + 1,
@@ -458,17 +452,19 @@ def solve(a: LowRankOperator, f: HTensor, cfg: SolveConfig) -> tuple[HTensor, So
             "wall": time.perf_counter() - tick,
         })
 
-    schedule_bound = 2.0 ** (-k) * cfg.eps0
+    schedule_bound = 2.0 ** (-k) * eps0
     res_eta = cfg.kappa1 * cfg.eps / 8.0
     err_lo, err_hi = error_certificate(a, u, f, res_eta)
-    if err_lo > schedule_bound * (1.0 + 1e-9) + 1e-12 * cfg.eps0:
+    if err_lo > schedule_bound * (1.0 + 1e-9) + 1e-12 * eps0:
         raise ContractionViolationError(
             f"final certified error is at least {err_lo:.6g}, above the "
-            f"scheduled bound {schedule_bound:.6g}; operator bounds or the "
-            "contraction assumption are inconsistent"
+            f"scheduled bound {schedule_bound:.6g}; the operator bounds "
+            f"(lower={lower:.6g}, upper={upper:.6g}) do not hold"
         )
     report = SolveReport(
-        eps0=cfg.eps0,
+        omega=omega,
+        rho=rho,
+        eps0=eps0,
         eps=cfg.eps,
         inner_per_outer=reps,
         outer_iterations=k,

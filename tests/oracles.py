@@ -521,13 +521,15 @@ def check_inner_passes(report, cfg, lower: float) -> list[int]:
     ``kappa1 level / 2``, with ``level = 2^-k eps0``, and runs all ``J``
     steps when no step before the last one reaches it.  Each pass records
     its step count and exit bound: that early-exit bound or the scheduled
-    ``rho^J (1 + drift J) level``.
+    ``rho^J (1 + drift J) level``.  ``omega``, ``rho`` and ``eps0`` are the
+    report's, the other constants ``cfg``'s.
     """
     reps = report.inner_per_outer
-    drift = cfg.omega + cfg.beta1 + cfg.beta2
+    rho, eps0 = report.rho, report.eps0
+    drift = report.omega + cfg.beta1 + cfg.beta2
 
     def exit_bound(step):
-        return cfg.rho * step["res_hi"] / lower + drift * step["eta"]
+        return rho * step["res_hi"] / lower + drift * step["eta"]
 
     counts = [o["inner_steps"] for o in report.outer_steps]
     assert sum(counts) == len(report.steps)
@@ -538,7 +540,7 @@ def check_inner_passes(report, cfg, lower: float) -> list[int]:
         steps = report.steps[start:start + count]
         start += count
         assert [(s["k"], s["j"]) for s in steps] == [(k, j) for j in range(count)]
-        target = cfg.kappa1 * 2.0 ** (-k) * cfg.eps0 / 2.0
+        target = cfg.kappa1 * 2.0 ** (-k) * eps0 / 2.0
         last = k == len(counts) - 1
         exits = [not last and exit_bound(s) <= target
                  for s in steps[:reps - 1]]
@@ -549,7 +551,7 @@ def check_inner_passes(report, cfg, lower: float) -> list[int]:
         else:
             assert math.isclose(
                 outer["inner_exit_bound"],
-                cfg.rho**reps * (1.0 + drift * reps) * 2.0 ** (-k) * cfg.eps0,
+                rho**reps * (1.0 + drift * reps) * 2.0 ** (-k) * eps0,
                 rel_tol=1e-12)
     return counts
 

@@ -301,7 +301,8 @@ def test_09_end_to_end_certified_solves():
             err = float(np.linalg.norm(H.to_dense(u) - ref))
             assert err <= eps, (name, eps, err)
             assert err <= report.final_error_bound, (name, eps, err)
-            expected = math.ceil(math.log2(cfg.eps0 / eps))
+            eps0 = H.norm(p.rhs) / p.operator.bounds.lower
+            expected = math.ceil(math.log2(eps0 / eps))
             assert report.outer_iterations == expected, (name, eps)
             lines.append(f"{name}@{eps:.0e}: err {err:.2e} <= "
                          f"bound {report.final_error_bound:.2e}")
@@ -433,7 +434,7 @@ def test_13_default_inner_recompression_certified():
         lo, hi = report.residual_interval
         assert lo <= err <= hi, (trial, lo, err, hi)
         assert err <= report.final_error_bound <= eps, (trial, err, eps)
-        assert report.inner_per_outer == inner_repetitions(cfg)
+        assert report.inner_per_outer == inner_repetitions(p.operator, p.rhs, cfg)
         check_inner_passes(report, cfg, float(p.operator.bounds.lower))
         _, plain = solve(p.operator, p.rhs, dataclasses.replace(cfg, beta1=0.0))
         peaks[:, trial] = (max(s["kept_rank"] for s in report.steps),
@@ -484,7 +485,7 @@ def test_14_inner_early_exit_certified(monkeypatch):
         for k, (count, outer) in enumerate(zip(counts, report.outer_steps)):
             w, eta = calls[at + count]
             at += count + 1
-            level = 2.0 ** (-k) * cfg.eps0
+            level = 2.0 ** (-k) * report.eps0
             assert eta == cfg.kappa2 * level / 2.0
             err = float(np.linalg.norm(H.to_dense(w) - ref))
             assert err <= outer["inner_exit_bound"], (trial, k, err, outer)

@@ -21,7 +21,6 @@ from htsolve.cli import _FLAGS, RunSpec, _build_parser, _pin_threads, main
 from htsolve.hsvd import add, norm, random_htensor, scale, to_dense
 from htsolve.htree import build_balanced_tree
 from htsolve.problems import load_problem
-from htsolve.solver import default_config
 from htsolve.tensorfile import load_htensor, save_htensor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -171,6 +170,10 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["kappa2"] == 0.2
         assert report["config"]["beta2"] == 0.005
+        # the derived constants sit beside the config, not in it
+        assert sorted(report["config"]) == ["beta1", "beta2", "eps", "kappa1",
+                                            "kappa2", "kappa3"]
+        assert all(math.isfinite(report[k]) for k in ("omega", "rho", "eps0"))
 
 
 class TestStSolveCommand:
@@ -193,13 +196,14 @@ class TestStSolveCommand:
 
     def test_step_comes_from_default_config(self, tmp_path):
         # omega and xi are solve's step size and contraction factor, which
-        # default_config derives from the proved operator bounds
+        # it derives from the proved operator bounds
         assert main(["st-solve", PARAMETRIC_D2, "--eps", "1e-2",
                      "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "st_report.json").read_text())
-        problem = load_problem(PARAMETRIC_D2)
-        cfg = default_config(problem.operator, problem.rhs, eps=1e-2)
-        assert (report["omega"], report["xi"]) == (cfg.omega, cfg.rho)
+        bounds = load_problem(PARAMETRIC_D2).operator.bounds
+        lower, upper = float(bounds.lower), float(bounds.upper)
+        assert (report["omega"], report["xi"]) == (
+            2.0 / (upper + lower), (upper - lower) / (upper + lower))
 
 
 class TestCompressCommand:

@@ -369,6 +369,19 @@ class TestStSolve:
         with pytest.raises(ValueError, match=name):
             st_solve(a, f, omega=kwargs["omega"], xi=0.5, eps=1e-6)
 
+    def test_stop_rests_on_proven_lower_bound(self):
+        # xi below the proven contraction factor once moved the stop to
+        # ||r|| omega / (1 - xi) <= eps: this run claimed 8.8e-5 at a dense
+        # error of 1.13e-4
+        problem = load_problem(FIXTURES / "diffusion_d2_sine.ini")
+        a = problem.operator
+        lower, upper = a.bounds.lower, a.bounds.upper
+        eps = 1e-4
+        u, trace = st_solve(a, problem.rhs, omega=2.0 / (upper + lower),
+                            xi=0.05, eps=eps)
+        assert trace[-1]["res_hi"] / lower <= eps
+        assert np.linalg.norm(to_dense(u) - dense_solve(problem)) <= eps
+
     @pytest.mark.parametrize("name,eps", [("diffusion_d2_sine", 1e-8),
                                           ("parametric_d2", 1e-10)])
     def test_fixture_error_within_tight_eps(self, name, eps):

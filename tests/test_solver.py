@@ -100,8 +100,7 @@ class TestKappaDefaults:
         total = k1 + w * (k2 + k3)
         split = (k1 / total, w * k2 / total, w * k3 / total)
         assert sum(split) == pytest.approx(1.0, abs=1e-12)
-        SolveConfig(omega=0.5, rho=0.5, eps0=1.0,
-                    kappa1=split[0], kappa2=split[1], kappa3=split[2])
+        SolveConfig(kappa1=split[0], kappa2=split[1], kappa3=split[2])
         if alpha == 1.0:
             assert split == pytest.approx((k1, k2, k3), rel=1e-14)
 
@@ -110,22 +109,36 @@ class TestKappaDefaults:
             kappa_defaults(1)
 
 
+# solve derives these from the operator bounds; no config takes them
+DERIVED = ("omega", "rho", "eps0")
+
+
 class TestSolveConfig:
     def valid(self, **overrides):
         k1, k2, k3 = kappa_defaults(2)
-        fields = dict(omega=0.5, rho=0.5, eps0=1.0,
-                      kappa1=k1, kappa2=k2, kappa3=k3,
+        fields = dict(kappa1=k1, kappa2=k2, kappa3=k3,
                       beta1=0.0, beta2=0.01, eps=1e-4)
         fields.update(overrides)
         return SolveConfig(**fields)
 
     def test_accepts_defaults(self):
         cfg = self.valid()
-        assert cfg.rho == 0.5
+        assert cfg.beta2 == 0.01
         assert cfg.kappa1 + cfg.kappa2 + cfg.kappa3 <= 1.0 + 1e-12
 
+    def test_fields_are_the_settable_constants(self):
+        cfg = self.valid()
+        names = [f.name for f in dataclasses.fields(SolveConfig)]
+        assert names == ["kappa1", "kappa2", "kappa3", "beta1", "beta2", "eps"]
+        for name in DERIVED:
+            with pytest.raises(TypeError, match=name):
+                dataclasses.replace(cfg, **{name: 0.25})
+
     def test_accepts_rho_zero(self):
-        assert self.valid(rho=0.0).rho == 0.0
+        # equal bounds prove the contraction factor 0: solve runs with it
+        f = uniform_rank_one((4, 4))
+        _, report = solve(identity_operator((4, 4)), f, self.valid(eps=0.1))
+        assert report.rho == 0.0
 
     @pytest.mark.parametrize("field,value,match", [
         ("omega", 0.0, "omega"),
@@ -141,7 +154,10 @@ class TestSolveConfig:
         ("eps", 0.0, "eps"),
     ])
     def test_range_validation(self, field, value, match):
-        with pytest.raises(ValueError, match=match):
+        # a derived constant is refused at any value, a settable one out of
+        # its range
+        error = TypeError if field in DERIVED else ValueError
+        with pytest.raises(error, match=match):
             self.valid(**{field: value})
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
@@ -152,6 +168,10 @@ class TestSolveConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["omega", "eps0", "beta1", "beta2"])
     def test_rejects_non_finite_fields(self, field, value):
+        if field in DERIVED:
+            with pytest.raises(TypeError, match=field):
+                self.valid(**{field: value})
+            return
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             self.valid(**{field: value})
 
@@ -163,10 +183,12 @@ class TestSolveConfig:
 class TestDefaultConfig:
     def test_identity(self):
         f = uniform_rank_one((8, 8))
-        cfg = default_config(identity_operator((8, 8)), f, eps=0.1)
-        assert cfg.omega == 1.0
-        assert cfg.rho == 0.0
-        assert cfg.eps0 == pytest.approx(norm(f), rel=1e-14)
+        a = identity_operator((8, 8))
+        cfg = default_config(a, f, eps=0.1)
+        _, report = solve(a, f, cfg)
+        assert report.omega == 1.0
+        assert report.rho == 0.0
+        assert report.eps0 == pytest.approx(norm(f), rel=1e-14)
         assert cfg.beta1 == 0.25
         assert cfg.beta2 == pytest.approx(cfg.kappa1 / 4.0, rel=1e-14)
         assert cfg.eps == 0.1
@@ -174,10 +196,11 @@ class TestDefaultConfig:
     def test_optimal_richardson_formulas(self):
         a = LowRankOperator((4, 4), [(None, None)],
                             bounds=OperatorBounds(2.0, 8.0))
-        cfg = default_config(a, uniform_rank_one((4, 4)), eps=1e-3)
-        assert cfg.omega == pytest.approx(0.2, rel=1e-14)
-        assert cfg.rho == pytest.approx(0.6, rel=1e-14)
-        assert cfg.eps0 == pytest.approx(0.5, rel=1e-14)  # norm(f) / lower
+        omega, rho, eps0 = solver_module._richardson_constants(
+            a, uniform_rank_one((4, 4)))
+        assert omega == pytest.approx(0.2, rel=1e-14)
+        assert rho == pytest.approx(0.6, rel=1e-14)
+        assert eps0 == pytest.approx(0.5, rel=1e-14)  # norm(f) / lower
 
     def test_kappas_match_order(self):
         f = uniform_rank_one((4, 4, 4))
@@ -195,24 +218,30 @@ class TestDefaultConfig:
 class TestInnerRepetitions:
     def test_identity_needs_one_step(self):
         f = uniform_rank_one((8, 8))
-        cfg = default_config(identity_operator((8, 8)), f, eps=0.1)
-        assert inner_repetitions(cfg) == 1
+        a = identity_operator((8, 8))
+        cfg = default_config(a, f, eps=0.1)
+        assert inner_repetitions(a, f, cfg) == 1
 
     def test_hand_computed_case(self):
-        # rho=1/2, drift=1.1, target kappa1/2=0.25:
+        # bounds (1/2, 3/2) give omega=1, rho=1/2; drift=1.1, target
+        # kappa1/2=0.25:
         # j=4: 2^-4 * 5.4 = 0.3375 > 0.25; j=5: 2^-5 * 6.5 = 0.203 <= 0.25
-        cfg = SolveConfig(omega=1.0, rho=0.5, eps0=1.0,
-                          kappa1=0.5, kappa2=0.2, kappa3=0.2,
+        a = LowRankOperator((4, 4), [(None, None)],
+                            bounds=OperatorBounds(0.5, 1.5))
+        cfg = SolveConfig(kappa1=0.5, kappa2=0.2, kappa3=0.2,
                           beta1=0.0, beta2=0.1, eps=0.1)
-        assert inner_repetitions(cfg) == 5
+        assert inner_repetitions(a, uniform_rank_one((4, 4)), cfg) == 5
 
     def test_monotone_in_rho(self):
         def reps(rho):
+            # omega = 0.5 and this rho: lower + upper = 4, upper - lower = 4 rho
+            a = LowRankOperator((4, 4), [(None, None)],
+                                bounds=OperatorBounds(2.0 - 2.0 * rho,
+                                                      2.0 + 2.0 * rho))
             k1, k2, k3 = kappa_defaults(2)
-            cfg = SolveConfig(omega=0.5, rho=rho, eps0=1.0,
-                              kappa1=k1, kappa2=k2, kappa3=k3,
+            cfg = SolveConfig(kappa1=k1, kappa2=k2, kappa3=k3,
                               beta2=k1 / 4.0, eps=0.1)
-            return inner_repetitions(cfg)
+            return inner_repetitions(a, uniform_rank_one((4, 4)), cfg)
 
         assert reps(0.3) < reps(0.9)
 
@@ -279,10 +308,11 @@ class TestSolveDiffusion:
 
     def test_exact_outer_iteration_count(self, diffusion_d3):
         problem, _ = diffusion_d3
+        eps0 = norm(problem.rhs) / problem.operator.bounds.lower
         for eps in (1e-1, 1e-2):
             cfg = default_config(problem.operator, problem.rhs, eps=eps)
             _, report = solve(problem.operator, problem.rhs, cfg)
-            assert report.outer_iterations == math.ceil(math.log2(cfg.eps0 / eps))
+            assert report.outer_iterations == math.ceil(math.log2(eps0 / eps))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_monotone_certified_progress(self, diffusion_d3, k):
@@ -291,12 +321,12 @@ class TestSolveDiffusion:
         # depend on eps); its measured error must respect the certified
         # bound 2^-k eps0
         problem, u_dense = diffusion_d3
-        cfg0 = default_config(problem.operator, problem.rhs, eps=1.0)
-        eps_k = cfg0.eps0 * 2.0 ** (-k) * 1.001
+        eps0 = norm(problem.rhs) / problem.operator.bounds.lower
+        eps_k = eps0 * 2.0 ** (-k) * 1.001
         cfg = default_config(problem.operator, problem.rhs, eps=eps_k)
         u, report = solve(problem.operator, problem.rhs, cfg)
         assert report.outer_iterations == k
-        assert np.linalg.norm(to_dense(u) - u_dense) <= cfg.eps0 * 2.0 ** (-k)
+        assert np.linalg.norm(to_dense(u) - u_dense) <= eps0 * 2.0 ** (-k)
 
     def test_eta_schedule_and_trace_shape(self, diffusion_d2):
         problem, u_dense = diffusion_d2
@@ -306,7 +336,7 @@ class TestSolveDiffusion:
         lower = float(problem.operator.bounds.lower)
         assert len(check_inner_passes(report, cfg, lower)) == report.outer_iterations
         for s in report.steps:
-            want = cfg.rho ** (s["j"] + 1) * (2.0 ** (-s["k"]) * cfg.eps0)
+            want = report.rho ** (s["j"] + 1) * (2.0 ** (-s["k"]) * report.eps0)
             assert s["eta"] == pytest.approx(want, rel=1e-13)
             assert s["res_lo"] <= s["res_hi"]
             assert len(s["ranks"]) == len(problem.operator.dims) * 2 - 3
@@ -341,18 +371,36 @@ class TestSolveValidation:
     def test_dimension_mismatch(self):
         a = identity_operator((8, 8))
         f = uniform_rank_one((8, 4))
-        cfg = SolveConfig(omega=1.0, rho=0.0, eps0=1.0,
-                          kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
+        cfg = SolveConfig(kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
         with pytest.raises(ValueError, match="do not match"):
             solve(a, f, cfg)
 
     def test_missing_bounds(self):
         a = LowRankOperator((8, 8), [(None, None)])
         f = uniform_rank_one((8, 8))
-        cfg = SolveConfig(omega=1.0, rho=0.0, eps0=1.0,
-                          kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
+        cfg = SolveConfig(kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
         with pytest.raises(ValueError, match="bounds"):
             solve(a, f, cfg)
+
+    @pytest.mark.parametrize("bounds,rhs_scale", [
+        ((1e-17, 1.0), 1.0),  # rho rounds to 1: no inner step count
+        ((0.5, 1.0), 1e308),  # eps0 = norm(f)/lower overflows
+    ], ids=["rho-one", "eps0-overflow"])
+    def test_unusable_derived_constants_rejected(self, bounds, rhs_scale,
+                                                 monkeypatch):
+        a = identity_operator((4, 4))
+        a.bounds = OperatorBounds(*bounds)
+        f = scale(rhs_scale, uniform_rank_one((4, 4)))
+        cfg = default_config(a, f, eps=1e-3)
+
+        def refuse(*args):
+            raise AssertionError("a step ran before the constants were checked")
+
+        monkeypatch.setattr(solver_module, "_certified_residual", refuse)
+        with pytest.raises(ValueError, match="operator bounds"):
+            solve(a, f, cfg)
+        with pytest.raises(ValueError, match="operator bounds"):
+            inner_repetitions(a, f, cfg)
 
     def test_contraction_violation_diagnosed(self):
         # conspicuously wrong bounds: the operator is 2I but claims
@@ -393,8 +441,7 @@ def test_unproven_bounds_rejected_before_any_sweep(call, bounds, monkeypatch):
     a = ideal_scaled_operator(dims, rng)
     a.bounds = bounds
     f = random_htensor(build_balanced_tree(2), dims, 2, rng)
-    cfg = SolveConfig(omega=1.0, rho=0.0, eps0=1.0,
-                      kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
+    cfg = SolveConfig(kappa1=0.1, kappa2=0.2, kappa3=0.6, eps=0.5)
     calls = {
         "apply_certified": lambda: apply_certified(a, f, 1e-8),
         "solve": lambda: solve(a, f, cfg),
@@ -412,6 +459,20 @@ def test_unproven_bounds_rejected_before_any_sweep(call, bounds, monkeypatch):
 
 
 class TestSolveReport:
+    def test_derived_constants_match_bound_formulas(self, diffusion_d2):
+        problem, _ = diffusion_d2
+        cfg = default_config(problem.operator, problem.rhs, eps=1e-1)
+        _, report = solve(problem.operator, problem.rhs, cfg)
+        lower = float(problem.operator.bounds.lower)
+        upper = float(problem.operator.bounds.upper)
+        assert report.omega == 2.0 / (upper + lower)
+        assert report.rho == (upper - lower) / (upper + lower)
+        assert report.eps0 == norm(problem.rhs) / lower
+        payload = report.to_json_dict()
+        assert (payload["omega"], payload["rho"], payload["eps0"]) == (
+            report.omega, report.rho, report.eps0)
+        assert payload["config"] == dataclasses.asdict(cfg)
+
     def test_csv_rows_deterministic(self, diffusion_d2):
         problem, _ = diffusion_d2
         cfg = default_config(problem.operator, problem.rhs, eps=1e-1)
@@ -437,11 +498,11 @@ class TestSolveReport:
 
     def test_final_bound_invariant_enforced(self):
         with pytest.raises(ValueError, match="exceeds"):
-            SolveReport(eps0=1.0, eps=1e-3, inner_per_outer=1,
-                        outer_iterations=1, config={},
+            SolveReport(omega=1.0, rho=0.0, eps0=1.0, eps=1e-3,
+                        inner_per_outer=1, outer_iterations=1, config={},
                         final_error_bound=2e-3)
         with pytest.raises(ValueError, match="not finite"):
-            SolveReport(eps0=1.0, eps=1e-3, inner_per_outer=1,
+            SolveReport(omega=1.0, rho=0.0, eps0=1.0, eps=1e-3, inner_per_outer=1,
                         outer_iterations=1, config={},
                         final_error_bound=math.nan)
 
@@ -634,7 +695,8 @@ def test_any_beta1_certifies_parametric_d2(parametric_d2, beta1):
         default_config(problem.operator, problem.rhs, eps=1e-4), beta1=beta1)
     u, report = solve(problem.operator, problem.rhs, cfg)
     err = np.linalg.norm(to_dense(u) - u_dense)
-    assert report.inner_per_outer == inner_repetitions(cfg)
+    assert report.inner_per_outer == inner_repetitions(problem.operator,
+                                                       problem.rhs, cfg)
     check_inner_passes(report, cfg, float(problem.operator.bounds.lower))
     assert report.final_error_bound <= cfg.eps
     assert report.residual_interval[0] <= err <= report.final_error_bound
@@ -648,7 +710,7 @@ class TestInnerExit:
         cfg = default_config(problem.operator, problem.rhs, eps=1e-4)
         _, report = solve(problem.operator, problem.rhs, cfg)
         counts = check_inner_passes(report, cfg, float(problem.operator.bounds.lower))
-        reps = inner_repetitions(cfg)
+        reps = inner_repetitions(problem.operator, problem.rhs, cfg)
         assert reps == 3 and counts == [2] * (len(counts) - 1) + [3]
         target = [cfg.kappa1 * o["bound"] for o in report.outer_steps]
         assert all(o["inner_exit_bound"] <= t * (1.0 + 1e-12)
@@ -670,8 +732,9 @@ class TestInnerExit:
         # the last pass keeps its scheduled length: a one-pass solve never
         # exits early, whatever its residuals prove
         problem = parametric_d3
-        cfg0 = default_config(problem.operator, problem.rhs, eps=1.0)
-        cfg = default_config(problem.operator, problem.rhs, eps=0.6 * cfg0.eps0)
+        eps0 = norm(problem.rhs) / problem.operator.bounds.lower
+        cfg = default_config(problem.operator, problem.rhs, eps=0.6 * eps0)
         _, report = solve(problem.operator, problem.rhs, cfg)
         assert report.outer_iterations == 1
-        assert report.outer_steps[0]["inner_steps"] == inner_repetitions(cfg)
+        assert report.outer_steps[0]["inner_steps"] == inner_repetitions(
+            problem.operator, problem.rhs, cfg)
