@@ -169,10 +169,10 @@ class TestSolveConfig:
     @pytest.mark.parametrize("field", ["omega", "eps0", "beta1", "beta2"])
     def test_rejects_non_finite_fields(self, field, value):
         if field in DERIVED:
-            with pytest.raises(TypeError, match=field):
-                self.valid(**{field: value})
-            return
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            error, match = TypeError, field
+        else:
+            error, match = ValueError, f"{field} must be finite"
+        with pytest.raises(error, match=match):
             self.valid(**{field: value})
 
     def test_kappa_budget(self):
